@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or verified; 1 verified-false, unsatisfiable at the
-budget, or not a sum of squares; 2 input error; 3 internal assertion.
+budget, or not a sum of squares; 2 input error; 3 internal assertion;
+4 undecided, because the search space exceeds the candidate row cap.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .search import (
     NotSoS,
     NotTotallyPsd,
     Represented,
+    SearchSpaceError,
     Unsat,
     length_certificate,
     represent,
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_UNDECIDED = 4
 
 
 def _parse_gram(f: Field, text: str) -> GramForm:
@@ -161,12 +164,7 @@ def _cmd_suite_run(args) -> int:
     ns = None
     if args.n:
         ns = tuple(int(v) for chunk in args.n for v in chunk.split(",") if v)
-    reports = run_suite(
-        args.case or None,
-        ns=ns,
-        threads=args.threads,
-        cert_dir=args.cert_dir,
-    )
+    reports = run_suite(args.case or None, ns=ns, cert_dir=args.cert_dir)
     failed = 0
     for r in reports:
         status = r.verdict.upper()
@@ -204,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_elen.add_argument("--coords", required=True, help='"q0,q1[,q2,q3]" over 1, sqrt(m), sqrt(n), sqrt(mn)')
     p_elen.add_argument("--max-squares", type=int, default=8)
     p_elen.add_argument("--cert-out")
-    p_elen.add_argument("--deterministic", action="store_true",
-                        help="single-order exploration (always on; flag kept for compatibility)")
     p_elen.set_defaults(func=_cmd_elem_length)
 
     p_form = sub.add_parser("form", help="quadratic form operations")
@@ -241,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--case", action="append", choices=CASE_IDS, help="repeatable case filter")
     p_run.add_argument("--n", action="append", help="comma-separated parameter list for parametrized cases")
     p_run.add_argument("--report", help="write a JSON report")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--cert-dir", help="directory for emitted certificates")
     p_run.set_defaults(func=_cmd_suite_run)
 
@@ -259,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SearchSpaceError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (AssertionError, CompressionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

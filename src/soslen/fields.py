@@ -230,14 +230,13 @@ class Field:
         self._basis_traces = tuple(traces)
 
     def _trace_form_determinant(self) -> int:
-        d = self.degree
-        gram = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                t = (self.integral_basis[i] * self.integral_basis[j]).trace()
-                assert t.denominator == 1
-                gram[i][j] = t.numerator
-        return _int_determinant(gram)
+        # trace-form entries are rational, written as t * basis[0] = t * 1
+        pad = (0,) * (self.degree - 1)
+        gram = [
+            [(self.trace_of_coords(prod),) + pad for prod in row]
+            for row in self._mul_tensor
+        ]
+        return self.det_coords(gram)[0]
 
     def _prepare_embedding_tables(self) -> None:
         lo_tab = []
@@ -328,6 +327,23 @@ class Field:
                         out[k] += f * t[k]
         return tuple(out)
 
+    def det_coords(self, m) -> tuple[int, ...]:
+        """Determinant of a square matrix of coordinate tuples, by cofactors."""
+        n = len(m)
+        if n == 1:
+            return m[0][0]
+        det = (0,) * self.degree
+        for j in range(n):
+            if not any(m[0][j]):
+                continue
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            term = self.mul_coords(m[0][j], self.det_coords(minor))
+            if j % 2:
+                det = tuple(a - b for a, b in zip(det, term))
+            else:
+                det = tuple(a + b for a, b in zip(det, term))
+        return det
+
     def trace_of_coords(self, coords: tuple[int, ...]) -> int:
         return sum(c * t for c, t in zip(coords, self._basis_traces))
 
@@ -363,6 +379,24 @@ class Field:
             self.sign_of_coords(coords, e) >= 0 for e in range(len(self.embeddings))
         )
 
+    def coords_psd(self, m) -> bool:
+        """Exact total positive semidefiniteness of a symmetric matrix of
+        coordinate tuples.
+
+        Leading minors alone are not sufficient for singular matrices, so
+        every principal minor is required to be totally nonnegative.
+        """
+        r = len(m)
+        for i in range(r):
+            if not self.coords_totally_nonneg(m[i][i]):
+                return False
+        for size in range(2, r + 1):
+            for subset in itertools.combinations(range(r), size):
+                minor = [[m[i][j] for j in subset] for i in subset]
+                if not self.coords_totally_nonneg(self.det_coords(minor)):
+                    return False
+        return True
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
@@ -373,19 +407,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field({self.shape})"
-
-
-def _int_determinant(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    det = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        det += (-1) ** j * m[0][j] * _int_determinant(minor)
-    return det
 
 
 @lru_cache(maxsize=None)

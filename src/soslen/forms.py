@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .fields import Field, NotIntegralError, OElement
 from .radicals import Radical
+
+
+def _outer_sum(field: Field, rank: int, rows) -> list[list[tuple[int, ...]]]:
+    """Integral coordinates of the sum of row (x) row over rows of OElements."""
+    zero = (0,) * field.degree
+    total = [[zero] * rank for _ in range(rank)]
+    for row in rows:
+        for i in range(rank):
+            for j in range(i, rank):
+                p = field.mul_coords(row[i].coords, row[j].coords)
+                total[i][j] = tuple(a + b for a, b in zip(total[i][j], p))
+    for i in range(rank):
+        for j in range(i):
+            total[i][j] = total[j][i]
+    return total
 
 
 class GramForm:
@@ -51,17 +65,10 @@ class GramForm:
         """The Gram matrix sum of row_i (x) row_i of integral row vectors."""
         if not rows:
             raise ValueError("at least one row is required to infer the rank")
-        r = len(rows[0])
-        entries = [[Radical.zero(field.shape) for _ in range(r)] for _ in range(r)]
-        for row in rows:
-            rad = [v.to_radical() for v in row]
-            for i in range(r):
-                for j in range(i, r):
-                    p = rad[i] * rad[j]
-                    entries[i][j] = entries[i][j] + p
-                    if i != j:
-                        entries[j][i] = entries[j][i] + p
-        return cls(field, tuple(tuple(row) for row in entries))
+        total = _outer_sum(field, len(rows[0]), rows)
+        return cls(
+            field, tuple(tuple(field.radical_of_coords(c) for c in row) for row in total)
+        )
 
     @classmethod
     def zero(cls, field: Field, rank: int) -> GramForm:
@@ -108,37 +115,15 @@ def perp_unit(gram: GramForm) -> GramForm:
     return GramForm(gram.field, tuple(rows))
 
 
-def _radical_det(m: list[list[Radical]]) -> Radical:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    shape = m[0][0].shape
-    det = Radical.zero(shape)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _radical_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def principal_minor(gram: GramForm, subset: tuple[int, ...]) -> Radical:
-    m = [[gram.entries[i][j] for j in subset] for i in subset]
-    return _radical_det(m)
-
-
 def totally_psd(gram: GramForm) -> bool:
-    """Exact total positive semidefiniteness via all principal minors.
+    """Exact total positive semidefiniteness of the Gram matrix.
 
-    Leading minors alone are not sufficient for singular matrices, so every
-    principal minor is required to be totally nonnegative.
+    Tested on 2G, whose entries are integral by the classical integrality
+    of GramForm and whose semidefiniteness is that of G.
     """
-    for size in range(1, gram.rank + 1):
-        for subset in itertools.combinations(range(gram.rank), size):
-            if not principal_minor(gram, subset).is_totally_nonnegative():
-                return False
-    return True
+    field = gram.field
+    doubled = [[field.coords_of(e.scale(2)) for e in row] for row in gram.entries]
+    return field.coords_psd(doubled)
 
 
 def gram_rank(gram: GramForm) -> int:
@@ -222,16 +207,10 @@ def verify_certificate(gram: GramForm, cert: Certificate) -> VerifyResult:
             if v.field != gram.field:
                 return VerifyResult(False, f"entry-field-mismatch:{k}")
     field = gram.field
-    r = gram.rank
-    total = [[Radical.zero(field.shape) for _ in range(r)] for _ in range(r)]
-    for row in cert.rows:
-        rad = [v.to_radical() for v in row]
-        for i in range(r):
-            for j in range(i, r):
-                p = rad[i] * rad[j]
-                total[i][j] = total[i][j] + p
-    for i in range(r):
-        for j in range(i, r):
-            if total[i][j] != gram.entries[i][j]:
+    total = _outer_sum(field, gram.rank, cert.rows)
+    for i in range(gram.rank):
+        for j in range(i, gram.rank):
+            # an entry outside O has no coordinates and matches no row sum
+            if field.coords_of(gram.entries[i][j]) != total[i][j]:
                 return VerifyResult(False, f"gram-mismatch:{i},{j}")
     return VerifyResult(True)

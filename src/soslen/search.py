@@ -190,8 +190,10 @@ class RowPool:
 
         # remainders, outer products and pool rows are flat int tuples of
         # length r(r+1)/2 * d: upper-triangle slots, d coordinates per slot
+        # tri_index[i][j] = tri_index[j][i] is the slot of entry (i, j)
         self.tri_index = [
-            [(i * (2 * r - i - 1)) // 2 + j for j in range(r)] for i in range(r)
+            [(min(i, j) * (2 * r - min(i, j) - 1)) // 2 + max(i, j) for j in range(r)]
+            for i in range(r)
         ]
         n_emb = len(field.embeddings)
         decorated = []
@@ -229,11 +231,6 @@ class RowPool:
             if traces[i]
         ]
         self.degree = d
-        self.subsets = [
-            subset
-            for size in range(1, r + 1)
-            for subset in itertools.combinations(range(r), size)
-        ]
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -263,41 +260,11 @@ class RowPool:
                 out.append(field.interval_of_coords(entry, e)[1])
         return tuple(out)
 
-    def entry(self, rem, i: int, j: int) -> tuple[int, ...]:
-        d = self.degree
-        slot = self.tri_index[i][j] if i <= j else self.tri_index[j][i]
-        return rem[slot * d : (slot + 1) * d]
-
-    def _coords_minor(self, rem, subset: tuple[int, ...]) -> tuple[int, ...]:
-        m = [[self.entry(rem, i, j) for j in subset] for i in subset]
-        return self._det(m)
-
-    def _det(self, m) -> tuple[int, ...]:
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        field = self.field
-        d = field.degree
-        det = (0,) * d
-        for j in range(n):
-            if not any(m[0][j]):
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = field.mul_coords(m[0][j], self._det(minor))
-            if j % 2:
-                det = tuple(a - b for a, b in zip(det, term))
-            else:
-                det = tuple(a + b for a, b in zip(det, term))
-        return det
-
     def remainder_psd(self, rem) -> bool:
-        field = self.field
-        if self.rank == 1:
-            return field.coords_totally_nonneg(rem)
-        for subset in self.subsets:
-            if not field.coords_totally_nonneg(self._coords_minor(rem, subset)):
-                return False
-        return True
+        d = self.degree
+        return self.field.coords_psd(
+            [[rem[slot * d : (slot + 1) * d] for slot in row] for row in self.tri_index]
+        )
 
     def rows_as_elements(self, indices: list[int]) -> tuple[tuple[OElement, ...], ...]:
         field = self.field
@@ -347,82 +314,36 @@ def _search(
         else:
             first = bisect_left(neg_keys, -tr, lo=start)
             rem_hi = pool.diag_upper_bounds(rem)
-            if budget == 2:
-                for idx in range(first, n):
-                    k = keys[idx]
-                    if 2 * k < tr:
+            for idx in range(first, n):
+                k = keys[idx]
+                if k * budget < tr:
+                    break
+                lows = diag_lo[idx]
+                feasible = True
+                for t in range(slots):
+                    if rem_hi[t] < lows[t]:
+                        feasible = False
                         break
-                    lows = diag_lo[idx]
-                    feasible = True
-                    for t in range(slots):
-                        if rem_hi[t] < lows[t]:
-                            feasible = False
-                            break
-                    if not feasible:
-                        continue
-                    rem2 = pool.subtract(rem, outers[idx])
-                    if rem2 == zero:
-                        return [idx]
+                if not feasible:
+                    continue
+                rem2 = pool.subtract(rem, outers[idx])
+                if rem2 == zero:
+                    return [idx]
+                if budget == 2:
+                    # the last row is a lookup: no PSD test, no memo entry
                     idx2 = outer_index.get(rem2)
                     if idx2 is not None and idx2 >= idx:
                         return [idx, idx2]
-            else:
-                for idx in range(first, n):
-                    k = keys[idx]
-                    if k * budget < tr:
-                        break
-                    lows = diag_lo[idx]
-                    feasible = True
-                    for t in range(slots):
-                        if rem_hi[t] < lows[t]:
-                            feasible = False
-                            break
-                    if not feasible:
-                        continue
-                    rem2 = pool.subtract(rem, outers[idx])
-                    if rem2 == zero:
-                        return [idx]
-                    if psd(rem2):
-                        tail = dfs(rem2, budget - 1, idx)
-                        if tail is not None:
-                            return [idx] + tail
+                elif psd(rem2):
+                    tail = dfs(rem2, budget - 1, idx)
+                    if tail is not None:
+                        return [idx] + tail
         if cached is None or start < cached:
             if len(memo) < 1 << 22:
                 memo[(rem, budget)] = start
         return None
 
     return dfs(rem0, budget, 0)
-
-
-def _search_reference(pool: RowPool, rem0, budget: int) -> list[int] | None:
-    """Plain exhaustive search without the canonical-order restriction.
-
-    Exponentially slower (explores row permutations); used to cross-check
-    verdicts of the ordered search on small instances.
-    """
-    zero = pool.zero_flat
-
-    def dfs(rem, budget: int) -> list[int] | None:
-        if rem == zero:
-            return []
-        if budget == 0:
-            return None
-        tr = pool.trace_of(rem)
-        if tr <= 0:
-            return None
-        for idx in range(len(pool.keys)):
-            if pool.keys[idx] > tr:
-                continue
-            rem2 = pool.subtract(rem, pool.outers[idx])
-            if rem2 == zero:
-                return [idx]
-            if pool.remainder_psd(rem2):
-                tail = dfs(rem2, budget - 1)
-                if tail is not None:
-                    return [idx] + tail
-        return None
-
-    return dfs(rem0, budget)
 
 
 def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certificate:
@@ -441,7 +362,7 @@ def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
     return pool.rows_as_elements(list(range(len(pool))))
 
 
-def represent(gram: GramForm, budget: int, ordered: bool = True) -> SearchOutcome:
+def represent(gram: GramForm, budget: int) -> SearchOutcome:
     """Decide whether gram is a sum of at most `budget` squares of forms."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -452,10 +373,7 @@ def represent(gram: GramForm, budget: int, ordered: bool = True) -> SearchOutcom
         return NotTotallyPsd()
     pool = RowPool(gram, icoords)
     rem0 = pool.remainder_of(icoords)
-    if ordered:
-        indices = _search(pool, rem0, budget, {})
-    else:
-        indices = _search_reference(pool, rem0, budget)
+    indices = _search(pool, rem0, budget, {})
     if indices is None:
         return Unsat(budget)
     return Represented(_certificate(pool, gram, indices))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import isqrt
@@ -516,7 +515,6 @@ def run_suite(
     cases: list[str] | tuple[str, ...] | None = None,
     *,
     ns: tuple[int, ...] | None = None,
-    threads: int = 1,
     trace_bound: int = 60,
     five_fields: tuple[int, ...] = (17,),
     lagrange_bound: int = 5000,
@@ -536,13 +534,7 @@ def run_suite(
     )
     if params.cert_dir is not None:
         params.cert_dir.mkdir(parents=True, exist_ok=True)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {case: pool.submit(_CASES[case], params) for case in selected}
-            results = {case: future.result() for case, future in futures.items()}
-    else:
-        results = {case: _CASES[case](params) for case in selected}
     reports: list[SuiteReport] = []
     for case in selected:
-        reports.extend(results[case])
+        reports.extend(_CASES[case](params))
     return reports

@@ -29,11 +29,11 @@ from soslen import (
     Shape,
     Unsat,
     document_from_certificate,
-    element_length,
     emit_certificate,
     from_literal_coords,
     make_field,
     parse_certificate,
+    render_radical,
     represent,
     run_suite,
     verify_certificate,
@@ -42,10 +42,10 @@ from soslen import (
 from soslen.fields import characteristic_polynomial
 from soslen.suite import (
     binary_form_witness,
-    four_square_oracle,
     length_seven_binary_form,
     seven_plus_half_square,
 )
+from reference_search import reference_represent
 
 
 def announce(name: str, ok: bool, t0: float, detail: str = "") -> None:
@@ -136,7 +136,7 @@ def check_alpha_10_65_has_length_three() -> None:
     assert squares == alpha.to_radical(), squares
     gram = GramForm.from_element(alpha)
     assert verify_certificate(gram, Certificate(f, 1, tuple(rows))).ok
-    below = represent(gram, 2, ordered=False)
+    below = reference_represent(gram, 2)
     assert isinstance(below, Unsat), f"reference search found {below}"
 
 
@@ -146,12 +146,20 @@ def test_criterion_3_biquadratic_witness_lengths():
     expectations += [(10, n, 5) for n in (57, 61)]
     expectations += [(10, 65, 3)]  # the table gives 5; see the module docstring
     expectations += [(11, n, 7) for n in (57, 61, 65)]
+    # the suite cases compute the lengths; this table, not the suite's own
+    # expectations, is what they are held to
+    reports = run_suite(["prop53-alpha10", "prop53-alpha11"])
+    assert len(reports) == len(expectations)
     mismatches = []
-    for m, n, expected in expectations:
-        _, alpha = binary_form_witness(m, n)
-        got = element_length(alpha, expected + 1)
-        if got != expected:
-            mismatches.append((m, n, expected, got))
+    for (m, n, expected), report in zip(expectations, reports):
+        f, alpha = binary_form_witness(m, n)
+        subject = (str(f.shape), render_radical(alpha.to_radical()))
+        if (
+            (report.field, report.input) != subject
+            or report.computed != str(expected)
+            or report.verdict != "pass"
+        ):
+            mismatches.append((m, n, expected, report.computed))
     try:
         assert not mismatches, (
             f"expected lengths not reproduced: {mismatches}; for (10, 65) the "
@@ -193,13 +201,15 @@ def test_criterion_5_quadratic_pythagoras_spot_checks():
 
 def test_criterion_6_four_square_oracle_equivalence():
     t0 = time.perf_counter()
-    bound = 5000
-    oracle = four_square_oracle(bound)
-    f = make_field(Shape(()))
-    for k in range(bound + 1):
-        got = element_length(f.element_from_coords((k,)), 4)
-        assert got == oracle[k], (k, got, oracle[k])
-    announce("criterion-6 four-square-oracle", True, t0)
+    # the suite case compares element_length(k, 4) with four_square_oracle
+    (report,) = run_suite(["lagrange"])
+    ok = (
+        report.verdict == "pass"
+        and report.input == "0 <= k <= 5000"
+        and report.computed == "0 mismatches, max length 4"
+    )
+    announce("criterion-6 four-square-oracle", ok, t0, detail="" if ok else report.computed)
+    assert ok, report
 
 
 def test_criterion_7_unit_block_increments_length():

@@ -92,6 +92,21 @@ class TestTotallyPsd:
         assert totally_psd(rational_gram((2, -1), (-1, 1)))
         assert not totally_psd(rational_gram((1, 2), (2, 1)))
 
+    def test_half_integral_off_diagonal(self):
+        sh = Q.shape
+        one = Radical.one(sh)
+        half, three_halves = Radical(sh, (F(1, 2),)), Radical(sh, (F(3, 2),))
+        assert totally_psd(GramForm(Q, ((one, half), (half, one))))
+        assert not totally_psd(GramForm(Q, ((one, three_halves), (three_halves, one))))
+        # over Q(sqrt 6): det = 2 - (7 + 2 sqrt 6)/4 is negative at one
+        # embedding only, while sqrt(6)/2 leaves det = 1/2 at both
+        sh6 = Q6.shape
+        two, one6 = Radical.from_rational(sh6, 2), Radical.one(sh6)
+        b = Radical(sh6, (F(1, 2), F(1, 2)))
+        assert not totally_psd(GramForm(Q6, ((two, b), (b, one6))))
+        c = Radical(sh6, (F(0), F(1, 2)))
+        assert totally_psd(GramForm(Q6, ((two, c), (c, one6))))
+
     def test_length_seven_form_is_totally_psd(self):
         from soslen.suite import length_seven_binary_form
 
@@ -125,6 +140,14 @@ class TestVerifyCertificate:
         cert = Certificate(Q, 1, ((zelt(1),),))
         res = verify_certificate(g, cert)
         assert not res.ok and res.reason == "gram-mismatch:0,0"
+
+    def test_half_integral_gram_is_a_mismatch(self):
+        sh = Q.shape
+        one, half = Radical.one(sh), Radical(sh, (F(1, 2),))
+        g = GramForm(Q, ((one, half), (half, one)))
+        cert = Certificate(Q, 2, ((zelt(1), zelt(0)), (zelt(0), zelt(1))))
+        res = verify_certificate(g, cert)
+        assert not res.ok and res.reason == "gram-mismatch:0,1"
 
     def test_zero_rows_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .fields import Field
 from .forms import Certificate, GramForm, verify_certificate
 from .gtable import Exact, g_table
-from .radicals import RATIONAL_SHAPE, Radical
+from .radicals import RATIONAL_SHAPE
 from . import fields
 from .search import Represented, Unsat, represent
 
@@ -87,19 +87,21 @@ def expand(problem: DescentProblem) -> ExpandedGram:
 
 
 def _check_expansion(problem: DescentProblem, e: ExpandedGram) -> None:
-    """Lifting the expanded generators must reproduce the original Gram."""
-    field = problem.field
-    basis = field.integral_basis
+    """Lifting the expanded generators must reproduce the original Gram:
+    the basis products weighted by twice the integer Gram give the
+    coordinates of 2G."""
+    tensor = problem.field._mul_tensor
     d, r = e.degree, e.rank
     for j in range(r):
         for j2 in range(r):
-            total = Radical.zero(field.shape)
+            total = [0] * d
             for i in range(d):
                 for i2 in range(d):
-                    z = e.zgram[j * d + i][j2 * d + i2]
+                    z = 2 * e.zgram[j * d + i][j2 * d + i2]
                     if z:
-                        total = total + (basis[i] * basis[i2]).scale(z)
-            assert total == problem.gram.entries[j][j2], "expansion lost exactness"
+                        for k, t in enumerate(tensor[i][i2]):
+                            total[k] += z * t
+            assert tuple(total) == problem.gram.doubled[j][j2], "expansion lost exactness"
 
 
 def compress(e: ExpandedGram, target: int) -> tuple[tuple[int, ...], ...]:
@@ -110,11 +112,8 @@ def compress(e: ExpandedGram, target: int) -> tuple[tuple[int, ...], ...]:
     if not support:
         return ()
     rational = fields.make_field(RATIONAL_SHAPE)
-    entries = tuple(
-        tuple(Radical.from_rational(RATIONAL_SHAPE, e.zgram[p][q]) for q in support)
-        for p in support
-    )
-    outcome = represent(GramForm(rational, entries), target)
+    doubled = tuple(tuple((2 * e.zgram[p][q],) for q in support) for p in support)
+    outcome = represent(GramForm.from_doubled(rational, doubled), target)
     if isinstance(outcome, Unsat):
         raise CompressionError(outcome.depth)
     assert isinstance(outcome, Represented), f"expanded Gram rejected: {outcome}"

@@ -158,9 +158,6 @@ class Interval:
     def width(self) -> Rat:
         return Rat(self.hi_num - self.lo_num, 1 << self.exp)
 
-    def contains_zero(self) -> bool:
-        return self.lo_num <= 0 <= self.hi_num
-
     def sign(self) -> int | None:
         """Sign if the interval excludes 0, else None."""
         if self.lo_num > 0:
@@ -298,9 +295,6 @@ class Radical:
             prod = prod * self.conjugate(emb)
         n = (self * prod).coords[0]
         return prod.scale(Rat(1, 1) / n)
-
-    def __truediv__(self, other: Radical) -> Radical:
-        return self * other.inverse()
 
     def interval(self, emb: Embedding, bits: int) -> Interval:
         """Enclosure of the embedding value with width <= 2^-bits."""

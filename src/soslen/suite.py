@@ -30,18 +30,6 @@ from .search import (
 )
 from . import descent as descent_mod
 
-CASE_IDS = (
-    "lemma52",
-    "prop53-direct",
-    "prop53-alpha10",
-    "prop53-alpha11",
-    "peters",
-    "thm15",
-    "perp-unit",
-    "lagrange",
-    "descent-roundtrip",
-)
-
 _ALPHA10_NS = (17, 21, 29, 33, 37, 41, 53, 57, 61, 65)
 _ALPHA11_NS = (57, 61, 65)
 _PETERS_NS = (17, 29, 33)
@@ -258,69 +246,27 @@ def _case_prop53_direct(params: SuiteParams) -> list[SuiteReport]:
     return reports
 
 
-def _case_prop53_alpha10(params: SuiteParams) -> list[SuiteReport]:
-    ns = params.ns or _ALPHA10_NS
-    reports = []
-    for i, n in enumerate(ns):
-        f, alpha = binary_form_witness(10, n)
-        if n <= 53:
-            expected = 7
-        elif n == 65:
-            expected = 3  # corrected from the tabulated 5, see _NOTE_65
-        else:
-            expected = 5
-        note = _NOTE_65 if n == 65 else None
-        reports.append(
-            _length_report(
-                params,
-                "prop53-alpha10",
-                i,
-                f,
-                render_radical(alpha.to_radical()),
-                GramForm.from_element(alpha),
-                expected,
-                note,
-            )
-        )
-    return reports
+def _element_case(case: str, default_ns, build, expected, notes=None):
+    """A case of one element length per n: build(n) gives the field and
+    element, expected(n) its length and notes.get(n) an optional note."""
+
+    def run(params: SuiteParams) -> list[SuiteReport]:
+        reports = []
+        for i, n in enumerate(params.ns or default_ns):
+            f, alpha = build(n)
+            label = render_radical(alpha.to_radical())
+            gram = GramForm.from_element(alpha)
+            note = notes.get(n) if notes else None
+            reports.append(_length_report(params, case, i, f, label, gram, expected(n), note))
+        return reports
+
+    return run
 
 
-def _case_prop53_alpha11(params: SuiteParams) -> list[SuiteReport]:
-    ns = params.ns or _ALPHA11_NS
-    reports = []
-    for i, n in enumerate(ns):
-        f, alpha = binary_form_witness(11, n)
-        reports.append(
-            _length_report(
-                params,
-                "prop53-alpha11",
-                i,
-                f,
-                render_radical(alpha.to_radical()),
-                GramForm.from_element(alpha),
-                7,
-            )
-        )
-    return reports
-
-
-def _case_peters(params: SuiteParams) -> list[SuiteReport]:
-    ns = params.ns or _PETERS_NS
-    reports = []
-    for i, n in enumerate(ns):
-        f, alpha = seven_plus_half_square(n)
-        reports.append(
-            _length_report(
-                params,
-                "peters",
-                i,
-                f,
-                render_radical(alpha.to_radical()),
-                GramForm.from_element(alpha),
-                5,
-            )
-        )
-    return reports
+def _alpha10_length(n: int) -> int:
+    if n == 65:
+        return 3  # corrected from the tabulated 5, see _NOTE_65
+    return 7 if n <= 53 else 5
 
 
 def _case_thm15(params: SuiteParams) -> list[SuiteReport]:
@@ -501,14 +447,23 @@ def _case_descent_roundtrip(params: SuiteParams) -> list[SuiteReport]:
 _CASES = {
     "lemma52": _case_lemma52,
     "prop53-direct": _case_prop53_direct,
-    "prop53-alpha10": _case_prop53_alpha10,
-    "prop53-alpha11": _case_prop53_alpha11,
-    "peters": _case_peters,
+    "prop53-alpha10": _element_case(
+        "prop53-alpha10",
+        _ALPHA10_NS,
+        lambda n: binary_form_witness(10, n),
+        _alpha10_length,
+        {65: _NOTE_65},
+    ),
+    "prop53-alpha11": _element_case(
+        "prop53-alpha11", _ALPHA11_NS, lambda n: binary_form_witness(11, n), lambda n: 7
+    ),
+    "peters": _element_case("peters", _PETERS_NS, seven_plus_half_square, lambda n: 5),
     "thm15": _case_thm15,
     "perp-unit": _case_perp_unit,
     "lagrange": _case_lagrange,
     "descent-roundtrip": _case_descent_roundtrip,
 }
+CASE_IDS = tuple(_CASES)
 
 
 def run_suite(

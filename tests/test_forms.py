@@ -20,8 +20,10 @@ from soslen import (
 )
 
 Q = make_field(Shape(()))
+Q5 = make_field(Shape((5,)))
 Q6 = make_field(Shape((6,)))
 Q17 = make_field(Shape((17,)))
+Q67 = make_field(Shape((6, 7)))
 
 
 def rational_gram(*rows):
@@ -33,6 +35,40 @@ def rational_gram(*rows):
 
 def zelt(k):
     return Q.element_from_coords((k,))
+
+
+def same_gram(g, field, entries):
+    """g is equal to, and hashes like, the Gram built from its entries."""
+    ref = GramForm(field, entries)
+    return g == ref and hash(g) == hash(ref) and g.entries == ref.entries
+
+
+def fraction_rank(gram):
+    """Rank over the field by plain Fraction elimination over Q.
+
+    Each entry e becomes the d x d rational matrix of x -> e * x in the
+    radical basis; the block matrix then has rank d times the field rank.
+    """
+    shape, d = gram.field.shape, gram.field.degree
+    units = [Radical(shape, tuple(F(int(k == i)) for k in range(d))) for i in range(d)]
+    m = [
+        [(e * u).coords[k] for e in row for u in units]
+        for row in gram.entries
+        for k in range(d)
+    ]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    assert rank % d == 0
+    return rank // d
 
 
 class TestGramForm:
@@ -68,6 +104,33 @@ class TestGramForm:
         assert g.entries[0][0] == Radical.from_rational(Q.shape, 2)
         assert g.entries[0][1] == Radical.from_rational(Q.shape, 1)
         assert g.entries[1][1] == Radical.from_rational(Q.shape, 6)
+        assert g == rational_gram((2, 1), (1, 6))
+        assert hash(g) == hash(rational_gram((2, 1), (1, 6)))
+
+    def test_coordinate_constructors_match_entries(self):
+        sh = Q17.shape
+        alpha = Q17.element(Radical(sh, (F(5, 2), F(1, 2))))
+        assert same_gram(GramForm.from_element(alpha), Q17, ((alpha.to_radical(),),))
+        z = Radical.zero(Q6.shape)
+        assert same_gram(GramForm.zero(Q6, 2), Q6, ((z, z), (z, z)))
+        w = Q17.element(Radical(sh, (F(1, 2), F(1, 2))))
+        rows = [(w, Q17.one()), (Q17.one(), -w)]
+        entries = tuple(
+            tuple((rows[0][i] * rows[0][j] + rows[1][i] * rows[1][j]).to_radical() for j in range(2))
+            for i in range(2)
+        )
+        assert same_gram(GramForm.from_rows(Q17, rows), Q17, entries)
+
+    def test_doubled_holds_the_coordinates_of_2g(self):
+        sh = Q.shape
+        half = Radical(sh, (F(1, 2),))
+        g = GramForm(Q, ((Radical.one(sh), half), (half, Radical.from_rational(sh, 3))))
+        assert g.doubled == (((2,), (1,)), ((1,), (6,)))
+        assert GramForm.from_doubled(Q, g.doubled) == g
+        with pytest.raises(NotIntegralError):
+            GramForm.from_doubled(Q, (((1,),),))
+        with pytest.raises(ValueError):
+            GramForm.from_doubled(Q, (((2,), (1,)), ((3,), (2,))))
 
 
 class TestTotallyPsd:
@@ -119,6 +182,51 @@ class TestRankAndPerp:
         assert gram_rank(rational_gram((1, 1), (1, 1))) == 1
         assert gram_rank(rational_gram((1, 0), (0, 1))) == 2
         assert gram_rank(rational_gram((0, 0), (0, 0))) == 0
+        # every 1 x 1 principal minor vanishes
+        assert gram_rank(rational_gram((0, 1), (1, 0))) == 2
+        # the leading 2 x 2 minor vanishes
+        assert gram_rank(rational_gram((1, 1, 0), (1, 1, 0), (0, 0, 1))) == 2
+        assert gram_rank(rational_gram((1, F(1, 2)), (F(1, 2), 1))) == 2
+
+    def test_rank_over_number_fields(self):
+        # (w, w + 1) = w (1, w) with w = (1 + sqrt 5)/2: rank 1 over Q(sqrt 5)
+        w = Q5.element_from_coords((0, 1))
+        g = GramForm.from_rows(Q5, [(Q5.one(), w), (w, w + Q5.one())])
+        assert gram_rank(g) == 1 and fraction_rank(g) == 1
+        # v and sqrt(6) v span one line; the third row adds a second
+        s6 = Q67.element(Radical.sqrt_generator(Q67.shape, 0))
+        one, zero = Q67.one(), Q67.zero()
+        v = (one, s6, zero)
+        rows = [v, tuple(s6 * x for x in v), (zero, zero, one)]
+        g = GramForm.from_rows(Q67, rows)
+        assert gram_rank(g) == 2 and fraction_rank(g) == 2
+
+    @pytest.mark.parametrize("field", [Q, Q5, Q67], ids=str)
+    def test_rank_matches_fraction_elimination(self, field):
+        rng = random.Random(f"rank:{field.shape}")
+        not_psd = 0
+        for trial in range(60):
+            psd = trial % 2 == 0
+            n = rng.randint(1, 4)
+            entries = [[Radical.zero(field.shape)] * n for _ in range(n)]
+            for k in range(rng.randint(1, 4)):
+                v = [
+                    field.element_from_coords(
+                        tuple(rng.randint(-2, 2) for _ in range(field.degree))
+                    ).to_radical()
+                    for _ in range(n)
+                ]
+                sign = 1 if psd else (-1 if k == 0 else rng.choice((1, -1)))
+                for i in range(n):
+                    for j in range(n):
+                        entries[i][j] = entries[i][j] + (v[i] * v[j]).scale(sign)
+            g = GramForm(field, tuple(tuple(row) for row in entries))
+            assert gram_rank(g) == fraction_rank(g)
+            if psd:
+                assert totally_psd(g)
+            elif not totally_psd(g):
+                not_psd += 1
+        assert not_psd >= 10
 
     def test_perp_unit_blocks(self):
         g = rational_gram((7,))
@@ -127,6 +235,13 @@ class TestRankAndPerp:
         assert pu.entries[0][0] == Radical.from_rational(Q.shape, 7)
         assert pu.entries[1][1] == Radical.one(Q.shape)
         assert pu.entries[0][1].is_zero()
+        assert pu == rational_gram((7, 0), (0, 1))
+        assert hash(pu) == hash(rational_gram((7, 0), (0, 1)))
+        pu = perp_unit(rational_gram((1, F(1, 2)), (F(1, 2), 1)))
+        assert pu == rational_gram((1, F(1, 2), 0), (F(1, 2), 1, 0), (0, 0, 1))
+        assert totally_psd(pu)
+        assert pu.integral_coords() is None
+        assert gram_rank(pu) == 3
 
 
 class TestVerifyCertificate:

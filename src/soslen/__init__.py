@@ -5,16 +5,12 @@ from .radicals import (
     Embedding,
     Interval,
     InvalidRadicandError,
-    NegativeValueError,
     Radical,
     Shape,
     RATIONAL_SHAPE,
-    biquadratic_shape,
-    format_coords,
     from_literal_coords,
     parse_coords,
     parse_radical,
-    quadratic_shape,
     render_radical,
     to_literal_coords,
 )

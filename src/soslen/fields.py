@@ -15,6 +15,7 @@ import itertools
 import re
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .radicals import (
     Embedding,
@@ -158,7 +159,6 @@ class Field:
                 f"predicted {expected} for {shape}"
             )
         self._prepare_embedding_tables()
-        self._column_cache: dict = {}
 
     # construction ------------------------------------------------------
 
@@ -173,11 +173,10 @@ class Field:
             third[3] = Rat(1)
             seeds.append(Radical(shape, tuple(third)))
         out = list(seeds)
-        for k in (2, 4):
-            for residues in itertools.product(range(k), repeat=d):
-                if all(r == 0 for r in residues):
-                    continue
-                x = Radical(shape, tuple(Rat(r, k) for r in residues))
+        # residues mod 4 cover the halves as well: r/2 = 2r/4
+        for residues in itertools.product(range(4), repeat=d):
+            if any(residues):
+                x = Radical(shape, tuple(Rat(r, 4) for r in residues))
                 if is_algebraic_integer(x):
                     out.append(x)
         return out
@@ -265,13 +264,9 @@ class Field:
         for q in x.coords:
             den = den * q.denominator // gcd(den, q.denominator)
         u = [int(q * den) for q in x.coords]
-        return self.coords_of_scaled(u, den)
-
-    def coords_of_scaled(self, u: list[int] | tuple[int, ...], scale: int) -> tuple[int, ...] | None:
-        """Coordinates of the element with radical coordinates u/scale."""
         d = self.degree
         minv = self._minv_int
-        div = self._minv_den * scale
+        div = self._minv_den * den
         out = []
         for i in range(d):
             s = 0
@@ -345,7 +340,7 @@ class Field:
         return det
 
     def trace_of_coords(self, coords: tuple[int, ...]) -> int:
-        return sum(c * t for c, t in zip(coords, self._basis_traces))
+        return sum(map(mul, coords, self._basis_traces))
 
     def interval_of_coords(
         self, coords: tuple[int, ...], emb_index: int
@@ -450,9 +445,6 @@ class OElement:
     def __mul__(self, other: OElement) -> OElement:
         self._check(other)
         return OElement(self.field, self.field.mul_coords(self.coords, other.coords))
-
-    def square(self) -> OElement:
-        return OElement(self.field, self.field.mul_coords(self.coords, self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -31,10 +31,6 @@ class InvalidRadicandError(ValueError):
     """Radicands must be squarefree, distinct integers > 1."""
 
 
-class NegativeValueError(ValueError):
-    """Square-root bound requested for a negative embedding value."""
-
-
 def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -127,14 +123,6 @@ class Shape:
 
 
 RATIONAL_SHAPE = Shape(())
-
-
-def quadratic_shape(n: int) -> Shape:
-    return Shape((n,))
-
-
-def biquadratic_shape(m: int, n: int) -> Shape:
-    return Shape((m, n))
 
 
 @dataclass(frozen=True)
@@ -254,18 +242,6 @@ class Radical:
                 out[k] += a * b * factor
         return Radical(self.shape, tuple(out))
 
-    def __pow__(self, n: int) -> Radical:
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Radical.one(self.shape)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, q: Rat | int) -> Radical:
         q = Rat(q)
         return Radical(self.shape, tuple(a * q for a in self.coords))
@@ -275,26 +251,9 @@ class Radical:
         signs = self.shape.embedding_signs(emb)
         return Radical(self.shape, tuple(s * q for s, q in zip(signs, self.coords)))
 
-    def norm(self) -> Rat:
-        """Product over all embeddings; always rational."""
-        prod = Radical.one(self.shape)
-        for emb in self.shape.embeddings:
-            prod = prod * self.conjugate(emb)
-        assert prod.is_rational()
-        return prod.coords[0]
-
     def trace(self) -> Rat:
         """Sum over all embeddings; the radical parts cancel."""
         return self.shape.degree * self.coords[0]
-
-    def inverse(self) -> Radical:
-        if self.is_zero():
-            raise ZeroDivisionError("radical element is zero")
-        prod = Radical.one(self.shape)
-        for emb in self.shape.embeddings[1:]:
-            prod = prod * self.conjugate(emb)
-        n = (self * prod).coords[0]
-        return prod.scale(Rat(1, 1) / n)
 
     def interval(self, emb: Embedding, bits: int) -> Interval:
         """Enclosure of the embedding value with width <= 2^-bits."""
@@ -334,17 +293,6 @@ class Radical:
 
     def is_totally_positive(self) -> bool:
         return all(self.sign_at(e) > 0 for e in self.shape.embeddings)
-
-    def sqrt_upper_bound(self, emb: Embedding) -> Rat:
-        """A rational B with sqrt(v) <= B <= sqrt(v) + 1 for the embedding
-        value v; raises NegativeValueError when v < 0."""
-        if self.sign_at(emb) < 0:
-            raise NegativeValueError(f"negative at embedding {emb}")
-        hi = self.interval(emb, 2).hi
-        if hi <= 0:
-            return Rat(0)
-        scaled = (hi.numerator * 16) // hi.denominator
-        return Rat(isqrt(scaled) + 1, 4)
 
     def __str__(self) -> str:
         return render_radical(self)
@@ -438,6 +386,3 @@ def parse_coords(shape: Shape, text: str) -> Radical:
         raise ValueError(f"bad coordinate list {text!r}: {exc}") from None
     return from_literal_coords(shape, coords)
 
-
-def format_coords(x: Radical) -> str:
-    return ",".join(str(q) for q in to_literal_coords(x))

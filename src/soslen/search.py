@@ -14,6 +14,12 @@ discard provably infeasible branches:
   * at budget 1 the remainder must equal a candidate outer product, found
     by dictionary lookup.
 
+Candidate rows are assembled from column values: for each diagonal entry,
+`_column_values` scans half of its coordinate box, emits each fitting value
+as the pair +-x together with x^2, its trace and its interval lows, and
+keeps the result in a bounded cache.  `RowPool` only combines columns and
+multiplies the off-diagonal entries.
+
 All decisions are exact; dyadic interval bounds are used only when they are
 conclusive, with an exact sign fallback otherwise.
 """
@@ -24,19 +30,21 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+from operator import neg
+from typing import NamedTuple
 
 from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
 from .fields import Field, OElement
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
-from .radicals import Radical
 
 POOL_ROW_CAP = 2_000_000
 _INV_SQRT_BITS = 16
 
 
 class SearchSpaceError(RuntimeError):
-    """The candidate row pool exceeds the configured cap."""
+    """A coordinate box or the candidate row pool exceeds POOL_ROW_CAP."""
 
 
 @dataclass(frozen=True)
@@ -77,46 +85,64 @@ def _inv_sqrt_upper(r: int) -> Fraction:
     return Fraction(1 << _INV_SQRT_BITS, isqrt(r << (2 * _INV_SQRT_BITS)))
 
 
-def _column_values(
-    field: Field, diag: Radical, diag_coords: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+class _Column(NamedTuple):
+    """A candidate column value x with what every row containing it needs."""
+
+    coords: tuple[int, ...]
+    square: tuple[int, ...]
+    trace: int  # trace(x^2)
+    lows: tuple[int, ...]  # lower ends of sigma_e(x^2), scaled by 2^table bits
+    positive: bool  # sigma(x) > 0 at the identity embedding
+
+
+@lru_cache(maxsize=1 << 13)
+def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding.
 
-    Enumerates integral-basis coordinates inside the box obtained by pulling
-    the conjugate bounds back through the basis, so every grid point is
-    already integral; candidates near the boundary fall back to an exact
-    sign test.  Results are cached per field and diagonal entry.
+    The integral-basis box is the pull-back of the conjugate bounds
+    |sigma(x)| <= sqrt(sigma(diag)), read off the diagonal's integer
+    enclosures, so every grid point is already integral.  Membership holds
+    for x exactly when it holds for -x, so only the half of the box after 0
+    in product order is scanned and each hit yields the pair +-x, which
+    share their square, its trace and its interval lows.  Interval tests
+    decide membership and the sign at the identity embedding unless they
+    are inconclusive; then exact sign tests decide.  A box of more than
+    POOL_ROW_CAP points raises SearchSpaceError before the scan.
     """
-    cached = field._column_cache.get(diag_coords)
-    if cached is not None:
-        return cached
     deg = field.degree
-    bound_sum = Fraction(0)
-    for emb in field.embeddings:
-        bound_sum += diag.sqrt_upper_bound(emb)
-    radical_bounds = [
-        bound_sum * _inv_sqrt_upper(r) / deg for r in field.shape.basis_radicands
-    ]
-    minv, minv_den = field._minv_int, field._minv_den
-    ranges = []
-    for i in range(deg):
-        bound = sum(
-            radical_bounds[j] * abs(Fraction(minv[j][i], minv_den))
-            for j in range(deg)
-        )
-        limit = int(bound)
-        ranges.append(range(-limit, limit + 1))
     n_emb = len(field.embeddings)
-    diag_ivs = [field.interval_of_coords(diag_coords, e) for e in range(n_emb)]
+    interval = field.interval_of_coords
+    diag_ivs = [interval(diag_coords, e) for e in range(n_emb)]
+    # sqrt(sigma(diag)) <= ceil(sqrt(hi)) / 2^(table bits / 2) at each embedding
+    root_sum = 0
+    for _, hi in diag_ivs:
+        root = isqrt(max(hi, 0))
+        root_sum += root + (root * root < hi)
+    scale = Fraction(root_sum, (1 << (_EMB_BITS // 2)) * deg * field._minv_den)
+    inv_roots = [_inv_sqrt_upper(r) for r in field.shape.basis_radicands]
+    minv = field._minv_int
+    limits = [
+        int(scale * sum(inv_roots[j] * abs(minv[j][i]) for j in range(deg)))
+        for i in range(deg)
+    ]
+    size = 1
+    for limit in limits:
+        size *= 2 * limit + 1
+    if size > POOL_ROW_CAP:
+        raise SearchSpaceError(
+            f"coordinate box of {size} points exceeds {POOL_ROW_CAP}"
+        )
+    box = itertools.product(*(range(-limit, limit + 1) for limit in limits))
     shift = 1 << _EMB_BITS
-    values: list[tuple[int, ...]] = []
-    for coords in itertools.product(*ranges):
-        if not any(coords):
-            continue
+    values: list[_Column] = []
+    # the box is symmetric, so 0 is its middle point in product order
+    for coords in itertools.islice(box, size // 2 + 1, None):
         exact_needed = False
         ok = True
         for e in range(n_emb):
-            xlo, xhi = field.interval_of_coords(coords, e)
+            xlo, xhi = interval(coords, e)
+            if not e:
+                id_lo, id_hi = xlo, xhi
             top = max(xlo * xlo, xhi * xhi)
             dlo, dhi = diag_ivs[e]
             if top <= dlo * shift:
@@ -126,68 +152,65 @@ def _column_values(
                 ok = False
                 break
             exact_needed = True
-        if ok and exact_needed:
-            sq = field.mul_coords(coords, coords)
-            rem = tuple(a - b for a, b in zip(diag_coords, sq))
-            ok = field.coords_totally_nonneg(rem)
-        if ok:
-            values.append(coords)
-    field._column_cache[diag_coords] = values
-    return values
+        if not ok:
+            continue
+        square = field.mul_coords(coords, coords)
+        if exact_needed and not field.coords_totally_nonneg(
+            tuple(a - b for a, b in zip(diag_coords, square))
+        ):
+            continue
+        trace = field.trace_of_coords(square)
+        lows = tuple([interval(square, e)[0] for e in range(n_emb)])
+        if id_lo > 0 or id_hi < 0:
+            positive = id_lo > 0
+        else:
+            positive = field.sign_of_coords(coords, 0) > 0
+        values.append(_Column(coords, square, trace, lows, positive))
+        negated = tuple(map(neg, coords))
+        values.append(_Column(negated, square, trace, lows, not positive))
+    return tuple(values)
 
 
 class RowPool:
     """Candidate rows for a Gram matrix, in canonical nonincreasing order."""
 
-    def __init__(self, gram: GramForm, icoords, row_cap: int = POOL_ROW_CAP) -> None:
+    def __init__(self, gram: GramForm, icoords) -> None:
         field = gram.field
         r = gram.rank
         self.field = field
         self.rank = r
         d = field.degree
-        zero_entry = (0,) * d
-        column_values = [
-            _column_values(field, gram.entries[j][j], icoords[j][j]) for j in range(r)
-        ]
+        n_emb = len(field.embeddings)
+        columns = [_column_values(field, icoords[j][j]) for j in range(r)]
         size_estimate = 1
-        for vals in column_values:
+        for vals in columns:
             size_estimate *= len(vals) + 1
-        if size_estimate > row_cap:
+        if size_estimate > POOL_ROW_CAP:
             raise SearchSpaceError(
-                f"candidate space of about {size_estimate} rows exceeds {row_cap}"
+                f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
-        # positive representative first: rows are normalized so that their
-        # first nonzero coordinate is positive at the identity embedding
-        positives = [
-            [v for v in vals if field.sign_of_coords(v, 0) > 0]
-            for vals in column_values
-        ]
-        rows: list[tuple[tuple[int, ...], ...]] = []
-
-        def build(j: int, acc: list[tuple[int, ...]], leading: bool) -> None:
-            if j == r:
-                if not leading:
-                    rows.append(tuple(acc))
-                return
-            if leading:
-                acc.append(zero_entry)
-                build(j + 1, acc, True)
-                acc.pop()
-                for v in positives[j]:
-                    acc.append(v)
-                    build(j + 1, acc, False)
-                    acc.pop()
-            else:
-                acc.append(zero_entry)
-                build(j + 1, acc, False)
-                acc.pop()
-                for v in column_values[j]:
-                    acc.append(v)
-                    build(j + 1, acc, False)
-                    acc.pop()
-
-        build(0, [], True)
-
+        zero_entry = (0,) * d
+        zero = _Column(zero_entry, zero_entry, 0, (0,) * n_emb, False)
+        mul = field.mul_coords
+        decorated = []
+        # rows are normalized so that their first nonzero column is positive
+        # at the identity embedding; `lead` is the index of that column
+        for lead in range(r):
+            choices = (
+                [(zero,)] * lead
+                + [[v for v in columns[lead] if v.positive]]
+                + [(zero,) + vals for vals in columns[lead + 1 :]]
+            )
+            for row in itertools.product(*choices):
+                cols, squares, row_traces, lows, _ = zip(*row)
+                outer: list[int] = []
+                for i in range(r):
+                    outer += squares[i]
+                    for j in range(i + 1, r):
+                        outer += mul(cols[i], cols[j])
+                flat = tuple(itertools.chain(*cols))
+                lows = tuple(itertools.chain(*lows))
+                decorated.append((sum(row_traces), flat, cols, tuple(outer), lows))
         # remainders, outer products and pool rows are flat int tuples of
         # length r(r+1)/2 * d: upper-triangle slots, d coordinates per slot
         # tri_index[i][j] = tri_index[j][i] is the slot of entry (i, j)
@@ -195,26 +218,8 @@ class RowPool:
             [(min(i, j) * (2 * r - min(i, j) - 1)) // 2 + max(i, j) for j in range(r)]
             for i in range(r)
         ]
-        n_emb = len(field.embeddings)
-        decorated = []
-        for cols in rows:
-            outer: list[int] = []
-            key = 0
-            diag_lo: list[int] = []
-            diag_hi: list[int] = []
-            for i in range(r):
-                for j in range(i, r):
-                    p = field.mul_coords(cols[i], cols[j])
-                    outer.extend(p)
-                    if i == j:
-                        key += field.trace_of_coords(p)
-                        for e in range(n_emb):
-                            lo, hi = field.interval_of_coords(p, e)
-                            diag_lo.append(lo)
-                            diag_hi.append(hi)
-            flat = tuple(c for col in cols for c in col)
-            decorated.append((key, flat, cols, tuple(outer), tuple(diag_lo)))
-        decorated.sort(key=lambda t: (t[0], t[1]), reverse=True)
+        # by (key, flat); flat is unique, so later fields are never compared
+        decorated.sort(reverse=True)
         self.cols = [t[2] for t in decorated]
         self.keys = [t[0] for t in decorated]
         self.outers = [t[3] for t in decorated]

@@ -21,7 +21,7 @@ from .certfile import document_from_certificate, emit_certificate
 from .fields import Field, OElement, make_field
 from .forms import Certificate, GramForm, perp_unit, verify_certificate
 from .gtable import Exact, g_table
-from .radicals import Radical, Shape, render_radical
+from .radicals import Radical, Shape, is_squarefree, render_radical
 from .search import (
     ExceedsBound,
     element_length,
@@ -50,18 +50,7 @@ _NOTE_69 = (
 
 def extended_direct_ns() -> tuple[int, ...]:
     """Squarefree n = 1 (mod 4) with 17 <= n <= 101."""
-    out = []
-    for n in range(17, 102, 4):
-        d = 2
-        squarefree = True
-        while d * d <= n:
-            if n % (d * d) == 0:
-                squarefree = False
-                break
-            d += 1
-        if squarefree:
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in range(17, 102, 4) if is_squarefree(n))
 
 
 @dataclass(frozen=True)

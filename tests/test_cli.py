@@ -1,6 +1,7 @@
 """End-to-end command-line interface behaviour and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -93,12 +94,17 @@ class TestFormCommands:
 
     def test_oversized_search_is_undecided(self, capsys):
         # exit 1 would claim a verified negative; the cap decides nothing
-        code, out, err = run(
-            capsys, "form", "length", "Q", "--gram", "1000000;0;1000000"
-        )
-        assert code == 4
-        assert out == ""
-        assert err.startswith("undecided: ") and err.count("\n") == 1
+        for argv in (
+            ("form", "length", "Q", "--gram", "1000000;0;1000000"),
+            # the coordinate box is refused before it is scanned
+            ("elem", "length", "Q(sqrt 6, sqrt 7)", "--coords", "1000000,0,0,0"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 2, argv
+            assert code == 4, argv
+            assert out == ""
+            assert err.startswith("undecided: ") and err.count("\n") == 1
 
     def test_bad_triangle(self, capsys):
         code, _, err = run(

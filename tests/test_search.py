@@ -1,5 +1,7 @@
 """The exhaustive representation search and length computation."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +27,7 @@ from soslen import (
     represent,
     verify_certificate,
 )
+from soslen.search import RowPool, SearchSpaceError, _column_values
 from reference_search import reference_represent
 
 Q = make_field(Shape(()))
@@ -224,11 +227,159 @@ class TestLength:
 
 class TestPoolCap:
     def test_oversized_search_space_raises(self):
-        from soslen import SearchSpaceError
-
         g = zgram((10**6, 0, 0), (0, 10**6, 0), (0, 0, 10**6))
         with pytest.raises(SearchSpaceError):
             represent(g, 6)
+
+
+def _inverse(m):
+    """Inverse of a square Fraction matrix by Gauss-Jordan elimination."""
+    n = len(m)
+    aug = [
+        [F(v) for v in row] + [F(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def brute_column_values(field, diag):
+    """Every nonzero x in O with diag - x^2 totally nonnegative.
+
+    sigma(x)^2 <= sigma(diag) everywhere gives trace(x^2) <= t = trace(diag),
+    and trace(x^2) = c^T T c for the trace form T, so c_i^2 <= t (T^-1)_ii.
+    """
+    d = field.degree
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    gram = [
+        [field.trace_of_coords(field.mul_coords(a, b)) for b in unit] for a in unit
+    ]
+    inv = _inverse(gram)
+    t = field.trace_of_coords(diag)
+    if t <= 0:
+        return set()
+    limits = [math.isqrt(int(t * inv[i][i])) for i in range(d)]
+    out = set()
+    for x in itertools.product(*(range(-b, b + 1) for b in limits)):
+        if not any(x):
+            continue
+        sq = field.mul_coords(x, x)
+        if field.coords_totally_nonneg(tuple(a - b for a, b in zip(diag, sq))):
+            out.add(x)
+    return out
+
+
+def reference_pool(field, columns):
+    """The sorted candidate rows of RowPool, built from brute-force columns."""
+    d = field.degree
+    n_emb = len(field.embeddings)
+    r = len(columns)
+    zero = (0,) * d
+    columns = [[zero] + sorted(vals) for vals in columns]
+    rows = []
+    for cols in itertools.product(*columns):
+        lead = next((v for v in cols if any(v)), None)
+        if lead is None or field.sign_of_coords(lead, 0) < 0:
+            continue
+        squares = [field.mul_coords(v, v) for v in cols]
+        key = sum(field.trace_of_coords(s) for s in squares)
+        flat = tuple(c for v in cols for c in v)
+        outer = tuple(
+            c
+            for i in range(r)
+            for j in range(i, r)
+            for c in field.mul_coords(cols[i], cols[j])
+        )
+        lows = tuple(
+            field.interval_of_coords(s, e)[0] for s in squares for e in range(n_emb)
+        )
+        rows.append((key, flat, cols, outer, lows))
+    rows.sort(key=lambda t: (t[0], t[1]), reverse=True)
+    return rows
+
+
+SCAN_SHAPES = [Shape(rads) for rads in ((), (5,), (17,), (6, 7), (13, 15), (10, 65))]
+
+
+def _random_element(rng, field, spread):
+    return tuple(rng.randint(-spread, spread) for _ in range(field.degree))
+
+
+class TestColumnScan:
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_matches_brute_force(self, shape):
+        field = make_field(shape)
+        rng = random.Random(53 + sum(shape.radicands))
+        d = field.degree
+        spread = 3 if d < 4 else 1
+        diagonals = [(0,) * d, (1,) + (0,) * (d - 1)]
+        for _ in range(20 if d < 4 else 8):
+            diag = (rng.randint(0, 3),) + (0,) * (d - 1)
+            for _ in range(rng.randint(1, 3)):
+                x = _random_element(rng, field, spread)
+                diag = tuple(a + b for a, b in zip(diag, field.mul_coords(x, x)))
+            diagonals.append(diag)
+        for diag in diagonals:
+            records = _column_values(field, diag)
+            coords = [v.coords for v in records]
+            assert len(coords) == len(set(coords))
+            assert set(coords) == brute_column_values(field, diag), diag
+            for v in records:
+                assert tuple(-c for c in v.coords) in coords
+                sq = field.mul_coords(v.coords, v.coords)
+                assert v.square == sq
+                assert v.trace == field.trace_of_coords(sq)
+                assert v.lows == tuple(
+                    field.interval_of_coords(sq, e)[0]
+                    for e in range(len(field.embeddings))
+                )
+                assert v.positive == (field.sign_of_coords(v.coords, 0) > 0)
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_pool_matches_reference_pool(self, shape):
+        field = make_field(shape)
+        rng = random.Random(59 + sum(shape.radicands))
+        d = field.degree
+        cache = {}
+        for rank in (1, 2, 3):
+            made = 0
+            while made < (5 if d < 4 else 3):
+                spread = 2 if d < 4 and rank < 3 else 1
+                rows = [
+                    tuple(
+                        field.element_from_coords(_random_element(rng, field, spread))
+                        for _ in range(rank)
+                    )
+                    for _ in range(rng.randint(1, 2 if d < 4 else 1))
+                ]
+                gram = GramForm.from_rows(field, rows)
+                icoords = gram.integral_coords()
+                diagonals = [icoords[j][j] for j in range(rank)]
+                for diag in diagonals:
+                    if diag not in cache:
+                        cache[diag] = brute_column_values(field, diag)
+                columns = [cache[diag] for diag in diagonals]
+                if math.prod(len(vals) + 1 for vals in columns) > 4000:
+                    continue  # keeps the pure-Python reference pool quick
+                made += 1
+                pool = RowPool(gram, icoords)
+                ref = reference_pool(field, columns)
+                assert pool.cols == [t[2] for t in ref], diagonals
+                assert pool.keys == [t[0] for t in ref]
+                assert pool.outers == [t[3] for t in ref]
+                assert pool.diag_lo == [t[4] for t in ref]
+
+    def test_oversized_box_raises_before_scan(self):
+        field = make_field(Shape((6, 7)))
+        with pytest.raises(SearchSpaceError, match="coordinate box"):
+            _column_values(field, (10**6, 0, 0, 0))
 
 
 class TestKnownValues:

@@ -50,11 +50,10 @@ def document_from_certificate(gram: GramForm, cert: Certificate) -> CertificateD
 
 
 def emit_certificate(doc: CertificateDocument) -> str:
-    r = doc.gram.rank
     payload = {
         "format_version": FORMAT_VERSION,
         "field": format_descriptor(doc.field.shape),
-        "gram": [render_radical(doc.gram.entries[i][j]) for i in range(r) for j in range(r)],
+        "gram": [render_radical(e) for row in doc.gram.entries for e in row],
         "rows": [[render_radical(v) for v in row] for row in doc.rows],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

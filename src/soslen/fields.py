@@ -1,12 +1,12 @@
 """Rings of integers of the supported field shapes.
 
-A Field carries a verified integral basis of the maximal order: candidate
-generators (q0 + q1 sqrt(m) + q2 sqrt(n) + q3 sqrt(c))/k for k in {1, 2, 4}
-are tested for an integer characteristic polynomial, the module they span
-is brought to a canonical triangular basis, and the result is checked
-against the discriminant predicted by the conductor-discriminant formula.
-A matching discriminant certifies maximality, so the construction cannot
-silently return a smaller order.
+A Field carries a verified integral basis of the maximal order, found on
+integers: each integral element is y/4 with y integer radical coordinates,
+and y/k is integral iff k^(d-i) divides the X^i-coefficient of the integer
+characteristic polynomial of y, whose roots, the conjugates of y, flip the
+signs of y's coordinates.  The integral y are brought to a canonical
+triangular basis, and a discriminant equal to the conductor-discriminant
+prediction certifies that the order is maximal, not a smaller one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from operator import mul
 
 from .radicals import (
@@ -26,6 +26,9 @@ from .radicals import (
 )
 
 EMBEDDING_TABLE_BITS = 96
+
+#: Fields kept by make_field; programs use a few shapes, a rebuild is cheap.
+FIELD_CACHE_SIZE = 64
 
 
 class NotIntegralError(ValueError):
@@ -65,26 +68,46 @@ def expected_discriminant(shape: Shape) -> int:
     return disc
 
 
+def _clear_denominators(x: Radical) -> tuple[int, tuple[int, ...]]:
+    """(k, y) with x = y/k, k > 0 and y integer radical coordinates."""
+    k = lcm(*(q.denominator for q in x.coords))
+    return k, tuple(q.numerator * (k // q.denominator) for q in x.coords)
+
+
+def _integer_charpoly(shape: Shape, y: tuple[int, ...]) -> list[int]:
+    """Coefficients of prod over embeddings of (X - sigma(y)), constant
+    first, for integer radical coordinates y.  The conjugates of y flip the
+    signs of its coordinates, and the product is rational."""
+    zero = (0,) * shape.degree
+    coeffs = [(1,) + zero[1:]]
+    for emb in shape.embeddings:
+        root = tuple(s * v for s, v in zip(shape.embedding_signs(emb), y))
+        # times (X - root): new_i = old_{i-1} - old_i * root
+        coeffs = [
+            tuple(a - b for a, b in zip(lower, shape.mul(c, root)))
+            for lower, c in zip([zero] + coeffs, coeffs + [zero])
+        ]
+    assert not any(v for c in coeffs for v in c[1:])
+    return [c[0] for c in coeffs]
+
+
+def _is_integral_numerator(shape: Shape, y: tuple[int, ...], k: int) -> bool:
+    """Whether y/k is an algebraic integer: its characteristic polynomial
+    has X^i-coefficient p_i / k^(d-i), where p is that of y."""
+    d = shape.degree
+    return all(p % k ** (d - i) == 0 for i, p in enumerate(_integer_charpoly(shape, y)))
+
+
 def characteristic_polynomial(x: Radical) -> list[Rat]:
     """Coefficients of prod over embeddings of (X - sigma(x)), constant first."""
-    shape = x.shape
-    coeffs = [Radical.one(shape)]
-    for emb in shape.embeddings:
-        root = x.conjugate(emb)
-        nxt = [Radical.zero(shape) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * root
-        coeffs = nxt
-    out = []
-    for c in coeffs:
-        assert c.is_rational()
-        out.append(c.coords[0])
-    return out
+    k, y = _clear_denominators(x)
+    d = x.shape.degree
+    return [Rat(p, k ** (d - i)) for i, p in enumerate(_integer_charpoly(x.shape, y))]
 
 
 def is_algebraic_integer(x: Radical) -> bool:
-    return all(c.denominator == 1 for c in characteristic_polynomial(x))
+    k, y = _clear_denominators(x)
+    return _is_integral_numerator(x.shape, y, k)
 
 
 def _echelon_basis(rows: list[list[int]], dim: int) -> list[list[int]]:
@@ -162,38 +185,21 @@ class Field:
 
     # construction ------------------------------------------------------
 
-    def _candidate_generators(self) -> list[Radical]:
+    def _build_basis(self) -> tuple[Radical, ...]:
+        """The canonical basis of the maximal order, on integer rows y = 4x:
+        the radical basis (rows 4 e_i) and every nonzero residue y mod 4
+        with y/4 integral (the halves are 2y/4), brought to echelon form.
+        Keeps the rows' columns for radical_of_coords."""
         shape = self.shape
         d = self.degree
-        seeds = [Radical.one(shape)]
-        for idx in range(len(shape.radicands)):
-            seeds.append(Radical.sqrt_generator(shape, idx))
-        if d == 4:
-            third = [Rat(0)] * 4
-            third[3] = Rat(1)
-            seeds.append(Radical(shape, tuple(third)))
-        out = list(seeds)
-        # residues mod 4 cover the halves as well: r/2 = 2r/4
-        for residues in itertools.product(range(4), repeat=d):
-            if any(residues):
-                x = Radical(shape, tuple(Rat(r, 4) for r in residues))
-                if is_algebraic_integer(x):
-                    out.append(x)
-        return out
-
-    def _build_basis(self) -> tuple[Radical, ...]:
-        d = self.degree
-        scale = {1: 1, 2: 2, 4: 4}[d]
-        rows = []
-        for x in self._candidate_generators():
-            row = [q * scale for q in x.coords]
-            assert all(v.denominator == 1 for v in row)
-            rows.append([v.numerator for v in row])
-        basis_rows = _echelon_basis(rows, d)
-        basis = tuple(
-            Radical(self.shape, tuple(Rat(v, scale) for v in row)) for row in basis_rows
-        )
-        assert basis[0] == Radical.one(self.shape), "1 must generate the rational part"
+        rows = [[4 * (i == j) for j in range(d)] for i in range(d)]
+        for y in itertools.product(range(4), repeat=d):
+            if any(y) and _is_integral_numerator(shape, y, 4):
+                rows.append(list(y))
+        rows = _echelon_basis(rows, d)
+        self._basis_columns4 = tuple(zip(*rows))
+        basis = tuple(Radical(shape, tuple(Rat(v, 4) for v in row)) for row in rows)
+        assert basis[0] == Radical.one(shape), "1 must generate the rational part"
         for b in basis:
             assert is_algebraic_integer(b)
         return basis
@@ -201,10 +207,7 @@ class Field:
     def _prepare_membership(self) -> None:
         m = [[Rat(q) for q in b.coords] for b in self.integral_basis]
         inv = _invert_matrix(m)
-        den = 1
-        for row in inv:
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for row in inv for v in row))
         self._minv_den = den
         self._minv_int = [[int(v * den) for v in row] for row in inv]
 
@@ -260,10 +263,7 @@ class Field:
         """Integral-basis coordinates of x, or None when x is not integral."""
         if x.shape != self.shape:
             raise ValueError("element shape does not match the field")
-        den = 1
-        for q in x.coords:
-            den = den * q.denominator // gcd(den, q.denominator)
-        u = [int(q * den) for q in x.coords]
+        den, u = _clear_denominators(x)
         d = self.degree
         minv = self._minv_int
         div = self._minv_den * den
@@ -288,11 +288,10 @@ class Field:
         return OElement(self, tuple(int(c) for c in coords))
 
     def radical_of_coords(self, coords: tuple[int, ...]) -> Radical:
-        out = Radical.zero(self.shape)
-        for c, b in zip(coords, self.integral_basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        return Radical(
+            self.shape,
+            tuple(Rat(sum(map(mul, coords, col)), 4) for col in self._basis_columns4),
+        )
 
     def zero(self) -> OElement:
         return OElement(self, (0,) * self.degree)
@@ -404,7 +403,7 @@ class Field:
         return f"Field({self.shape})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def make_field(shape: Shape) -> Field:
     return Field(shape)
 
@@ -457,9 +456,6 @@ class OElement:
 
     def sign_at_index(self, emb_index: int) -> int:
         return self.field.sign_of_coords(self.coords, emb_index)
-
-    def is_totally_nonnegative(self) -> bool:
-        return self.field.coords_totally_nonneg(self.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OElement):

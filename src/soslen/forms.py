@@ -33,11 +33,11 @@ class GramForm:
     integral (classical integrality); a form that is a sum of squares of
     integral linear forms automatically has all entries integral.  So 2G is
     integral for every GramForm: `doubled` holds its integral-basis
-    coordinates, which every computation reads, and `entries` the matrix
-    itself.
+    coordinates, which is all a GramForm stores and every computation
+    reads; `entries` derives the matrix itself from them.
     """
 
-    __slots__ = ("field", "rank", "entries", "doubled")
+    __slots__ = ("field", "rank", "doubled")
 
     def __init__(self, field: Field, entries: tuple[tuple[Radical, ...], ...]) -> None:
         r = len(entries)
@@ -58,26 +58,30 @@ class GramForm:
                 if c is None:
                     raise NotIntegralError(f"doubled off-diagonal {e} is not integral")
                 doubled[i][j] = doubled[j][i] = c
-        self._set(field, tuple(tuple(row) for row in entries), doubled)
+        self._set(field, doubled)
 
-    def _set(self, field: Field, entries, doubled) -> None:
+    def _set(self, field: Field, doubled) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rank", len(entries))
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rank", len(doubled))
         object.__setattr__(self, "doubled", tuple(tuple(row) for row in doubled))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GramForm values are immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[Radical, ...], ...]:
+        """The matrix G, half of 2G, rebuilt as Radicals on each access."""
+        half = Fraction(1, 2)
+        to_radical = self.field.radical_of_coords
+        return tuple(tuple(to_radical(c).scale(half) for c in row) for row in self.doubled)
+
     @classmethod
     def from_doubled(cls, field: Field, doubled) -> GramForm:
         """The Gram matrix G whose double 2G has the given integral-basis
-        coordinates (int tuples); the entries are derived from them."""
+        coordinates (int tuples)."""
         r = len(doubled)
         if r < 1 or any(len(row) != r for row in doubled):
             raise ValueError("coordinates must form a square matrix of rank >= 1")
-        half = Fraction(1, 2)
-        entries: list[list] = [[None] * r for _ in range(r)]
         for i in range(r):
             for j in range(i, r):
                 c = doubled[i][j]
@@ -85,12 +89,11 @@ class GramForm:
                     raise ValueError("coordinate count must equal the field degree")
                 if c != doubled[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-                e = field.radical_of_coords(c).scale(half)
                 if i == j and any(v % 2 for v in c):
+                    e = field.radical_of_coords(c).scale(Fraction(1, 2))
                     raise NotIntegralError(f"diagonal entry {e} is not integral")
-                entries[i][j] = entries[j][i] = e
         gram = cls.__new__(cls)
-        gram._set(field, tuple(tuple(row) for row in entries), doubled)
+        gram._set(field, doubled)
         return gram
 
     @classmethod

@@ -26,6 +26,10 @@ Embedding = tuple[int, ...]
 
 INITIAL_SIGN_BITS = 32
 
+#: Largest radicand accepted; larger ones are refused before the
+#: squarefree test, whose trial division up to sqrt(r) would not finish.
+MAX_RADICAND = 10**9
+
 
 class InvalidRadicandError(ValueError):
     """Radicands must be squarefree, distinct integers > 1."""
@@ -55,6 +59,8 @@ class Shape:
         for r in rs:
             if r <= 1:
                 raise InvalidRadicandError(f"radicand {r} must exceed 1")
+            if r > MAX_RADICAND:
+                raise InvalidRadicandError(f"radicand {r} exceeds {MAX_RADICAND}")
             if not is_squarefree(r):
                 raise InvalidRadicandError(f"radicand {r} is not squarefree")
         if len(rs) == 2 and rs[0] >= rs[1]:
@@ -113,6 +119,20 @@ class Shape:
             ((2, 1), (3, g), (0, n), (1, n // g)),
             ((3, 1), (2, m // g), (1, n // g), (0, c)),
         )
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """Product of two radical-coordinate tuples, of ints or Fractions."""
+        table = self._mul_table
+        out = [0] * self.degree
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            row = table[i]
+            for j, y in enumerate(b):
+                if y:
+                    k, factor = row[j]
+                    out[k] += x * y * factor
+        return tuple(out)
 
     def __str__(self) -> str:
         if not self.radicands:
@@ -201,9 +221,6 @@ class Radical:
     def is_zero(self) -> bool:
         return all(q == 0 for q in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(q == 0 for q in self.coords[1:])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Radical):
             return NotImplemented
@@ -229,27 +246,11 @@ class Radical:
 
     def __mul__(self, other: Radical) -> Radical:
         self._check_shape(other)
-        table = self.shape._mul_table
-        out = [Rat(0)] * self.shape.degree
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[i]
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                k, factor = row[j]
-                out[k] += a * b * factor
-        return Radical(self.shape, tuple(out))
+        return Radical(self.shape, self.shape.mul(self.coords, other.coords))
 
     def scale(self, q: Rat | int) -> Radical:
         q = Rat(q)
         return Radical(self.shape, tuple(a * q for a in self.coords))
-
-    def conjugate(self, emb: Embedding) -> Radical:
-        """The image under emb, expressed back in the same coordinates."""
-        signs = self.shape.embedding_signs(emb)
-        return Radical(self.shape, tuple(s * q for s, q in zip(signs, self.coords)))
 
     def trace(self) -> Rat:
         """Sum over all embeddings; the radical parts cancel."""

@@ -223,11 +223,8 @@ def _case_prop53_direct(params: SuiteParams) -> list[SuiteReport]:
     reports = []
     for i, n in enumerate(ns):
         f, gram = length_seven_binary_form(n)
-        label = "; ".join(
-            render_radical(gram.entries[i2][j2])
-            for i2 in range(2)
-            for j2 in range(i2, 2)
-        )
+        g = gram.entries
+        label = "; ".join(render_radical(e) for e in (g[0][0], g[0][1], g[1][1]))
         note = _NOTE_69 if n == 69 else None
         reports.append(
             _length_report(params, "prop53-direct", i, f, label, gram, 7, note)

@@ -23,9 +23,13 @@ class TestFieldInfo:
         assert "1/2 + 0*sqrt(10) + 1/2*sqrt(17) + 0*sqrt(170)" in out
 
     def test_bad_descriptor(self, capsys):
-        code, _, err = run(capsys, "field", "info", "Q(sqrt 12)")
-        assert code == 2
-        assert "input error" in err
+        # an oversized radicand is refused before its squarefree test
+        for text in ("Q(sqrt 12)", "Q(sqrt 1000000000000000000000000000057)"):
+            start = time.perf_counter()
+            code, _, err = run(capsys, "field", "info", text)
+            assert time.perf_counter() - start < 2, text
+            assert code == 2, text
+            assert "input error" in err, text
 
 
 class TestElemLength:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soslen import (
     InvalidRadicandError,
@@ -18,6 +20,7 @@ from soslen import (
     parse_descriptor,
     render_radical,
 )
+from soslen.fields import characteristic_polynomial
 
 
 def lit(shape, *coords):
@@ -43,7 +46,15 @@ class TestDescriptorGrammar:
             assert parse_descriptor(format_descriptor(shape)) == shape
 
     def test_rejects(self):
-        for bad in ("Q(sqrt -3)", "Q[sqrt 5]", "F(sqrt 5)", "Q(sqrt 4)", ""):
+        for bad in (
+            "Q(sqrt -3)",
+            "Q[sqrt 5]",
+            "F(sqrt 5)",
+            "Q(sqrt 4)",
+            "",
+            # refused by size before the squarefree test could run for ages
+            "Q(sqrt 1000000000000000000000000000057)",
+        ):
             with pytest.raises(InvalidRadicandError):
                 parse_descriptor(bad)
 
@@ -114,6 +125,36 @@ class TestBiquadraticBases:
         for b1 in f.integral_basis:
             for b2 in f.integral_basis:
                 assert f.coords_of(b1 * b2) is not None
+
+
+class TestIntegralityDifferential:
+    """x = (integer combination of the basis) + c/k is integral exactly when
+    membership finds its coordinates; k ranges over denominators that both
+    do and do not occur in the integral basis."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Shape(()), Shape((5,)), Shape((17,)), Shape((6, 7)), Shape((13, 15)), Shape((10, 65))],
+        ids=str,
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_membership(self, shape, data):
+        f = make_field(shape)
+        ints = st.tuples(*[st.integers(-9, 9)] * f.degree)
+        k = data.draw(st.integers(1, 4), label="k")
+        c = data.draw(ints, label="c")
+        x = f.radical_of_coords(data.draw(ints, label="basis coords")) + Radical(
+            shape, tuple(F(v, k) for v in c)
+        )
+        assert is_algebraic_integer(x) == (f.coords_of(x) is not None)
+        poly = characteristic_polynomial(x)
+        assert len(poly) == f.degree + 1 and poly[-1] == 1
+        assert -poly[-2] == x.trace()
+        value = Radical.zero(shape)
+        for coeff in reversed(poly):
+            value = value * x + Radical.from_rational(shape, coeff)
+        assert value.is_zero()
 
 
 def make_span_matrix(basis):

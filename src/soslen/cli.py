@@ -134,7 +134,13 @@ def _cmd_descend(args) -> int:
         print(f"input certificate does not verify: {exc}")
         return EXIT_NEGATIVE
     problem = DescentProblem(doc.field, gram, cert)
-    out = descend(problem, target=args.target)
+    try:
+        out = descend(problem, target=args.target)
+    except CompressionError as exc:
+        if args.target is None:
+            raise  # the table value guarantees a compression
+        print(f"not compressible through Z: {exc}")
+        return EXIT_NEGATIVE
     sys.stdout.write(emit_certificate(document_from_certificate(gram, out)))
     return EXIT_OK
 
@@ -235,7 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     suite_sub = p_suite.add_subparsers(dest="subcommand", required=True)
     p_run = suite_sub.add_parser("run", help="run suite cases")
     p_run.add_argument("--case", action="append", choices=CASE_IDS, help="repeatable case filter")
-    p_run.add_argument("--n", action="append", help="comma-separated parameter list for parametrized cases")
+    p_run.add_argument(
+        "--n",
+        action="append",
+        help="comma-separated n list for the n-parametrized cases "
+        "prop53-direct, prop53-alpha10, prop53-alpha11 and peters",
+    )
     p_run.add_argument("--report", help="write a JSON report")
     p_run.add_argument("--cert-dir", help="directory for emitted certificates")
     p_run.set_defaults(func=_cmd_suite_run)

@@ -25,7 +25,12 @@ class CertificateInvalidError(ValueError):
 
 
 class CompressionError(RuntimeError):
-    """No representation within the target budget exists (corrupt input)."""
+    """No representation within the target budget exists.
+
+    With an explicit target this is a verdict: the certificate does not
+    compress to that many rows through Z.  With the table target it cannot
+    happen for a verified input.
+    """
 
     def __init__(self, depth: int) -> None:
         super().__init__(f"no representation with at most {depth} squares")
@@ -47,14 +52,12 @@ class DescentProblem:
 class ExpandedGram:
     """Integer Gram of the basis-coordinate vectors of a certificate.
 
-    Flat index p = j*d + i addresses basis coordinate i of form variable j;
-    coeff_matrices[i][k][j] is coordinate i of certificate entry (k, j).
+    Flat index p = j*d + i addresses basis coordinate i of form variable j.
     """
 
     rank: int
     degree: int
     zgram: tuple[tuple[int, ...], ...]
-    coeff_matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def expand(problem: DescentProblem) -> ExpandedGram:
@@ -77,11 +80,7 @@ def expand(problem: DescentProblem) -> ExpandedGram:
         tuple(sum(a * b for a, b in zip(vectors[p], vectors[q])) for q in range(rd))
         for p in range(rd)
     )
-    coeff = tuple(
-        tuple(tuple(rows[k][j].coords[i] for j in range(r)) for k in range(n))
-        for i in range(d)
-    )
-    expanded = ExpandedGram(r, d, zgram, coeff)
+    expanded = ExpandedGram(r, d, zgram)
     _check_expansion(problem, expanded)
     return expanded
 

@@ -40,6 +40,7 @@ from .fields import Field, OElement
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
 
 POOL_ROW_CAP = 2_000_000
+SEARCH_CACHE_CAP = 1 << 22  # entries in each of the memo and the PSD cache
 _INV_SQRT_BITS = 16
 
 
@@ -298,7 +299,8 @@ def _search(
         v = psd_cache.get(rem)
         if v is None:
             v = pool.remainder_psd(rem)
-            psd_cache[rem] = v
+            if len(psd_cache) < SEARCH_CACHE_CAP:
+                psd_cache[rem] = v
         return v
 
     def dfs(rem, budget: int, start: int) -> list[int] | None:
@@ -344,7 +346,7 @@ def _search(
                     if tail is not None:
                         return [idx] + tail
         if cached is None or start < cached:
-            if len(memo) < 1 << 22:
+            if len(memo) < SEARCH_CACHE_CAP:
                 memo[(rem, budget)] = start
         return None
 
@@ -391,7 +393,9 @@ def length_certificate(
 
     Budgets are deepened upward from a sound lower bound (matrix rank and
     the remainder-trace quotient), so the first representation found is of
-    minimal size and all smaller budgets were searched exhaustively.
+    minimal size and all smaller budgets were searched exhaustively.  No
+    representation has more than trace(G) / (smallest row key) rows, so
+    budgets above that are never searched.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
@@ -412,7 +416,7 @@ def length_certificate(
         return ExceedsBound(s_max)
     memo: dict = {}
     psd_cache: dict = {}
-    for s in range(lower, s_max + 1):
+    for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
         indices = _search(pool, rem0, s, memo, psd_cache)
         if indices is not None:
             return len(indices), _certificate(pool, gram, indices)

@@ -21,7 +21,7 @@ from .certfile import document_from_certificate, emit_certificate
 from .fields import Field, OElement, make_field
 from .forms import Certificate, GramForm, perp_unit, verify_certificate
 from .gtable import Exact, g_table
-from .radicals import Radical, Shape, is_squarefree, render_radical
+from .radicals import Radical, Shape, from_literal_coords, is_squarefree, render_radical
 from .search import (
     ExceedsBound,
     element_length,
@@ -34,6 +34,13 @@ _ALPHA10_NS = (17, 21, 29, 33, 37, 41, 53, 57, 61, 65)
 _ALPHA11_NS = (57, 61, 65)
 _PETERS_NS = (17, 29, 33)
 _DIRECT_NS = (17, 21, 29)
+_LEMMA52_WITNESSES = (
+    ((6, 7), (Fraction(43), Fraction(1), Fraction(-8), Fraction(1))),
+    ((13, 15), (Fraction(114), Fraction(15), Fraction(20), Fraction(6))),
+)
+_THM15_TRACE_BOUND = 60
+_THM15_WITNESSES = ((6, 4), (7, 4), (17, 5))  # (n, length) scanned for in Q(sqrt n)
+_LAGRANGE_BOUND = 5000
 
 _NOTE_65 = (
     "The table gives length 5 here; the proven length over the verified "
@@ -56,9 +63,6 @@ def extended_direct_ns() -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SuiteParams:
     ns: tuple[int, ...] | None = None
-    trace_bound: int = 60
-    five_fields: tuple[int, ...] = (17,)
-    lagrange_bound: int = 5000
     cert_dir: Path | None = None
 
 
@@ -86,15 +90,23 @@ def write_report(reports: list[SuiteReport], path: str | Path) -> None:
 # element and form builders -------------------------------------------------
 
 
+def _length_seven_coefficients(n: int, sqrt_n: Radical) -> tuple[Radical, Radical, Radical]:
+    """A = (3n+77+26 sqrt n)/2, B = 10+n+7 sqrt n and C = (n+5+2 sqrt n)/4,
+    the coefficients of the length-seven binary form A x^2 + B xy + C y^2."""
+    one = Radical.one(sqrt_n.shape)
+    return (
+        one.scale(Fraction(3 * n + 77, 2)) + sqrt_n.scale(13),
+        one.scale(10 + n) + sqrt_n.scale(7),
+        one.scale(Fraction(n + 5, 4)) + sqrt_n.scale(Fraction(1, 2)),
+    )
+
+
 def length_seven_binary_form(n: int) -> tuple[Field, GramForm]:
     """The binary form over Q(sqrt n), n = 1 (mod 4) squarefree, whose
-    length is seven: Gram [[A, B/2], [B/2, C]] for
-    A = (3n+77+26 sqrt n)/2, B = 10+n+7 sqrt n, C = (n+5+2 sqrt n)/4."""
+    length is seven: Gram [[A, B/2], [B/2, C]]."""
     f = make_field(Shape((n,)))
-    sh = f.shape
-    a = Radical(sh, (Fraction(3 * n + 77, 2), Fraction(13)))
-    b_half = Radical(sh, (Fraction(10 + n, 2), Fraction(7, 2)))
-    c = Radical(sh, (Fraction(n + 5, 4), Fraction(1, 2)))
+    a, b, c = _length_seven_coefficients(n, Radical.sqrt_generator(f.shape, 0))
+    b_half = b.scale(Fraction(1, 2))
     return f, GramForm(f, ((a, b_half), (b_half, c)))
 
 
@@ -105,11 +117,7 @@ def binary_form_witness(m: int, n: int) -> tuple[Field, OElement]:
     f = make_field(sh)
     idx = sh.radicands.index(m)
     sqrt_m = Radical.sqrt_generator(sh, idx)
-    sqrt_n = Radical.sqrt_generator(sh, 1 - idx)
-    one = Radical.one(sh)
-    a = one.scale(Fraction(3 * n + 77, 2)) + sqrt_n.scale(13)
-    b = one.scale(10 + n) + sqrt_n.scale(7)
-    c = one.scale(Fraction(n + 5, 4)) + sqrt_n.scale(Fraction(1, 2))
+    a, b, c = _length_seven_coefficients(n, Radical.sqrt_generator(sh, 1 - idx))
     return f, f.element(a + b * sqrt_m + c * (sqrt_m * sqrt_m))
 
 
@@ -158,6 +166,17 @@ def four_square_oracle(bound: int) -> list[int]:
 # case implementations ------------------------------------------------------
 
 
+def _report(case, field, input, expected, computed, t0, passed=None, **extra) -> SuiteReport:
+    """A report timed from t0 that passes when computed equals expected,
+    unless `passed` decides; `extra` carries the certificate and the note."""
+    if passed is None:
+        passed = computed == expected
+    return SuiteReport(
+        case, field, input, expected, computed,
+        "pass" if passed else "fail", round(perf_counter() - t0, 3), **extra,
+    )
+
+
 def _emit(params: SuiteParams, case: str, index: int, gram: GramForm, cert: Certificate) -> str | None:
     if params.cert_dir is None:
         return None
@@ -187,63 +206,40 @@ def _length_report(
         computed = f">{res.bound}"
     else:
         computed = f"not-sos:{res.reason}"
-    return SuiteReport(
-        case=case,
-        field=str(f.shape),
-        input=label,
-        expected=str(expected),
-        computed=computed,
-        verdict="pass" if computed == str(expected) else "fail",
-        seconds=round(perf_counter() - t0, 3),
-        certificate=cert_path,
-        note=note,
+    return _report(
+        case, str(f.shape), label, str(expected), computed, t0,
+        certificate=cert_path, note=note,
     )
+
+
+def _element_subject(f: Field, alpha: OElement) -> tuple[Field, str, GramForm]:
+    return f, render_radical(alpha.to_radical()), GramForm.from_element(alpha)
 
 
 def _case_lemma52(params: SuiteParams) -> list[SuiteReport]:
     reports = []
-    witnesses = (
-        ((6, 7), (Fraction(43), Fraction(1), Fraction(-8), Fraction(1))),
-        ((13, 15), (Fraction(114), Fraction(15), Fraction(20), Fraction(6))),
-    )
-    from .radicals import from_literal_coords
-
-    for i, ((m, n), coords) in enumerate(witnesses):
+    for i, ((m, n), coords) in enumerate(_LEMMA52_WITNESSES):
         f = make_field(Shape((m, n)))
-        alpha = f.element(from_literal_coords(f.shape, coords))
-        gram = GramForm.from_element(alpha)
-        reports.append(
-            _length_report(params, "lemma52", i, f, render_radical(alpha.to_radical()), gram, 7)
-        )
+        subject = _element_subject(f, f.element(from_literal_coords(f.shape, coords)))
+        reports.append(_length_report(params, "lemma52", i, *subject, 7))
     return reports
 
 
-def _case_prop53_direct(params: SuiteParams) -> list[SuiteReport]:
-    ns = params.ns or _DIRECT_NS
-    reports = []
-    for i, n in enumerate(ns):
-        f, gram = length_seven_binary_form(n)
-        g = gram.entries
-        label = "; ".join(render_radical(e) for e in (g[0][0], g[0][1], g[1][1]))
-        note = _NOTE_69 if n == 69 else None
-        reports.append(
-            _length_report(params, "prop53-direct", i, f, label, gram, 7, note)
-        )
-    return reports
+def _form_subject(f: Field, gram: GramForm) -> tuple[Field, str, GramForm]:
+    g = gram.entries
+    return f, "; ".join(render_radical(e) for e in (g[0][0], g[0][1], g[1][1])), gram
 
 
-def _element_case(case: str, default_ns, build, expected, notes=None):
-    """A case of one element length per n: build(n) gives the field and
-    element, expected(n) its length and notes.get(n) an optional note."""
+def _length_case(case: str, default_ns, build, expected, notes=None):
+    """A case of one length per n: build(n) gives the field, the input
+    label and the Gram, expected(n) its length and notes.get(n) an optional
+    note."""
 
     def run(params: SuiteParams) -> list[SuiteReport]:
         reports = []
         for i, n in enumerate(params.ns or default_ns):
-            f, alpha = build(n)
-            label = render_radical(alpha.to_radical())
-            gram = GramForm.from_element(alpha)
             note = notes.get(n) if notes else None
-            reports.append(_length_report(params, case, i, f, label, gram, expected(n), note))
+            reports.append(_length_report(params, case, i, *build(n), expected(n), note))
         return reports
 
     return run
@@ -257,7 +253,7 @@ def _alpha10_length(n: int) -> int:
 
 def _case_thm15(params: SuiteParams) -> list[SuiteReport]:
     reports = []
-    bound = params.trace_bound
+    bound = _THM15_TRACE_BOUND
     for n in (2, 3, 5):
         f = make_field(Shape((n,)))
         t0 = perf_counter()
@@ -266,33 +262,19 @@ def _case_thm15(params: SuiteParams) -> list[SuiteReport]:
             res = element_length(alpha, 5)
             if isinstance(res, int):
                 lengths.append(res)
-        computed = f"max length {max(lengths)}"
         reports.append(
-            SuiteReport(
-                case="thm15",
-                field=str(f.shape),
-                input=f"all totally positive, trace <= {bound}",
-                expected="max length 3",
-                computed=computed,
-                verdict="pass" if computed == "max length 3" else "fail",
-                seconds=round(perf_counter() - t0, 3),
+            _report(
+                "thm15", str(f.shape), f"all totally positive, trace <= {bound}",
+                "max length 3", f"max length {max(lengths)}", t0,
             )
         )
-    for n in (6, 7):
-        reports.append(_witness_report(params, n, 4, bound))
-    found = None
-    for n in params.five_fields:
-        report = _witness_report(params, n, 5, bound)
-        reports.append(report)
-        if report.verdict == "pass":
-            found = n
-            break
-    if found is None and params.five_fields:
-        reports[-1].note = "no length-5 witness located; raise the trace bound"
+    for n, target in _THM15_WITNESSES:
+        reports.append(_witness_report(n, target))
     return reports
 
 
-def _witness_report(params: SuiteParams, n: int, target: int, bound: int) -> SuiteReport:
+def _witness_report(n: int, target: int) -> SuiteReport:
+    bound = _THM15_TRACE_BOUND
     f = make_field(Shape((n,)))
     t0 = perf_counter()
     witness = None
@@ -302,18 +284,11 @@ def _witness_report(params: SuiteParams, n: int, target: int, bound: int) -> Sui
             break
     if witness is not None:
         computed = f"length {target} at {render_radical(witness.to_radical())}"
-        verdict = "pass"
     else:
         computed = f"no length-{target} element with trace <= {bound}"
-        verdict = "fail"
-    return SuiteReport(
-        case="thm15",
-        field=str(f.shape),
-        input=f"scan for length-{target} witness, trace <= {bound}",
-        expected=f"length-{target} witness exists",
-        computed=computed,
-        verdict=verdict,
-        seconds=round(perf_counter() - t0, 3),
+    return _report(
+        "thm15", str(f.shape), f"scan for length-{target} witness, trace <= {bound}",
+        f"length-{target} witness exists", computed, t0, passed=witness is not None,
     )
 
 
@@ -337,39 +312,28 @@ def _case_perp_unit(params: SuiteParams) -> list[SuiteReport]:
         f = make_field(shape)
         rng = random.Random(f"perp-unit:{shape}")
         t0 = perf_counter()
-        failures = []
+        passed = 0
         count = 100
-        for i in range(count):
+        for _ in range(count):
             rank = rng.choice((1, 2))
             bound = 2 if f.degree == 1 else 1
             rows = _random_rows(rng, f, rank, 3, bound)
             gram = GramForm.from_rows(f, rows)
             t = length(gram, 10)
             assert isinstance(t, int), "forms built from rows are sums of squares"
-            lifted = length(perp_unit(gram), t + 2)
-            if lifted != t + 1:
-                failures.append((i, t, lifted))
-        computed = (
-            f"{count - len(failures)}/{count} satisfied length+1"
-            if failures
-            else f"{count}/{count} satisfied length+1"
-        )
+            passed += length(perp_unit(gram), t + 2) == t + 1
         reports.append(
-            SuiteReport(
-                case="perp-unit",
-                field=str(shape),
-                input=f"count={count}, ranks 1-2, seeded",
-                expected=f"{count}/{count} satisfied length+1",
-                computed=computed,
-                verdict="pass" if not failures else "fail",
-                seconds=round(perf_counter() - t0, 3),
+            _report(
+                "perp-unit", str(shape), f"count={count}, ranks 1-2, seeded",
+                f"{count}/{count} satisfied length+1",
+                f"{passed}/{count} satisfied length+1", t0,
             )
         )
     return reports
 
 
 def _case_lagrange(params: SuiteParams) -> list[SuiteReport]:
-    bound = params.lagrange_bound
+    bound = _LAGRANGE_BOUND
     f = make_field(Shape(()))
     t0 = perf_counter()
     oracle = four_square_oracle(bound)
@@ -383,16 +347,10 @@ def _case_lagrange(params: SuiteParams) -> list[SuiteReport]:
             worst = max(worst, got)
         else:
             mismatches += 1
-    computed = f"{mismatches} mismatches, max length {worst}"
     return [
-        SuiteReport(
-            case="lagrange",
-            field="Q",
-            input=f"0 <= k <= {bound}",
-            expected="0 mismatches, max length 4",
-            computed=computed,
-            verdict="pass" if computed == "0 mismatches, max length 4" else "fail",
-            seconds=round(perf_counter() - t0, 3),
+        _report(
+            "lagrange", "Q", f"0 <= k <= {bound}", "0 mismatches, max length 4",
+            f"{mismatches} mismatches, max length {worst}", t0,
         )
     ]
 
@@ -402,7 +360,7 @@ def _case_descent_roundtrip(params: SuiteParams) -> list[SuiteReport]:
     field_shapes = (Shape((2,)), Shape((5,)), Shape((6,)))
     t0 = perf_counter()
     count = 50
-    failures = []
+    passed = 0
     for i in range(count):
         f = make_field(field_shapes[i % len(field_shapes)])
         rank = rng.choice((1, 2))
@@ -414,36 +372,42 @@ def _case_descent_roundtrip(params: SuiteParams) -> list[SuiteReport]:
         out = descent_mod.descend(problem)
         entry = g_table(2 * rank)
         assert isinstance(entry, Exact)
-        if len(out.rows) > entry.value or not verify_certificate(gram, out).ok:
-            failures.append(i)
-    computed = f"{count - len(failures)}/{count} compressed and verified"
+        passed += len(out.rows) <= entry.value and verify_certificate(gram, out).ok
     return [
-        SuiteReport(
-            case="descent-roundtrip",
-            field="Q(sqrt 2) / Q(sqrt 5) / Q(sqrt 6)",
-            input=f"count={count}, ranks 1-2, rows <= 12, seeded",
-            expected=f"{count}/{count} compressed and verified",
-            computed=computed,
-            verdict="pass" if not failures else "fail",
-            seconds=round(perf_counter() - t0, 3),
+        _report(
+            "descent-roundtrip", "Q(sqrt 2) / Q(sqrt 5) / Q(sqrt 6)",
+            f"count={count}, ranks 1-2, rows <= 12, seeded",
+            f"{count}/{count} compressed and verified",
+            f"{passed}/{count} compressed and verified", t0,
         )
     ]
 
 
 _CASES = {
     "lemma52": _case_lemma52,
-    "prop53-direct": _case_prop53_direct,
-    "prop53-alpha10": _element_case(
+    "prop53-direct": _length_case(
+        "prop53-direct",
+        _DIRECT_NS,
+        lambda n: _form_subject(*length_seven_binary_form(n)),
+        lambda n: 7,
+        {69: _NOTE_69},
+    ),
+    "prop53-alpha10": _length_case(
         "prop53-alpha10",
         _ALPHA10_NS,
-        lambda n: binary_form_witness(10, n),
+        lambda n: _element_subject(*binary_form_witness(10, n)),
         _alpha10_length,
         {65: _NOTE_65},
     ),
-    "prop53-alpha11": _element_case(
-        "prop53-alpha11", _ALPHA11_NS, lambda n: binary_form_witness(11, n), lambda n: 7
+    "prop53-alpha11": _length_case(
+        "prop53-alpha11",
+        _ALPHA11_NS,
+        lambda n: _element_subject(*binary_form_witness(11, n)),
+        lambda n: 7,
     ),
-    "peters": _element_case("peters", _PETERS_NS, seven_plus_half_square, lambda n: 5),
+    "peters": _length_case(
+        "peters", _PETERS_NS, lambda n: _element_subject(*seven_plus_half_square(n)), lambda n: 5
+    ),
     "thm15": _case_thm15,
     "perp-unit": _case_perp_unit,
     "lagrange": _case_lagrange,
@@ -456,21 +420,17 @@ def run_suite(
     cases: list[str] | tuple[str, ...] | None = None,
     *,
     ns: tuple[int, ...] | None = None,
-    trace_bound: int = 60,
-    five_fields: tuple[int, ...] = (17,),
-    lagrange_bound: int = 5000,
     cert_dir: str | Path | None = None,
 ) -> list[SuiteReport]:
-    """Run the selected cases (all by default) and return ordered reports."""
+    """Run the selected cases (all by default) and return ordered reports.
+    `ns` replaces the parameter list of the n-parametrised cases
+    prop53-direct, prop53-alpha10, prop53-alpha11 and peters."""
     selected = list(cases) if cases else list(CASE_IDS)
     for case in selected:
         if case not in _CASES:
             raise ValueError(f"unknown suite case {case!r}; known: {', '.join(CASE_IDS)}")
     params = SuiteParams(
         ns=tuple(ns) if ns else None,
-        trace_bound=trace_bound,
-        five_fields=tuple(five_fields),
-        lagrange_bound=lagrange_bound,
         cert_dir=Path(cert_dir) if cert_dir else None,
     )
     if params.cert_dir is not None:

@@ -4,6 +4,13 @@ All arithmetic is exact, so every criterion asserts exact equalities or
 exhaustive-search verdicts; the printed wall times are informational only.
 Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
 
+Criteria 1, 2, 3 and 4 run the length cases of `soslen.suite` and hold each
+report's field, input and computed length to the tables below, not to the
+suite's own expectations.  Each length comes from `length_certificate`,
+which searches every budget from a sound lower bound upward, so a reported
+length is an exhaustive Unsat below it plus an exactly verified witness at
+it.
+
 Criterion 3 corrects one tabulated value.  Over Q(sqrt 10, sqrt 65) the
 table gives length 5, but the radicands share the factor 5, so
 sqrt(26) = sqrt(650)/5 is an algebraic integer outside the customary module
@@ -30,7 +37,7 @@ from soslen import (
     Unsat,
     document_from_certificate,
     emit_certificate,
-    from_literal_coords,
+    extended_direct_ns,
     make_field,
     parse_certificate,
     render_radical,
@@ -40,11 +47,7 @@ from soslen import (
     verify_document,
 )
 from soslen.fields import characteristic_polynomial
-from soslen.suite import (
-    binary_form_witness,
-    length_seven_binary_form,
-    seven_plus_half_square,
-)
+from soslen.suite import binary_form_witness
 from reference_search import reference_represent
 
 
@@ -53,42 +56,59 @@ def announce(name: str, ok: bool, t0: float, detail: str = "") -> None:
     print(f"{state} {name} ({time.perf_counter() - t0:.1f}s) {detail}".rstrip())
 
 
-def dual_check(gram: GramForm, expected: int) -> None:
-    """Unsatisfiable one below the expected length, representable at it."""
-    below = represent(gram, expected - 1)
-    assert isinstance(below, Unsat), f"expected Unsat at {expected - 1}, got {below}"
-    at = represent(gram, expected)
-    assert isinstance(at, Represented), f"expected Represented at {expected}, got {at}"
-    assert verify_certificate(gram, at.certificate).ok
+def mismatches(reports, table) -> list:
+    """Reports whose (field, input, computed) differ from the table's row,
+    or whose verdict is not a pass."""
+    got = [(r.field, r.input, r.computed, r.verdict) for r in reports]
+    want = [(*row, "pass") for row in table]
+    if len(got) != len(want):
+        return [("report count", len(want), len(got))]
+    return [(w, g) for w, g in zip(want, got) if w != g]
+
+
+def check_suite(name: str, cases: list[str], table, ns=None) -> None:
+    t0 = time.perf_counter()
+    bad = mismatches(run_suite(cases, ns=ns), table)
+    announce(name, not bad, t0, detail=f"mismatches: {bad}" if bad else "")
+    assert not bad, bad
+
+
+# (field, input, length) of the suite reports behind criteria 1, 2 and 4
+QUARTIC_LENGTH_SEVEN = (
+    ("Q(sqrt 6, sqrt 7)", "43 + 1*sqrt(6) + -8*sqrt(7) + 1*sqrt(42)", "7"),
+    ("Q(sqrt 13, sqrt 15)", "114 + 15*sqrt(13) + 20*sqrt(15) + 6*sqrt(195)", "7"),
+)
+FIVE_SQUARE_ELEMENTS = (
+    ("Q(sqrt 17)", "23/2 + 1/2*sqrt(17)", "5"),
+    ("Q(sqrt 29)", "29/2 + 1/2*sqrt(29)", "5"),
+    ("Q(sqrt 33)", "31/2 + 1/2*sqrt(33)", "5"),
+)
+
+
+def binary_form_length_seven(ns) -> list:
+    """Rows for the binary forms with Gram entries A = (3n+77+26 sqrt n)/2,
+    B/2 = (10+n+7 sqrt n)/2 and C = (n+5+2 sqrt n)/4."""
+    return [
+        (
+            f"Q(sqrt {n})",
+            f"{F(3 * n + 77, 2)} + 13*sqrt({n}); {F(10 + n, 2)} + 7/2*sqrt({n}); "
+            f"{F(n + 5, 4)} + 1/2*sqrt({n})",
+            "7",
+        )
+        for n in ns
+    ]
 
 
 def test_criterion_1_quartic_pythagoras_witnesses():
-    t0 = time.perf_counter()
-    witnesses = (
-        ((6, 7), (43, 1, -8, 1)),
-        ((13, 15), (114, 15, 20, 6)),
-    )
-    try:
-        for (m, n), coords in witnesses:
-            f = make_field(Shape((m, n)))
-            alpha = f.element(from_literal_coords(f.shape, tuple(F(c) for c in coords)))
-            dual_check(GramForm.from_element(alpha), 7)
-    except AssertionError:
-        announce("criterion-1 quartic-length-seven", False, t0)
-        raise
-    announce("criterion-1 quartic-length-seven", True, t0)
+    check_suite("criterion-1 quartic-length-seven", ["lemma52"], QUARTIC_LENGTH_SEVEN)
 
 
 def test_criterion_2_binary_form_base_set():
-    t0 = time.perf_counter()
-    try:
-        for n in (17, 21, 29):
-            _, gram = length_seven_binary_form(n)
-            dual_check(gram, 7)
-    except AssertionError:
-        announce("criterion-2 binary-form-length-seven", False, t0)
-        raise
-    announce("criterion-2 binary-form-length-seven", True, t0)
+    check_suite(
+        "criterion-2 binary-form-length-seven",
+        ["prop53-direct"],
+        binary_form_length_seven((17, 21, 29)),
+    )
 
 
 @pytest.mark.skipif(
@@ -96,13 +116,13 @@ def test_criterion_2_binary_form_base_set():
     reason="extended sweep (17 <= n <= 101) is enabled by SOSLEN_EXTENDED=1",
 )
 def test_criterion_2_binary_form_extended():
-    from soslen import extended_direct_ns
-
-    t0 = time.perf_counter()
-    for n in extended_direct_ns():
-        _, gram = length_seven_binary_form(n)
-        dual_check(gram, 7)
-    announce("criterion-2-extended binary-form-length-seven", True, t0)
+    ns = extended_direct_ns()
+    check_suite(
+        "criterion-2-extended binary-form-length-seven",
+        ["prop53-direct"],
+        binary_form_length_seven(ns),
+        ns=ns,
+    )
 
 
 # A 3-square witness for binary_form_witness(10, 65), that is for
@@ -146,23 +166,14 @@ def test_criterion_3_biquadratic_witness_lengths():
     expectations += [(10, n, 5) for n in (57, 61)]
     expectations += [(10, 65, 3)]  # the table gives 5; see the module docstring
     expectations += [(11, n, 7) for n in (57, 61, 65)]
-    # the suite cases compute the lengths; this table, not the suite's own
-    # expectations, is what they are held to
-    reports = run_suite(["prop53-alpha10", "prop53-alpha11"])
-    assert len(reports) == len(expectations)
-    mismatches = []
-    for (m, n, expected), report in zip(expectations, reports):
+    table = []
+    for m, n, expected in expectations:
         f, alpha = binary_form_witness(m, n)
-        subject = (str(f.shape), render_radical(alpha.to_radical()))
-        if (
-            (report.field, report.input) != subject
-            or report.computed != str(expected)
-            or report.verdict != "pass"
-        ):
-            mismatches.append((m, n, expected, report.computed))
+        table.append((str(f.shape), render_radical(alpha.to_radical()), str(expected)))
+    bad = mismatches(run_suite(["prop53-alpha10", "prop53-alpha11"]), table)
     try:
-        assert not mismatches, (
-            f"expected lengths not reproduced: {mismatches}; for (10, 65) the "
+        assert not bad, (
+            f"expected lengths not reproduced: {bad}; for (10, 65) the "
             "expectation is the proven length 3 over the maximal order, where "
             "sqrt(26) is integral, not the tabulated 5"
         )
@@ -170,22 +181,14 @@ def test_criterion_3_biquadratic_witness_lengths():
     except AssertionError:
         announce(
             "criterion-3 biquadratic-witnesses", False, t0,
-            detail=f"mismatches: {mismatches}" if mismatches else "(10, 65) proof",
+            detail=f"mismatches: {bad}" if bad else "(10, 65) proof",
         )
         raise
     announce("criterion-3 biquadratic-witnesses", True, t0)
 
 
 def test_criterion_4_five_square_elements():
-    t0 = time.perf_counter()
-    try:
-        for n in (17, 29, 33):
-            _, alpha = seven_plus_half_square(n)
-            dual_check(GramForm.from_element(alpha), 5)
-    except AssertionError:
-        announce("criterion-4 five-square-elements", False, t0)
-        raise
-    announce("criterion-4 five-square-elements", True, t0)
+    check_suite("criterion-4 five-square-elements", ["peters"], FIVE_SQUARE_ELEMENTS)
 
 
 def test_criterion_5_quadratic_pythagoras_spot_checks():

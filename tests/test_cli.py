@@ -59,6 +59,16 @@ class TestElemLength:
         )
         assert code == 1 and "exceeds 3" in out
 
+    def test_huge_bound_returns_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "elem", "length", "Q(sqrt 6)", "--coords", "30,1",
+            "--max-squares", "1000000000",
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 1 and "exceeds 1000000000" in out
+
     def test_certificate_output(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         code, out, _ = run(
@@ -135,6 +145,16 @@ class TestDescendVerify:
         out_path.write_text(out)
         code2, out2, _ = run(capsys, "verify", "--cert-in", str(out_path))
         assert code2 == 0
+
+    def test_descend_below_length_is_a_verdict(self, capsys, tmp_path):
+        # 7 has length 4 over Z, so no compression reaches one row
+        path = tmp_path / "seven.json"
+        code, _, _ = run(
+            capsys, "elem", "length", "Q", "--coords", "7", "--cert-out", str(path)
+        )
+        assert code == 0
+        code, out, err = run(capsys, "descend", "--cert-in", str(path), "--target", "1")
+        assert code == 1 and "not compressible" in out and not err
 
     def test_descend_rejects_bad_certificate(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

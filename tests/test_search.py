@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -171,6 +172,14 @@ class TestLength:
         g = GramForm.from_element(Q6.element(from_literal_coords(Q6.shape, (F(1), F(1)))))
         res = length(g, 5)
         assert isinstance(res, NotSoS) and res.reason == "not-totally-psd"
+
+    def test_huge_bound_stops_at_trace_quotient(self):
+        # 30+sqrt6 is totally positive but not a sum of squares; no
+        # representation has more than trace / (smallest row key) rows
+        x = Q6.element(from_literal_coords(Q6.shape, (F(30), F(1))))
+        start = time.perf_counter()
+        assert element_length(x, 10**9) == ExceedsBound(10**9)
+        assert time.perf_counter() - start < 2
 
     def test_sos_filter_excludes_non_sums(self):
         # 2+sqrt2 is totally positive but no candidate square fits under it

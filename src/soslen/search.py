@@ -15,10 +15,14 @@ discard provably infeasible branches:
     by dictionary lookup.
 
 Candidate rows are assembled from column values: for each diagonal entry,
-`_column_values` scans half of its coordinate box, emits each fitting value
-as the pair +-x together with x^2, its trace and its interval lows, and
-keeps the result in a bounded cache.  `RowPool` only combines columns and
-multiplies the off-diagonal entries.
+`_column_values` scans half of its coordinate box, emits one record for each
+fitting pair +-x, holding x^2, its trace, its interval lows and the value
+of x at every embedding, and keeps the result in a bounded cache.  Every
+row v of a representation leaves a totally PSD remainder, so G - vv^T is
+totally PSD; `RowPool` keeps exactly those rows.  It extends row prefixes
+one column at a time, keeps a prefix only while the leading block of
+G - vv^T stays totally PSD, and multiplies the off-diagonal entries of
+surviving prefixes only.
 
 All decisions are exact; dyadic interval bounds are used only when they are
 conclusive, with an exact sign fallback otherwise.
@@ -27,12 +31,13 @@ conclusive, with an exact sign fallback otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import neg
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
@@ -42,6 +47,7 @@ from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certifi
 POOL_ROW_CAP = 2_000_000
 SEARCH_CACHE_CAP = 1 << 22  # entries in each of the memo and the PSD cache
 _INV_SQRT_BITS = 16
+_MID_SCALE = 2.0 ** -(_EMB_BITS + 1)  # float of (lo + hi) / 2 / 2^table bits
 
 
 class SearchSpaceError(RuntimeError):
@@ -87,28 +93,43 @@ def _inv_sqrt_upper(r: int) -> Fraction:
 
 
 class _Column(NamedTuple):
-    """A candidate column value x with what every row containing it needs."""
+    """A candidate column value x with what every row containing +-x needs;
+    x is the member of the pair that is positive at the identity embedding."""
 
     coords: tuple[int, ...]
     square: tuple[int, ...]
     trace: int  # trace(x^2)
     lows: tuple[int, ...]  # lower ends of sigma_e(x^2), scaled by 2^table bits
-    positive: bool  # sigma(x) > 0 at the identity embedding
+    # sigma_e(x) as floats: interval midpoints, within 2^-52 |value| plus
+    # the interval's half-width of the truth
+    values: tuple[float, ...]
+
+    def negated(self) -> _Column:
+        """The record of -x, for one pool build; only x is cached."""
+        return _Column(
+            tuple(map(neg, self.coords)),
+            self.square,
+            self.trace,
+            self.lows,
+            tuple([-v for v in self.values]),
+        )
 
 
 @lru_cache(maxsize=1 << 13)
 def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
-    """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding.
+    """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
+    as one record for each pair +-x.
 
     The integral-basis box is the pull-back of the conjugate bounds
     |sigma(x)| <= sqrt(sigma(diag)), read off the diagonal's integer
     enclosures, so every grid point is already integral.  Membership holds
     for x exactly when it holds for -x, so only the half of the box after 0
-    in product order is scanned and each hit yields the pair +-x, which
-    share their square, its trace and its interval lows.  Interval tests
-    decide membership and the sign at the identity embedding unless they
-    are inconclusive; then exact sign tests decide.  A box of more than
-    POOL_ROW_CAP points raises SearchSpaceError before the scan.
+    in product order is scanned, and each hit yields one record for the
+    pair +-x, which share their square, its trace and its interval lows;
+    the values of x at the embeddings come from the same interval tests.
+    Interval tests decide membership and the sign at the identity embedding
+    unless they are inconclusive; then exact sign tests decide.  A box of
+    more than POOL_ROW_CAP points raises SearchSpaceError before the scan.
     """
     deg = field.degree
     n_emb = len(field.embeddings)
@@ -136,12 +157,14 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     box = itertools.product(*(range(-limit, limit + 1) for limit in limits))
     shift = 1 << _EMB_BITS
     values: list[_Column] = []
+    mids = [0] * n_emb  # xlo + xhi: twice the interval midpoint
     # the box is symmetric, so 0 is its middle point in product order
     for coords in itertools.islice(box, size // 2 + 1, None):
         exact_needed = False
         ok = True
         for e in range(n_emb):
             xlo, xhi = interval(coords, e)
+            mids[e] = xlo + xhi
             if not e:
                 id_lo, id_hi = xlo, xhi
             top = max(xlo * xlo, xhi * xhi)
@@ -166,14 +189,240 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
             positive = id_lo > 0
         else:
             positive = field.sign_of_coords(coords, 0) > 0
-        values.append(_Column(coords, square, trace, lows, positive))
-        negated = tuple(map(neg, coords))
-        values.append(_Column(negated, square, trace, lows, not positive))
+        record = _Column(coords, square, trace, lows, tuple([m * _MID_SCALE for m in mids]))
+        values.append(record if positive else record.negated())
     return tuple(values)
 
 
+def _enclose(field: Field, coords: tuple[int, ...], e: int) -> tuple[float, float]:
+    """A float near sigma_e(coords) and a bound on its distance from it,
+    which is 0 when the float is exact."""
+    lo, hi = field.interval_of_coords(coords, e)
+    try:
+        twice = float(lo + hi)
+        # scaling by a power of two and int(float) are exact
+        off = hi - lo + abs(int(twice) - lo - hi)
+        return twice * _MID_SCALE, off * _MID_SCALE * (1 + 2.0**-50)
+    except OverflowError:
+        return 0.0, math.inf
+
+
+_SCREEN_SLACK = 2.0**-30
+
+
+def _minor(field: Field, icoords, memo: dict, rows: tuple, cols: tuple) -> tuple[int, ...]:
+    """det G[rows, cols] by expansion along the first row, memoized in memo;
+    G is symmetric, so G[rows, cols] and G[cols, rows] share one entry."""
+    key = (rows, cols) if rows <= cols else (cols, rows)
+    m = memo.get(key)
+    if m is None:
+        mul = field.mul_coords
+        m = icoords[rows[0]][cols[0]]
+        if len(rows) > 1:
+            m = mul(m, _minor(field, icoords, memo, rows[1:], cols[1:]))
+            for j in range(1, len(cols)):
+                g = icoords[rows[0]][cols[j]]
+                if any(g):
+                    t = mul(g, _minor(field, icoords, memo, rows[1:], cols[:j] + cols[j + 1 :]))
+                    m = tuple(map(sub if j % 2 else add, m, t))
+        memo[key] = m
+    return m
+
+
+def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
+    """Float tests for the principal minors of G - vv^T, per new column k.
+
+    For S = T + {k} with T a nonempty subset of the earlier columns,
+    det(G_S - v_S v_S^T) = det(G_S) - v_S^T adj(G_S) v_S.  The determinant
+    and the adjugate are exact elements of O, read as floats D, A at each
+    embedding; a row prefix turns the minor into c0 - x (c1 + c2 x) in the
+    value x of column k.  Each test is (e, D, pairs, cross, A_kk, band):
+    pairs holds (a, b, A_ab) for a = b and (a, b, 2 A_ab) for a < b in T,
+    cross holds (a, 2 A_ka) for a in T, and band >= |computed - exact|:
+      * rad: the distance of D and of every A_ab from the exact value,
+        times the bounds s_a s_b on |sigma_e(v_a v_b)|;
+      * vterm: each column float is within e_a = 2^-52 |value| + `absolute`
+        of sigma_e(x), which moves v_a v_b by at most
+        e_a (s_b + e_b) + e_b (s_a + e_a);
+      * rounding: at most (2|S|^2 + 4) 2^-53 times mag, the sum of the
+        absolute values of all terms, which 2^-30 mag covers with room for
+        the rounding of band itself.  With exact embedding tables (degree 1)
+        every float is an exact integer, and below 2^53 so is every partial
+        result: then nothing is rounded and the band is 0.
+    A test whose band is not finite decides nothing.  A minor with det(G_S)
+    and adj(G_S) both 0 is 0 for every row and gets no test.
+    """
+    r = len(icoords)
+    n_emb = len(field.embeddings)
+    width = max(
+        h - l
+        for lo_row, hi_row in zip(field._emb_lo, field._emb_hi)
+        for l, h in zip(lo_row, hi_row)
+    )
+    # column values lie in boxes of at most POOL_ROW_CAP points, so every
+    # coordinate is below POOL_ROW_CAP and an interval below this width
+    absolute = width * field.degree * POOL_ROW_CAP * _MID_SCALE
+    # bound[a][e] >= |sigma_e(x)| for every x in column a, err[a][e] >= the
+    # error of its float; both are 0 for a column that holds only zero
+    bound = [[0.0] * n_emb for _ in range(r)]
+    err = [[0.0] * n_emb for _ in range(r)]
+    for a in range(r):
+        if columns[a]:
+            for e in range(n_emb):
+                hi = field.interval_of_coords(icoords[a][a], e)[1]
+                bound[a][e] = math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40)
+                # exact tables give integer coordinates exact floats
+                err[a][e] = 2.0**-52 * bound[a][e] + absolute if width else 0.0
+    minors: dict = {}  # shared by all screens
+    screens: list[list[tuple]] = [[] for _ in range(r)]
+    for k in range(1, r):
+        # the full leading minor first: it rejects the most prefixes
+        for size in range(k, 0, -1):
+            for subset in itertools.combinations(range(k), size):
+                S = subset + (k,)
+                n = len(S)
+                det = _minor(field, icoords, minors, S, S)
+                # adj(G_S) is symmetric; entry (p, q) is the (q, p) cofactor
+                cof = {}
+                for p in range(n):
+                    for q in range(p, n):
+                        c = _minor(field, icoords, minors, S[:q] + S[q + 1 :], S[:p] + S[p + 1 :])
+                        cof[p, q] = tuple(map(neg, c)) if (p + q) % 2 else c
+                if not any(det) and not any(any(c) for c in cof.values()):
+                    continue
+                for e in range(n_emb):
+                    D, rad = _enclose(field, det, e)
+                    A = {pq: _enclose(field, c, e) for pq, c in cof.items()}
+                    mag = abs(D)
+                    vterm = 0.0
+                    for (p, q), (value, dist) in A.items():
+                        a, b = S[p], S[q]
+                        sa, ea, sb, eb = bound[a][e], err[a][e], bound[b][e], err[b][e]
+                        times = 1 if p == q else 2
+                        mag += times * abs(value) * (sa + ea) * (sb + eb)
+                        rad += times * dist * sa * sb
+                        vterm += times * abs(value) * (ea * (sb + eb) + eb * (sa + ea))
+                    if width or rad or mag >= 2.0**53:
+                        band = (rad + vterm + _SCREEN_SLACK * mag) * (1 + 2.0**-20)
+                    else:
+                        band = 0.0
+                    if not band < math.inf:
+                        screens[k].append((e, 0.0, (), (), 0.0, math.inf))
+                        continue
+                    last = n - 1
+                    pairs = tuple(
+                        (S[p], S[q], value * (1 if p == q else 2))
+                        for (p, q), (value, _) in A.items()
+                        if q < last
+                    )
+                    cross = tuple((S[p], 2 * A[p, last][0]) for p in range(last))
+                    screens[k].append((e, D, pairs, cross, A[last, last][0], band))
+    return screens
+
+
+def _remainder_block(icoords, entries, size: int) -> list[list[tuple[int, ...]]]:
+    """The leading size x size block of G - vv^T, where entries holds the
+    upper triangle of vv^T in column order, (i, j) at j(j+1)/2 + i."""
+    block: list[list] = [[None] * size for _ in range(size)]
+    for j in range(size):
+        for i in range(j + 1):
+            entry = tuple(map(sub, icoords[i][j], entries[j * (j + 1) // 2 + i]))
+            block[i][j] = block[j][i] = entry
+    return block
+
+
+def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
+    """(key, flat, cols, outer, lows) of every sign-normalized row v whose
+    columns are column values and for which G - vv^T is totally PSD.
+
+    Rows grow one column at a time.  A prefix is (its column records, the
+    upper triangle of its outer product in column order, entry (i, j) at
+    j(j+1)/2 + i, whether a column is nonzero yet), and the block of
+    G - vv^T on its columns is totally PSD: its diagonal fits the column
+    boxes, the minors without the newest column were tested before, and
+    those with it are screened here.  A screen that cannot decide sends the
+    whole block to the exact test.  Rows start with a value positive at the
+    identity embedding, so an all-zero prefix continues only with zero or a
+    column record, and other prefixes with zero or either sign of one.
+    """
+    r = len(columns)
+    if r == 1:
+        return [(v.trace, v.coords, (v.coords,), v.square, v.lows) for v in columns[0]]
+    d = field.degree
+    n_emb = len(field.embeddings)
+    zero_entry = (0,) * d
+    zero = _Column(zero_entry, zero_entry, 0, (0,) * n_emb, (0.0,) * n_emb)
+    mul = field.mul_coords
+    screens = _minor_screens(field, icoords, columns)
+    slot_order = [j * (j + 1) // 2 + i for i in range(r) for j in range(i, r)]
+    prefixes = [((v,), (v.square,), True) for v in columns[0]]
+    prefixes.append(((zero,), (zero_entry,), False))
+    decorated = []
+    for k in range(1, r):
+        last = k == r - 1
+        leads = columns[k]
+        signed = (zero,) + leads + tuple([v.negated() for v in leads])
+        unstarted = leads if last else (zero,) + leads
+        extended = []
+        for row, entries, started in prefixes:
+            tests = []
+            for e, D, pairs, cross, akk, band in screens[k]:
+                c0 = D
+                for a, b, coeff in pairs:
+                    c0 -= coeff * row[a].values[e] * row[b].values[e]
+                c1 = 0.0
+                for a, coeff in cross:
+                    c1 += coeff * row[a].values[e]
+                tests.append((e, c0, c1, akk, band))
+            for x in signed if started else unstarted:
+                xv = x.values
+                exact = False
+                for e, c0, c1, c2, band in tests:
+                    t = xv[e]
+                    q = c0 - t * (c1 + c2 * t)
+                    if q < band:
+                        if q < -band:
+                            break
+                        exact = True
+                else:
+                    if x is zero:
+                        new_entries = entries + (zero_entry,) * (k + 1)
+                    else:
+                        xc = x.coords
+                        products = tuple([mul(c.coords, xc) for c in row])
+                        new_entries = entries + products + (x.square,)
+                    if exact and not field.coords_psd(
+                        _remainder_block(icoords, new_entries, k + 1)
+                    ):
+                        continue
+                    new_row = row + (x,)
+                    if not last:
+                        extended.append((new_row, new_entries, started or x is not zero))
+                        continue
+                    cols = tuple([c.coords for c in new_row])
+                    outer = map(new_entries.__getitem__, slot_order)
+                    decorated.append(
+                        (
+                            sum([c.trace for c in new_row]),
+                            tuple(itertools.chain.from_iterable(cols)),
+                            cols,
+                            tuple(itertools.chain.from_iterable(outer)),
+                            tuple(itertools.chain.from_iterable(c.lows for c in new_row)),
+                        )
+                    )
+        prefixes = extended
+    return decorated
+
+
 class RowPool:
-    """Candidate rows for a Gram matrix, in canonical nonincreasing order."""
+    """The rows v with G - vv^T totally PSD, in canonical nonincreasing order.
+
+    These are the only rows that can occur in a representation of G, since
+    every remainder of the search is totally PSD and at most G.  Rows are
+    normalized so that their first nonzero column is positive at the
+    identity embedding, and sorted by (key, flat) descending, where the key
+    is trace(v . v) and flat the concatenated coordinates.
+    """
 
     def __init__(self, gram: GramForm, icoords) -> None:
         field = gram.field
@@ -185,33 +434,12 @@ class RowPool:
         columns = [_column_values(field, icoords[j][j]) for j in range(r)]
         size_estimate = 1
         for vals in columns:
-            size_estimate *= len(vals) + 1
+            size_estimate *= 2 * len(vals) + 1  # a record stands for +-x
         if size_estimate > POOL_ROW_CAP:
             raise SearchSpaceError(
                 f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
-        zero_entry = (0,) * d
-        zero = _Column(zero_entry, zero_entry, 0, (0,) * n_emb, False)
-        mul = field.mul_coords
-        decorated = []
-        # rows are normalized so that their first nonzero column is positive
-        # at the identity embedding; `lead` is the index of that column
-        for lead in range(r):
-            choices = (
-                [(zero,)] * lead
-                + [[v for v in columns[lead] if v.positive]]
-                + [(zero,) + vals for vals in columns[lead + 1 :]]
-            )
-            for row in itertools.product(*choices):
-                cols, squares, row_traces, lows, _ = zip(*row)
-                outer: list[int] = []
-                for i in range(r):
-                    outer += squares[i]
-                    for j in range(i + 1, r):
-                        outer += mul(cols[i], cols[j])
-                flat = tuple(itertools.chain(*cols))
-                lows = tuple(itertools.chain(*lows))
-                decorated.append((sum(row_traces), flat, cols, tuple(outer), lows))
+        decorated = _fitting_rows(field, icoords, columns)
         # remainders, outer products and pool rows are flat int tuples of
         # length r(r+1)/2 * d: upper-triangle slots, d coordinates per slot
         # tri_index[i][j] = tri_index[j][i] is the slot of entry (i, j)
@@ -361,7 +589,9 @@ def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certifica
 
 
 def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
-    """The complete ordered candidate row list for a totally PSD Gram."""
+    """The ordered candidate rows of a totally PSD Gram G: every sign-normalized
+    row v with G - vv^T totally PSD, which includes every row of every
+    representation."""
     icoords = gram.integral_coords()
     if icoords is None:
         raise ValueError("gram matrix is not integral")

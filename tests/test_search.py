@@ -28,8 +28,8 @@ from soslen import (
     represent,
     verify_certificate,
 )
-from soslen.search import RowPool, SearchSpaceError, _column_values
-from reference_search import reference_represent
+from soslen.search import RowPool, SearchSpaceError, _column_values, _search
+from reference_search import ProductPool, reference_represent
 
 Q = make_field(Shape(()))
 Q2 = make_field(Shape((2,)))
@@ -285,8 +285,9 @@ def brute_column_values(field, diag):
     return out
 
 
-def reference_pool(field, columns):
-    """The sorted candidate rows of RowPool, built from brute-force columns."""
+def reference_pool(field, icoords, columns):
+    """The sorted candidate rows of RowPool: the rows v of the product of
+    brute-force columns with G - vv^T totally PSD, by the exact test."""
     d = field.degree
     n_emb = len(field.embeddings)
     r = len(columns)
@@ -296,6 +297,15 @@ def reference_pool(field, columns):
     for cols in itertools.product(*columns):
         lead = next((v for v in cols if any(v)), None)
         if lead is None or field.sign_of_coords(lead, 0) < 0:
+            continue
+        remainder = [
+            [
+                tuple(g - p for g, p in zip(icoords[i][j], field.mul_coords(cols[i], cols[j])))
+                for j in range(r)
+            ]
+            for i in range(r)
+        ]
+        if not field.coords_psd(remainder):
             continue
         squares = [field.mul_coords(v, v) for v in cols]
         key = sum(field.trace_of_coords(s) for s in squares)
@@ -338,18 +348,18 @@ class TestColumnScan:
         for diag in diagonals:
             records = _column_values(field, diag)
             coords = [v.coords for v in records]
-            assert len(coords) == len(set(coords))
-            assert set(coords) == brute_column_values(field, diag), diag
+            negated = [tuple(-c for c in x) for x in coords]
+            assert len(set(coords + negated)) == 2 * len(coords)
+            assert set(coords + negated) == brute_column_values(field, diag), diag
             for v in records:
-                assert tuple(-c for c in v.coords) in coords
+                assert field.sign_of_coords(v.coords, 0) > 0
                 sq = field.mul_coords(v.coords, v.coords)
                 assert v.square == sq
                 assert v.trace == field.trace_of_coords(sq)
-                assert v.lows == tuple(
-                    field.interval_of_coords(sq, e)[0]
-                    for e in range(len(field.embeddings))
-                )
-                assert v.positive == (field.sign_of_coords(v.coords, 0) > 0)
+                for e in range(len(field.embeddings)):
+                    lo, hi = field.interval_of_coords(v.coords, e)
+                    assert v.lows[e] == field.interval_of_coords(sq, e)[0]
+                    assert v.values[e] == (lo + hi) * 2.0**-97
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
     def test_pool_matches_reference_pool(self, shape):
@@ -379,16 +389,114 @@ class TestColumnScan:
                     continue  # keeps the pure-Python reference pool quick
                 made += 1
                 pool = RowPool(gram, icoords)
-                ref = reference_pool(field, columns)
+                ref = reference_pool(field, icoords, columns)
                 assert pool.cols == [t[2] for t in ref], diagonals
                 assert pool.keys == [t[0] for t in ref]
                 assert pool.outers == [t[3] for t in ref]
                 assert pool.diag_lo == [t[4] for t in ref]
 
+    @pytest.mark.parametrize("shape", SCAN_SHAPES[:4], ids=str)
+    def test_inconclusive_screens_are_decided_exactly(self, shape, monkeypatch):
+        # G - vv^T = 0 for the row of a one-row Gram, and the unit row of
+        # perp_unit(G) leaves G (+) <0>: exact zero minors, which a float
+        # screen with a nonzero error band cannot sign, so the exact test
+        # must decide them.  Over Q the floats are exact integers, the band
+        # is 0 and the screen decides every minor itself.
+        field = make_field(shape)
+        rng = random.Random(67 + sum(shape.radicands))
+        exact_calls = []
+        coords_psd = field.coords_psd
+
+        def counted(m):
+            exact_calls.append(len(m))
+            return coords_psd(m)
+
+        monkeypatch.setattr(field, "coords_psd", counted)
+        one = field.one()
+        for rank in (2, 3):
+            row = (field.zero(),)
+            while not all(any(v.coords) for v in row):
+                row = tuple(
+                    field.element_from_coords(_random_element(rng, field, 1))
+                    for _ in range(rank)
+                )
+            single = GramForm.from_rows(field, [row])
+            grams = [single, perp_unit(GramForm.from_rows(field, [row[1:]]))]
+            if rank == 2:
+                grams.append(perp_unit(GramForm.from_rows(field, [(one, one)])))
+            for gram in grams:
+                icoords = gram.integral_coords()
+                exact_calls.clear()
+                pool = RowPool(gram, icoords)
+                assert bool(exact_calls) == (field.degree > 1)
+                columns = [brute_column_values(field, icoords[j][j]) for j in range(gram.rank)]
+                ref = reference_pool(field, icoords, columns)
+                assert pool.cols == [t[2] for t in ref]
+                assert pool.keys == [t[0] for t in ref]
+                assert pool.outers == [t[3] for t in ref]
+                assert pool.diag_lo == [t[4] for t in ref]
+            sign = 1 if row[0].sign_at_index(0) > 0 else -1
+            assert tuple(tuple(sign * c for c in v.coords) for v in row) in RowPool(
+                single, single.integral_coords()
+            ).cols
+
     def test_oversized_box_raises_before_scan(self):
         field = make_field(Shape((6, 7)))
         with pytest.raises(SearchSpaceError, match="coordinate box"):
             _column_values(field, (10**6, 0, 0, 0))
+
+
+class TestPrunedPoolDifferential:
+    """`RowPool` keeps only rows v with G - vv^T totally PSD; the full
+    product of column values, `ProductPool`, is the reference."""
+
+    @staticmethod
+    def product_size(gram):
+        icoords = gram.integral_coords()
+        return math.prod(
+            2 * len(_column_values(gram.field, icoords[j][j])) + 1 for j in range(gram.rank)
+        )
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_verdicts_and_witnesses_match_the_product_pool(self, radicands):
+        field = make_field(Shape(radicands))
+        rng = random.Random(71 + sum(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        grams = []
+        for rank in (2, 3):
+            made = 0
+            while made < 8:
+                rows = [
+                    tuple(
+                        field.element_from_coords(_random_element(rng, field, spread))
+                        for _ in range(rank)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                ]
+                gram = GramForm.from_rows(field, rows)
+                # small products keep the unordered reference search quick
+                if gram.is_zero() or self.product_size(gram) > 300:
+                    continue
+                made += 1
+                grams.append((gram, len(rows)))
+                if rank == 2:
+                    grams.append((perp_unit(gram), len(rows) + 1))
+        for gram, s_max in grams:
+            icoords = gram.integral_coords()
+            full = ProductPool(gram, icoords)
+            assert len(RowPool(gram, icoords)) <= len(full)
+            t, cert = length_certificate(gram, s_max)
+            for budget in range(t + 1):
+                fast = represent(gram, budget)
+                assert isinstance(fast, Represented) == (budget == t)
+                if len(full) <= 150:
+                    assert type(fast) is type(reference_represent(gram, budget))
+            # the first witness of the ordered search over the product pool
+            rem0 = full.remainder_of(icoords)
+            for budget in range(1, t):
+                assert _search(full, rem0, budget, {}) is None
+            indices = _search(full, rem0, t, {})
+            assert cert.rows == full.rows_as_elements(indices)
 
 
 class TestKnownValues:

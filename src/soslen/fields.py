@@ -256,6 +256,14 @@ class Field:
             hi_tab.append(tuple(hi_row))
         self._emb_lo = tuple(lo_tab)
         self._emb_hi = tuple(hi_tab)
+        # (lo, hi) of each basis element at every embedding; the column scan
+        # solves coordinate ranges on them, which needs them to exclude 0
+        self._basis_enclosures = tuple(
+            tuple(zip(col_lo, col_hi)) for col_lo, col_hi in zip(zip(*lo_tab), zip(*hi_tab))
+        )
+        assert all(
+            lo > 0 or hi < 0 for col in self._basis_enclosures for lo, hi in col
+        ), "a basis enclosure contains 0"
 
     # conversions ---------------------------------------------------------
 

@@ -17,7 +17,10 @@ discard provably infeasible branches:
 Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
 fitting pair +-x, holding x^2, its trace, its interval lows and the value
-of x at every embedding, and keeps the result in a bounded cache.  Every
+of x at every embedding, and keeps the result in a bounded cache.  The scan
+fixes coordinates one at a time and solves the range of the next one
+exactly from integer enclosures, so a box point is skipped only when its
+enclosure proves that x^2 exceeds the diagonal at some embedding.  Every
 row v of a representation leaves a totally PSD remainder, so G - vv^T is
 totally PSD; `RowPool` keeps exactly those rows.  It extends row prefixes
 one column at a time, keeps a prefix only while the leading block of
@@ -115,6 +118,27 @@ class _Column(NamedTuple):
         )
 
 
+def _coordinate_range(lo: int, hi: int, top: int, bottom: int) -> tuple[int, int]:
+    """(first, last): the integers c, first to last, whose contributions to
+    an integer enclosure fit, for a basis element with enclosure [lo, hi]
+    that excludes 0.
+
+    A coordinate c adds c lo (c >= 0) or c hi (c < 0) to the lower end and
+    c hi (c >= 0) or c lo (c < 0) to the upper end; c fits when the first is
+    at most top and the second at least bottom.  Both are increasing in c
+    when lo > 0 and decreasing when hi < 0, so the fitting c are one range,
+    empty when first > last.
+    """
+    if lo > 0:
+        last = top // lo if top >= 0 else top // hi
+        first = -(-bottom // lo) if bottom <= 0 else -(-bottom // hi)
+    else:
+        # c b = (-c)(-b), and -b has enclosure [-hi, -lo]
+        first = -(top // -hi) if top >= 0 else -(top // -lo)
+        last = bottom // hi if bottom <= 0 else bottom // lo
+    return first, last
+
+
 @lru_cache(maxsize=1 << 13)
 def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
@@ -127,9 +151,20 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     in product order is scanned, and each hit yields one record for the
     pair +-x, which share their square, its trace and its interval lows;
     the values of x at the embeddings come from the same interval tests.
-    Interval tests decide membership and the sign at the identity embedding
-    unless they are inconclusive; then exact sign tests decide.  A box of
-    more than POOL_ROW_CAP points raises SearchSpaceError before the scan.
+    A box of more than POOL_ROW_CAP points raises SearchSpaceError before
+    the scan, and a diagonal negative at some embedding has no values.
+
+    The scan visits only the points whose integer enclosure [xlo, xhi] of
+    sigma_e(x), scaled by 2^table bits, meets [-R_e, R_e] at every
+    embedding, where R_e = isqrt(2^table bits * the upper end of
+    sigma_e(diag)); at any other point sigma_e(x)^2 > sigma_e(diag), so a
+    point is skipped only when its enclosure proves that it misses.
+    Coordinates are fixed one at a time in product order: a prefix carries
+    its partial enclosures, and the range of the next coordinate is solved
+    exactly at every embedding, with the later coordinates free inside
+    their box limits.  On the points visited, interval tests decide
+    membership and the sign at the identity embedding unless they are
+    inconclusive; then exact sign tests decide.
     """
     deg = field.degree
     n_emb = len(field.embeddings)
@@ -154,43 +189,83 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         raise SearchSpaceError(
             f"coordinate box of {size} points exceeds {POOL_ROW_CAP}"
         )
-    box = itertools.product(*(range(-limit, limit + 1) for limit in limits))
     shift = 1 << _EMB_BITS
+    roots = []
+    for _, hi in diag_ivs:
+        if hi < 0:
+            return ()  # sigma_e(diag) < 0 <= sigma_e(x)^2 for every x
+        roots.append(isqrt(hi * shift))
+    # x^2 <= diag is proven at e once max(xlo^2, xhi^2) <= floors[e]
+    floors = [lo * shift for lo, _ in diag_ivs]
+    # basis[i][e] is the enclosure of basis element i at embedding e, and
+    # slack[i][e] bounds what the coordinates after i add to |xlo| and |xhi|
+    basis = field._basis_enclosures
+    slack = [(0,) * n_emb] * deg
+    for i in range(deg - 2, -1, -1):
+        slack[i] = tuple(
+            [s + limits[i + 1] * max(hi, -lo) for s, (lo, hi) in zip(slack[i + 1], basis[i + 1])]
+        )
+    mul = field.mul_coords
     values: list[_Column] = []
-    mids = [0] * n_emb  # xlo + xhi: twice the interval midpoint
-    # the box is symmetric, so 0 is its middle point in product order
-    for coords in itertools.islice(box, size // 2 + 1, None):
-        exact_needed = False
-        ok = True
-        for e in range(n_emb):
-            xlo, xhi = interval(coords, e)
-            mids[e] = xlo + xhi
-            if not e:
-                id_lo, id_hi = xlo, xhi
-            top = max(xlo * xlo, xhi * xhi)
-            dlo, dhi = diag_ivs[e]
-            if top <= dlo * shift:
-                continue
-            low = 0 if xlo <= 0 <= xhi else min(xlo * xlo, xhi * xhi)
-            if low > dhi * shift:
-                ok = False
-                break
-            exact_needed = True
-        if not ok:
-            continue
-        square = field.mul_coords(coords, coords)
-        if exact_needed and not field.coords_totally_nonneg(
-            tuple(a - b for a, b in zip(diag_coords, square))
-        ):
-            continue
-        trace = field.trace_of_coords(square)
-        lows = tuple([interval(square, e)[0] for e in range(n_emb)])
-        if id_lo > 0 or id_hi < 0:
-            positive = id_lo > 0
-        else:
-            positive = field.sign_of_coords(coords, 0) > 0
-        record = _Column(coords, square, trace, lows, tuple([m * _MID_SCALE for m in mids]))
-        values.append(record if positive else record.negated())
+    # (coords, xlo and xhi at each embedding) of every prefix that can fit;
+    # its first nonzero coordinate is positive, which keeps the half box
+    prefixes = [((), (0,) * n_emb, (0,) * n_emb)]
+    for i in range(deg):
+        enclosures = basis[i]
+        rest = slack[i]
+        limit = limits[i]
+        final = i == deg - 1
+        extended = []
+        for prefix, plo, phi in prefixes:
+            first, last = -limit, limit
+            for (lo, hi), root, p, q, s in zip(enclosures, roots, plo, phi, rest):
+                f, t = _coordinate_range(lo, hi, root - p + s, -root - q - s)
+                if f > first:
+                    first = f
+                if t < last:
+                    last = t
+            if not any(prefix):
+                # 0 is not a column value
+                first = max(first, 1 if final else 0)
+            for c in range(first, last + 1):
+                coords = prefix + (c,)
+                if not final:
+                    if c > 0:
+                        xlo = [p + c * lo for p, (lo, _) in zip(plo, enclosures)]
+                        xhi = [q + c * hi for q, (_, hi) in zip(phi, enclosures)]
+                    else:
+                        xlo = [p + c * hi for p, (_, hi) in zip(plo, enclosures)]
+                        xhi = [q + c * lo for q, (lo, _) in zip(phi, enclosures)]
+                    extended.append((coords, xlo, xhi))
+                    continue
+                exact_needed = False
+                mids = []
+                for (lo, hi), p, q, floor in zip(enclosures, plo, phi, floors):
+                    if c > 0:
+                        a = p + c * lo
+                        b = q + c * hi
+                    else:
+                        a = p + c * hi
+                        b = q + c * lo
+                    if not mids:
+                        id_lo, id_hi = a, b
+                    if a * a > floor or b * b > floor:
+                        exact_needed = True
+                    mids.append((a + b) * _MID_SCALE)
+                square = mul(coords, coords)
+                if exact_needed and not field.coords_totally_nonneg(
+                    tuple(map(sub, diag_coords, square))
+                ):
+                    continue
+                trace = field.trace_of_coords(square)
+                lows = tuple([interval(square, e)[0] for e in range(n_emb)])
+                if id_lo > 0 or id_hi < 0:
+                    positive = id_lo > 0
+                else:
+                    positive = field.sign_of_coords(coords, 0) > 0
+                record = _Column(coords, square, trace, lows, tuple(mids))
+                values.append(record if positive else record.negated())
+        prefixes = extended
     return tuple(values)
 
 

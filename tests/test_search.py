@@ -5,8 +5,11 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soslen import (
     ExceedsBound,
@@ -28,7 +31,9 @@ from soslen import (
     represent,
     verify_certificate,
 )
-from soslen.search import RowPool, SearchSpaceError, _column_values, _search
+from soslen import search
+from soslen.search import RowPool, SearchSpaceError, _column_values, _coordinate_range, _search
+from reference_scan import half_box_scan
 from reference_search import ProductPool, reference_represent
 
 Q = make_field(Shape(()))
@@ -444,6 +449,77 @@ class TestColumnScan:
         field = make_field(Shape((6, 7)))
         with pytest.raises(SearchSpaceError, match="coordinate box"):
             _column_values(field, (10**6, 0, 0, 0))
+
+    @pytest.mark.parametrize("enclosure", [(3, 5), (7, 7), (1, 2), (-5, -3), (-7, -7)], ids=str)
+    def test_coordinate_range_matches_brute_force(self, enclosure):
+        # tops and bottoms of both signs and 0, and multiples of lo and hi,
+        # where a contribution equals its bound
+        lo, hi = enclosure
+        limit = 30
+        for top in range(-25, 26):
+            for bottom in range(-25, 26):
+                first, last = _coordinate_range(lo, hi, top, bottom)
+                fits = [
+                    c
+                    for c in range(-limit, limit + 1)
+                    if (c * lo if c > 0 else c * hi) <= top
+                    and (c * hi if c > 0 else c * lo) >= bottom
+                ]
+                assert fits == list(range(max(first, -limit), min(last, limit) + 1)), (
+                    top,
+                    bottom,
+                )
+
+    def test_square_equal_to_the_diagonal_fits(self):
+        # sqrt2^2 = 2 at both embeddings: the enclosure of sqrt2 meets the
+        # root of 2, so c = +-1 stays in range and the exact test keeps it
+        for e, (lo, hi) in enumerate(Q2._basis_enclosures[1]):
+            root = math.isqrt(Q2.interval_of_coords((2, 0), e)[1] << 96)
+            assert _coordinate_range(lo, hi, root, -root) == (-1, 1)
+        assert [v.coords for v in _column_values(Q2, (2, 0))] == [(0, 1), (1, 0)]
+
+    def test_diagonal_negative_somewhere_is_not_scanned(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(search, "_coordinate_range", no_scan)
+        # 1 - sqrt2 < 0 at the identity embedding
+        assert _column_values.__wrapped__(Q2, (1, -1)) == () == half_box_scan(Q2, (1, -1))
+        # the box refusal still comes first
+        with pytest.raises(SearchSpaceError, match="coordinate box"):
+            _column_values.__wrapped__(Q2, (2 * 10**6, -2 * 10**6))
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_matches_half_box_scan_on_boundary_diagonals(self, shape):
+        # diag = x^2 and x^2 + y^2: x, and y when x = 0, meet the diagonal
+        # exactly at every embedding
+        field = make_field(shape)
+        rng = random.Random(71 + sum(shape.radicands))
+        d = field.degree
+        spread = 3 if d < 4 else 1
+        for _ in range(10 if d < 4 else 5):
+            x = _random_element(rng, field, spread)
+            y = _random_element(rng, field, spread)
+            square = field.mul_coords(x, x)
+            for diag in (square, tuple(map(add, square, field.mul_coords(y, y)))):
+                records = _column_values(field, diag)
+                assert records == half_box_scan(field, diag), diag
+                if any(x):
+                    assert x in {v.coords for v in records} | {
+                        tuple(-c for c in v.coords) for v in records
+                    }
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_half_box_scan_on_sums_of_squares(self, shape, data):
+        field = make_field(shape)
+        spread = 3 if field.degree < 4 else 1
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        diag = (data.draw(st.integers(0, 3), label="integer"),) + (0,) * (field.degree - 1)
+        for x in data.draw(st.lists(coords, min_size=1, max_size=3), label="squares"):
+            diag = tuple(map(add, diag, field.mul_coords(x, x)))
+        assert _column_values(field, diag) == half_box_scan(field, diag)
 
 
 class TestPrunedPoolDifferential:

@@ -12,9 +12,10 @@ prediction certifies that the order is maximal, not a smaller one.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .radicals import (
@@ -26,6 +27,8 @@ from .radicals import (
 )
 
 EMBEDDING_TABLE_BITS = 96
+_INV_SQRT_BITS = 16
+_MID_SCALE = 2.0 ** -(EMBEDDING_TABLE_BITS + 1)  # float of (lo + hi) / 2 / 2^table bits
 
 #: Fields kept by make_field; programs use a few shapes, a rebuild is cheap.
 FIELD_CACHE_SIZE = 64
@@ -210,6 +213,21 @@ class Field:
         den = lcm(*(v.denominator for row in inv for v in row))
         self._minv_den = den
         self._minv_int = [[int(v * den) for v in row] for row in inv]
+        # |sigma(x)| <= t at every embedding bounds the radical coordinate of
+        # sqrt(r_j) by t / (d sqrt(r_j)), and coordinate i of x by the sum
+        # over j of that times |minv[j][i]| / den.  With 1/sqrt(r_j) rounded
+        # up to 2^16 / q_j, q_j = isqrt(r_j 2^32), and t = s / 2^48 for an
+        # integer s, coordinate i is at most s * _box_nums[i] / _box_den.
+        roots = [isqrt(r << (2 * _INV_SQRT_BITS)) for r in self.shape.basis_radicands]
+        common = lcm(*roots)
+        d = self.degree
+        self._box_nums = tuple(
+            sum(common // q * abs(self._minv_int[j][i]) for j, q in enumerate(roots))
+            for i in range(d)
+        )
+        self._box_den = (
+            common * d * den << (EMBEDDING_TABLE_BITS // 2 - _INV_SQRT_BITS)
+        )
 
     def _prepare_arithmetic(self) -> None:
         d = self.degree
@@ -256,6 +274,22 @@ class Field:
             hi_tab.append(tuple(hi_row))
         self._emb_lo = tuple(lo_tab)
         self._emb_hi = tuple(hi_tab)
+        # the widest enclosure of a basis element: 0 only in degree 1, where
+        # the tables, and the floats read off them, are exact
+        self._table_width = max(h - l for row in zip(lo_tab, hi_tab) for l, h in zip(*row))
+        # the basis at every embedding as floats, the midpoints of the
+        # enclosures, and per coordinate the weight of |c| in the error of
+        # the float sum of c times them at any embedding: (d + 3) 2^-53
+        # |float| covers the rounding of c, of the product and of the sum,
+        # and the half-width the distance of the midpoint from the truth
+        self._emb_floats = tuple(
+            tuple([(l + h) * _MID_SCALE for l, h in zip(*row)]) for row in zip(lo_tab, hi_tab)
+        )
+        weights = [
+            [(self.degree + 3) * 2.0**-53 * abs(f) + (h - l) * _MID_SCALE for f, l, h in zip(*row)]
+            for row in zip(self._emb_floats, lo_tab, hi_tab)
+        ]
+        self._emb_float_weights = tuple(map(max, zip(*weights)))
         # (lo, hi) of each basis element at every embedding; the column scan
         # solves coordinate ranges on them, which needs them to exclude 0
         self._basis_enclosures = tuple(
@@ -364,6 +398,25 @@ class Field:
                 lo += c * h
                 hi += c * l
         return lo, hi
+
+    def floats_of_coords(self, coords: tuple[int, ...]) -> tuple[list[float], float]:
+        """The embedding values as floats, from the basis floats, and a
+        bound on the distance of each from the truth, which is 0 when they
+        are exact."""
+        n_emb = len(self.embeddings)
+        if not any(coords):
+            return [0.0] * n_emb, 0.0
+        try:
+            if not self._table_width:  # degree 1, where the basis is 1
+                (c,) = coords
+                value = float(c)
+                return [value], 0.0 if abs(c) < 2**53 else 2.0**-52 * abs(value)
+            return (
+                [sum(map(mul, coords, row)) for row in self._emb_floats],
+                sum(map(mul, map(abs, coords), self._emb_float_weights)) * (1 + 2.0**-40),
+            )
+        except OverflowError:
+            return [0.0] * n_emb, math.inf
 
     def sign_of_coords(self, coords: tuple[int, ...], emb_index: int) -> int:
         """Exact sign of an integral element at the indexed embedding."""

@@ -8,7 +8,11 @@ sum-of-squares lattice; exhaustiveness comes from complete candidate
 enumeration inside conjugate-bound coordinate boxes plus prunes that only
 discard provably infeasible branches:
 
-  * a branch dies when the remainder is not totally positive semidefinite;
+  * a branch dies when a principal minor of its remainder is proven
+    negative at some embedding: the DFS carries the remainder's embedding
+    values as floats and cuts only when a float lies below minus an error
+    band fixed once per search (`_Screen`); a remainder the floats cannot
+    decide is searched on, and the exact leaf tests decide it;
   * rows are nonincreasing, so when key * budget < trace(remainder) no
     completion exists;
   * at budget 1 the remainder must equal a candidate outer product, found
@@ -16,8 +20,8 @@ discard provably infeasible branches:
 
 Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
-fitting pair +-x, holding x^2, its trace, its interval lows and the value
-of x at every embedding, and keeps the result in a bounded cache.  The scan
+fitting pair +-x, holding x^2, its trace and the values of x and x^2 at
+every embedding as floats, and keeps the result in a bounded cache.  The scan
 fixes coordinates one at a time and solves the range of the next one
 exactly from integer enclosures, so a box point is skipped only when its
 enclosure proves that x^2 exceeds the diagonal at some embedding.  Every
@@ -27,30 +31,28 @@ one column at a time, keeps a prefix only while the leading block of
 G - vv^T stays totally PSD, and multiplies the off-diagonal entries of
 surviving prefixes only.
 
-All decisions are exact; dyadic interval bounds are used only when they are
-conclusive, with an exact sign fallback otherwise.
+Every verdict is exact: a prune fires only on a proof, from integer
+enclosures or from floats with a proven error band, and a representation is
+found only by exact lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import add, neg, sub
+from operator import add, gt, itemgetter, lt, mul, neg, sub
 from typing import NamedTuple
 
+from .fields import _MID_SCALE, Field, OElement
 from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
-from .fields import Field, OElement
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
 
 POOL_ROW_CAP = 2_000_000
-SEARCH_CACHE_CAP = 1 << 22  # entries in each of the memo and the PSD cache
-_INV_SQRT_BITS = 16
-_MID_SCALE = 2.0 ** -(_EMB_BITS + 1)  # float of (lo + hi) / 2 / 2^table bits
+SEARCH_CACHE_CAP = 1 << 22  # entries in the memo of (remainder, budget)
 
 
 class SearchSpaceError(RuntimeError):
@@ -90,11 +92,6 @@ class NotSoS:
     reason: str
 
 
-def _inv_sqrt_upper(r: int) -> Fraction:
-    """A rational upper bound on 1/sqrt(r)."""
-    return Fraction(1 << _INV_SQRT_BITS, isqrt(r << (2 * _INV_SQRT_BITS)))
-
-
 class _Column(NamedTuple):
     """A candidate column value x with what every row containing +-x needs;
     x is the member of the pair that is positive at the identity embedding."""
@@ -102,7 +99,7 @@ class _Column(NamedTuple):
     coords: tuple[int, ...]
     square: tuple[int, ...]
     trace: int  # trace(x^2)
-    lows: tuple[int, ...]  # lower ends of sigma_e(x^2), scaled by 2^table bits
+    square_values: tuple[float, ...]  # sigma_e(x^2) as floats, values[e]^2
     # sigma_e(x) as floats: interval midpoints, within 2^-52 |value| plus
     # the interval's half-width of the truth
     values: tuple[float, ...]
@@ -113,7 +110,7 @@ class _Column(NamedTuple):
             tuple(map(neg, self.coords)),
             self.square,
             self.trace,
-            self.lows,
+            self.square_values,
             tuple([-v for v in self.values]),
         )
 
@@ -149,7 +146,7 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     enclosures, so every grid point is already integral.  Membership holds
     for x exactly when it holds for -x, so only the half of the box after 0
     in product order is scanned, and each hit yields one record for the
-    pair +-x, which share their square, its trace and its interval lows;
+    pair +-x, which share their square, its trace and its square's floats;
     the values of x at the embeddings come from the same interval tests.
     A box of more than POOL_ROW_CAP points raises SearchSpaceError before
     the scan, and a diagonal negative at some embedding has no values.
@@ -175,13 +172,8 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     for _, hi in diag_ivs:
         root = isqrt(max(hi, 0))
         root_sum += root + (root * root < hi)
-    scale = Fraction(root_sum, (1 << (_EMB_BITS // 2)) * deg * field._minv_den)
-    inv_roots = [_inv_sqrt_upper(r) for r in field.shape.basis_radicands]
-    minv = field._minv_int
-    limits = [
-        int(scale * sum(inv_roots[j] * abs(minv[j][i]) for j in range(deg)))
-        for i in range(deg)
-    ]
+    box_den = field._box_den
+    limits = [root_sum * num // box_den for num in field._box_nums]
     size = 1
     for limit in limits:
         size *= 2 * limit + 1
@@ -258,31 +250,23 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
                 ):
                     continue
                 trace = field.trace_of_coords(square)
-                lows = tuple([interval(square, e)[0] for e in range(n_emb)])
                 if id_lo > 0 or id_hi < 0:
                     positive = id_lo > 0
                 else:
                     positive = field.sign_of_coords(coords, 0) > 0
-                record = _Column(coords, square, trace, lows, tuple(mids))
+                record = _Column(coords, square, trace, tuple([m * m for m in mids]), tuple(mids))
                 values.append(record if positive else record.negated())
         prefixes = extended
     return tuple(values)
 
 
-def _enclose(field: Field, coords: tuple[int, ...], e: int) -> tuple[float, float]:
-    """A float near sigma_e(coords) and a bound on its distance from it,
-    which is 0 when the float is exact."""
-    lo, hi = field.interval_of_coords(coords, e)
-    try:
-        twice = float(lo + hi)
-        # scaling by a power of two and int(float) are exact
-        off = hi - lo + abs(int(twice) - lo - hi)
-        return twice * _MID_SCALE, off * _MID_SCALE * (1 + 2.0**-50)
-    except OverflowError:
-        return 0.0, math.inf
-
-
 _SCREEN_SLACK = 2.0**-30
+
+
+def _column_half_width(field: Field) -> float:
+    """A bound on the half-width of the interval of any column value,
+    divided by 2^table bits: its coordinates are below POOL_ROW_CAP."""
+    return field._table_width * field.degree * POOL_ROW_CAP * _MID_SCALE
 
 
 def _minor(field: Field, icoords, memo: dict, rows: tuple, cols: tuple) -> tuple[int, ...]:
@@ -329,14 +313,8 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
     """
     r = len(icoords)
     n_emb = len(field.embeddings)
-    width = max(
-        h - l
-        for lo_row, hi_row in zip(field._emb_lo, field._emb_hi)
-        for l, h in zip(lo_row, hi_row)
-    )
-    # column values lie in boxes of at most POOL_ROW_CAP points, so every
-    # coordinate is below POOL_ROW_CAP and an interval below this width
-    absolute = width * field.degree * POOL_ROW_CAP * _MID_SCALE
+    width = field._table_width
+    absolute = _column_half_width(field)
     # bound[a][e] >= |sigma_e(x)| for every x in column a, err[a][e] >= the
     # error of its float; both are 0 for a column that holds only zero
     bound = [[0.0] * n_emb for _ in range(r)]
@@ -365,9 +343,11 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
                         cof[p, q] = tuple(map(neg, c)) if (p + q) % 2 else c
                 if not any(det) and not any(any(c) for c in cof.values()):
                     continue
+                dets, det_err = field.floats_of_coords(det)
+                adj = {pq: field.floats_of_coords(c) for pq, c in cof.items()}
                 for e in range(n_emb):
-                    D, rad = _enclose(field, det, e)
-                    A = {pq: _enclose(field, c, e) for pq, c in cof.items()}
+                    D, rad = dets[e], det_err
+                    A = {pq: (values[e], dist) for pq, (values, dist) in adj.items()}
                     mag = abs(D)
                     vterm = 0.0
                     for (p, q), (value, dist) in A.items():
@@ -406,9 +386,23 @@ def _remainder_block(icoords, entries, size: int) -> list[list[tuple[int, ...]]]
     return block
 
 
+def _outer_floats(row, pairs) -> tuple[float, ...]:
+    """sigma_e(v_i v_j) as floats for the entries (i, j) in pairs, each at
+    every embedding, from the column records of the row v."""
+    return tuple(
+        itertools.chain.from_iterable(
+            [
+                row[i].square_values if i == j else map(mul, row[i].values, row[j].values)
+                for i, j in pairs
+            ]
+        )
+    )
+
+
 def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
-    """(key, flat, cols, outer, lows) of every sign-normalized row v whose
-    columns are column values and for which G - vv^T is totally PSD.
+    """(key, flat, cols, outer, floats) of every sign-normalized row v whose
+    columns are column values and for which G - vv^T is totally PSD; floats
+    holds vv^T at every embedding, as `_outer_floats` lays it out.
 
     Rows grow one column at a time.  A prefix is (its column records, the
     upper triangle of its outer product in column order, entry (i, j) at
@@ -422,14 +416,15 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
     """
     r = len(columns)
     if r == 1:
-        return [(v.trace, v.coords, (v.coords,), v.square, v.lows) for v in columns[0]]
+        return [(v.trace, v.coords, (v.coords,), v.square, v.square_values) for v in columns[0]]
     d = field.degree
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
-    zero = _Column(zero_entry, zero_entry, 0, (0,) * n_emb, (0.0,) * n_emb)
+    zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
     mul = field.mul_coords
     screens = _minor_screens(field, icoords, columns)
     slot_order = [j * (j + 1) // 2 + i for i in range(r) for j in range(i, r)]
+    slot_pairs = _slot_pairs(r)
     prefixes = [((v,), (v.square,), True) for v in columns[0]]
     prefixes.append(((zero,), (zero_entry,), False))
     decorated = []
@@ -482,11 +477,210 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
                             tuple(itertools.chain.from_iterable(cols)),
                             cols,
                             tuple(itertools.chain.from_iterable(outer)),
-                            tuple(itertools.chain.from_iterable(c.lows for c in new_row)),
+                            _outer_floats(new_row, slot_pairs),
                         )
                     )
         prefixes = extended
     return decorated
+
+
+def _slot_pairs(r: int) -> list[tuple[int, int]]:
+    """The entries (i, j), i <= j, of a symmetric r x r matrix in slot order."""
+    return [(i, j) for i in range(r) for j in range(i, r)]
+
+
+def _getter(indices):
+    """itemgetter(*indices), which returns a tuple for one index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=64)
+def _screen_indices(r: int, n_emb: int) -> tuple:
+    """(`_minor_levels`, getter of the diagonal floats, column by column)."""
+    diagonal = [t for t, (i, j) in enumerate(_slot_pairs(r)) if i == j]
+    return _minor_levels(r, n_emb), _getter([t * n_emb + e for t in diagonal for e in range(n_emb)])
+
+
+def _minor_levels(r: int, n_emb: int) -> tuple:
+    """Index programs that evaluate every principal minor of size 2..r of a
+    symmetric r x r matrix held as floats, entry by entry in slot order
+    (`_slot_pairs`), each at the n_emb embeddings.
+
+    Minors are expanded along their first row: det M[R, C] is the sum over j
+    of (-1)^j M[R_0, C_j] det M[R - R_0, C - C_j].  Level k holds, at every
+    embedding, the size-k minors that the principal minors of size >= k
+    need, principal ones first; M[R, C] and M[C, R] share one entry.  A
+    level is (terms, checks, principal): terms[j] = (getter of the entries
+    M[R_0, C_j], getter of the minors det M[R - R_0, C - C_j] in the level
+    below, which for k = 2 are entries), checks gets the principal minors,
+    `principal` of them per embedding.
+    """
+    slot = {ij: t for t, ij in enumerate(_slot_pairs(r))}
+
+    def canon(rows, cols):
+        return (rows, cols) if rows <= cols else (cols, rows)
+
+    by_size = {}
+    upper: list = []
+    for k in range(r, 1, -1):
+        principal = [(S, S) for S in itertools.combinations(range(r), k)]
+        below = {
+            canon(R[1:], C[:j] + C[j + 1 :]) for R, C in upper for j in range(k + 1)
+        }
+        by_size[k] = (principal, sorted(below - set(principal)))
+        upper = principal + by_size[k][1]
+    levels = []
+    position: dict = {}
+    for k in range(2, r + 1):
+        principal, others = by_size[k]
+        minors = principal + others
+        terms = []
+        for j in range(k):
+            entries = [
+                slot[min(R[0], C[j]), max(R[0], C[j])] * n_emb + e
+                for e in range(n_emb)
+                for R, C in minors
+            ]
+            if k == 2:
+                subs = [
+                    slot[min(R[1], C[1 - j]), max(R[1], C[1 - j])] * n_emb + e
+                    for e in range(n_emb)
+                    for R, C in minors
+                ]
+            else:
+                count = len(position)
+                subs = [
+                    e * count + position[canon(R[1:], C[:j] + C[j + 1 :])]
+                    for e in range(n_emb)
+                    for R, C in minors
+                ]
+            terms.append((_getter(entries), _getter(subs)))
+        checks = _getter(
+            [e * len(minors) + p for e in range(n_emb) for p in range(len(principal))]
+        )
+        levels.append((tuple(terms), checks, len(principal)))
+        position = {m: p for p, m in enumerate(minors)}
+    return tuple(levels)
+
+
+class _Screen:
+    """The DFS prune: a remainder is cut only when a principal minor of it is
+    proven negative at some embedding, read from floats the DFS carries.
+
+    The DFS starts from the floats of rem0 (`Field.floats_of_coords`) and
+    subtracts a row's floats `_outer_floats` per child.  The minors are
+    evaluated level by level, all embeddings at once (`_minor_levels`), and
+    each level is tested as soon as it is computed; the full minor is built
+    from the smaller ones, so testing those on the way costs nothing.  Bands
+    are fixed once per search of budget s, per embedding e:
+      * entries: every column value x of the pool has sigma_e(x)^2 at most
+        the diagonal entry of G in its column, so |sigma_e(x)| <= B, the
+        root of the largest upper end of sigma_e(G_jj), and its float is
+        within eps = 2^-52 B plus the interval half-width of
+        `_column_half_width`.  With B' = B + eps an entry of vv^T and its
+        float, one rounded product, are at most B'^2, and the float is
+        within delta = 2 eps B' + 2^-53 B'^2;
+      * remainders: a path subtracts at most s rows from rem0, whose entries
+        and their floats are at most N with floats within eta0, so every
+        remainder entry and its float are at most E = N + s B'^2 (times
+        1 + 2^-50) plus eta, where eta = eta0 + s (delta + 2^-52 E) bounds
+        the error of its float: each subtraction adds one row error and one
+        rounding.  For rem0 = G, N <= max_j sigma_e(G_jj) and E is about
+        (s + 1) max_j sigma_e(G_jj);
+      * a size-k minor of floats within eta of entries at most E differs
+        from the exact one by at most k! k eta E'^(k-1), with E' = E + eta,
+        and its evaluation by first-row expansion rounds each of its k!
+        products at most k(k+1)/2 times, which k! k^2 2^-52 E'^k covers;
+      * the diagonal test compares a row's diagonal float with the carried
+        diagonal plus eta + 2^-52 E', which also covers the rounding of
+        that sum.
+    Each band is raised by 2^-20 of itself for its own rounding; a band that
+    is not finite or not a number cuts nothing, since no comparison with it
+    holds.  With exact embedding tables (degree 1) every float is an
+    integer, and when r! E^r < 2^52 every partial result is exact too: then
+    every band is 0 and the screen decides every minor itself.  A remainder
+    the screen cannot cut stays in the search, which costs nodes but no
+    verdict: the leaf tests are exact.
+    """
+
+    def __init__(self, field: Field, rank: int, gram) -> None:
+        """For a pool of rows whose columns fit the diagonal of gram, the
+        flat Gram the pool was built for."""
+        n_emb = len(field.embeddings)
+        width = rank * (rank + 1) // 2
+        self.field, self.rank, self.n_emb, self.width = field, rank, n_emb, width
+        self.levels, self.diag_of = _screen_indices(rank, n_emb)
+        self.exact_tables = field._table_width == 0
+        self.factorials = [math.factorial(k) for k in range(rank + 1)]
+        self.gram = gram
+        self.gram_floats, self.gram_sizes, self.gram_error = self.floats_of(gram)
+        absolute = _column_half_width(field)
+        diagonal = self.diag_of(self.gram_floats)
+        # entry[e] >= |sigma_e(v_i v_j)| and its float, delta[e] >= its error
+        self.entry: list[float] = []
+        self.delta: list[float] = []
+        for e in range(n_emb):
+            top = max(diagonal[e::n_emb]) + self.gram_error
+            bound = math.sqrt(max(top, 0.0)) * (1 + 2.0**-40)
+            eps = 0.0 if self.exact_tables else 2.0**-52 * bound + absolute
+            big = bound + eps
+            entry = big * big * (1 + 2.0**-50)
+            self.entry.append(entry)
+            self.delta.append((2 * eps * big + 2.0**-53 * entry) * (1 + 2.0**-50))
+
+    def floats_of(self, rem) -> tuple[list[float], list[float], float]:
+        """The floats of a flat remainder, laid out as `_outer_floats`, per
+        embedding the largest entry plus the error, and eta0, the largest
+        error."""
+        d = self.field.degree
+        floats_of = self.field.floats_of_coords
+        values, errs = zip(*[floats_of(rem[t * d : (t + 1) * d]) for t in range(self.width)])
+        eta0 = max(errs)
+        sizes = [(max(map(abs, at)) + eta0) * (1 + 2.0**-50) for at in zip(*values)]
+        return list(itertools.chain.from_iterable(values)), sizes, eta0
+
+    def start(self, rem0, budget: int) -> tuple[list[float], list[float], list[list[float]]]:
+        """The floats of rem0, the diagonal bands and, per level, the negated
+        minor bands, for a search of `budget` rows from rem0."""
+        if rem0 == self.gram:
+            floats, sizes, eta0 = self.gram_floats, self.gram_sizes, self.gram_error
+        else:
+            floats, sizes, eta0 = self.floats_of(rem0)
+        r = self.rank
+        factorials = self.factorials
+        diag: list[float] = []  # per embedding
+        per_level: list[list[float]] = [[] for _ in self.levels]
+        for top, entry, delta in zip(sizes, self.entry, self.delta):
+            reach = (top + budget * entry) * (1 + 2.0**-50)
+            if self.exact_tables and eta0 == 0 and factorials[r] * reach**r < 2.0**52:
+                diag.append(0.0)
+                for level, (_, _, principal) in zip(per_level, self.levels):
+                    level += [0.0] * principal
+                continue
+            eta = eta0 + budget * (delta + 2.0**-52 * reach)
+            reach += eta
+            diag.append((eta + 2.0**-52 * reach) * (1 + 2.0**-20))
+            for k, (level, (_, _, principal)) in enumerate(zip(per_level, self.levels), 2):
+                band = factorials[k] * (k * eta * reach ** (k - 1) + k * k * 2.0**-52 * reach**k)
+                level += [-band * (1 + 2.0**-20)] * principal
+        return floats, diag * r, per_level
+
+    def rejects(self, f, level_bands) -> bool:
+        """Whether some principal minor of size >= 2 of the remainder with
+        floats f is proven negative: its float is below -band."""
+        prev = f
+        for (terms, checks, _), bands in zip(self.levels, level_bands):
+            (entries, minors), *rest = terms
+            acc = map(mul, entries(f), minors(prev))
+            for j, (entries, minors) in enumerate(rest):
+                acc = map(add if j % 2 else sub, acc, map(mul, entries(f), minors(prev)))
+            prev = list(acc)
+            if any(map(lt, checks(prev), bands)):
+                return True
+        return False
 
 
 class RowPool:
@@ -496,7 +690,9 @@ class RowPool:
     every remainder of the search is totally PSD and at most G.  Rows are
     normalized so that their first nonzero column is positive at the
     identity embedding, and sorted by (key, flat) descending, where the key
-    is trace(v . v) and flat the concatenated coordinates.
+    is trace(v . v) and flat the concatenated coordinates.  Each row keeps
+    its outer product exactly and as floats at every embedding, with its
+    diagonal floats apart, for `_search` and its `_Screen`.
     """
 
     def __init__(self, gram: GramForm, icoords) -> None:
@@ -505,7 +701,6 @@ class RowPool:
         self.field = field
         self.rank = r
         d = field.degree
-        n_emb = len(field.embeddings)
         columns = [_column_values(field, icoords[j][j]) for j in range(r)]
         size_estimate = 1
         for vals in columns:
@@ -515,31 +710,29 @@ class RowPool:
                 f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
         decorated = _fitting_rows(field, icoords, columns)
-        # remainders, outer products and pool rows are flat int tuples of
-        # length r(r+1)/2 * d: upper-triangle slots, d coordinates per slot
-        # tri_index[i][j] = tri_index[j][i] is the slot of entry (i, j)
-        self.tri_index = [
-            [(min(i, j) * (2 * r - min(i, j) - 1)) // 2 + max(i, j) for j in range(r)]
-            for i in range(r)
-        ]
         # by (key, flat); flat is unique, so later fields are never compared
         decorated.sort(reverse=True)
         self.cols = [t[2] for t in decorated]
         self.keys = [t[0] for t in decorated]
         self.outers = [t[3] for t in decorated]
-        self.diag_lo = [t[4] for t in decorated]
-        self.n_emb = n_emb
+        self.floats = [t[4] for t in decorated]
+        self.screen = _Screen(field, r, self.remainder_of(icoords))
+        diag = self.screen.diag_of
+        self.diag_floats = self.floats if r == 1 else [diag(f) for f in self.floats]
         self.neg_keys = [-k for k in self.keys]
         self.outer_index = {o: i for i, o in enumerate(self.outers)}
+        # remainders, outer products and pool rows are flat int tuples of
+        # length r(r+1)/2 * d: upper-triangle slots (`_slot_pairs`), d
+        # coordinates per slot
         self.zero_flat = (0,) * (r * (r + 1) // 2 * d)
         traces = field._basis_traces
         self.trace_slots = [
-            (self.tri_index[j][j] * d + i, traces[i])
-            for j in range(r)
+            (t * d + i, traces[i])
+            for t, (a, b) in enumerate(_slot_pairs(r))
+            if a == b
             for i in range(d)
             if traces[i]
         ]
-        self.degree = d
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -553,28 +746,6 @@ class RowPool:
     def trace_of(self, rem) -> int:
         return sum(rem[pos] * w for pos, w in self.trace_slots)
 
-    def subtract(self, rem, outer):
-        return tuple(a - b for a, b in zip(rem, outer))
-
-    def diag_upper_bounds(self, rem) -> tuple[int, ...]:
-        """Upper interval ends of the diagonal at every embedding, in the
-        same (column, embedding) order as the per-row lower bounds."""
-        field = self.field
-        d = self.degree
-        out = []
-        for j in range(self.rank):
-            slot = self.tri_index[j][j]
-            entry = rem[slot * d : (slot + 1) * d]
-            for e in range(self.n_emb):
-                out.append(field.interval_of_coords(entry, e)[1])
-        return tuple(out)
-
-    def remainder_psd(self, rem) -> bool:
-        d = self.degree
-        return self.field.coords_psd(
-            [[rem[slot * d : (slot + 1) * d] for slot in row] for row in self.tri_index]
-        )
-
     def rows_as_elements(self, indices: list[int]) -> tuple[tuple[OElement, ...], ...]:
         field = self.field
         return tuple(
@@ -583,38 +754,35 @@ class RowPool:
         )
 
 
-def _search(
-    pool: RowPool, rem0, budget: int, memo: dict, psd_cache: dict | None = None
-) -> list[int] | None:
-    """Indices of at most `budget` nonincreasing pool rows summing to rem0."""
+def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
+    """Indices of at most `budget` nonincreasing pool rows summing to rem0.
+
+    A node carries its remainder exactly, as floats and by trace.  A child
+    is cut when its diagonal or, once it would be searched further, one of
+    its principal minors is proven negative (`_Screen`); the exact leaf
+    tests decide the rest.
+    """
     keys = pool.keys
     neg_keys = pool.neg_keys
     outers = pool.outers
+    floats = pool.floats
+    diag_floats = pool.diag_floats
     outer_index = pool.outer_index
-    diag_lo = pool.diag_lo
     zero = pool.zero_flat
-    n = len(keys)
-    slots = pool.rank * pool.n_emb
-    if psd_cache is None:
-        psd_cache = {}
+    screen = pool.screen
+    diag_of = screen.diag_of
+    root, diag_band, level_bands = screen.start(rem0, budget)
+    rejects = screen.rejects if screen.levels else None
+    memo_get = memo.get
 
-    def psd(rem) -> bool:
-        v = psd_cache.get(rem)
-        if v is None:
-            v = pool.remainder_psd(rem)
-            if len(psd_cache) < SEARCH_CACHE_CAP:
-                psd_cache[rem] = v
-        return v
-
-    def dfs(rem, budget: int, start: int) -> list[int] | None:
+    def dfs(rem, remf, tr: int, budget: int, start: int) -> list[int] | None:
         if rem == zero:
             return []
         if budget == 0:
             return None
-        tr = pool.trace_of(rem)
         if tr <= 0:
             return None
-        cached = memo.get((rem, budget))
+        cached = memo_get((rem, budget))
         if cached is not None and cached <= start:
             return None
         if budget == 1:
@@ -622,38 +790,38 @@ def _search(
             if idx is not None and idx >= start:
                 return [idx]
         else:
+            # rows are nonincreasing, so a row's key is at most tr and at
+            # least tr / budget
             first = bisect_left(neg_keys, -tr, lo=start)
-            rem_hi = pool.diag_upper_bounds(rem)
-            for idx in range(first, n):
-                k = keys[idx]
-                if k * budget < tr:
-                    break
-                lows = diag_lo[idx]
-                feasible = True
-                for t in range(slots):
-                    if rem_hi[t] < lows[t]:
-                        feasible = False
-                        break
-                if not feasible:
+            last = bisect_right(neg_keys, -tr // budget, lo=first)
+            caps = list(map(add, diag_of(remf), diag_band))
+            for idx, diagonal in zip(range(first, last), diag_floats[first:last]):
+                if any(map(gt, diagonal, caps)):
                     continue
-                rem2 = pool.subtract(rem, outers[idx])
-                if rem2 == zero:
-                    return [idx]
                 if budget == 2:
-                    # the last row is a lookup: no PSD test, no memo entry
+                    # the last row is a lookup: no minor screen, no memo entry
+                    rem2 = tuple(map(sub, rem, outers[idx]))
+                    if rem2 == zero:
+                        return [idx]
                     idx2 = outer_index.get(rem2)
                     if idx2 is not None and idx2 >= idx:
                         return [idx, idx2]
-                elif psd(rem2):
-                    tail = dfs(rem2, budget - 1, idx)
-                    if tail is not None:
-                        return [idx] + tail
+                    continue
+                remf2 = list(map(sub, remf, floats[idx]))
+                if rejects is not None and rejects(remf2, level_bands):
+                    continue
+                rem2 = tuple(map(sub, rem, outers[idx]))
+                if rem2 == zero:
+                    return [idx]
+                tail = dfs(rem2, remf2, tr - keys[idx], budget - 1, idx)
+                if tail is not None:
+                    return [idx] + tail
         if cached is None or start < cached:
             if len(memo) < SEARCH_CACHE_CAP:
                 memo[(rem, budget)] = start
         return None
 
-    return dfs(rem0, budget, 0)
+    return dfs(rem0, root, pool.trace_of(rem0), budget, 0)
 
 
 def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certificate:
@@ -720,9 +888,8 @@ def length_certificate(
     if lower > s_max:
         return ExceedsBound(s_max)
     memo: dict = {}
-    psd_cache: dict = {}
     for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
-        indices = _search(pool, rem0, s, memo, psd_cache)
+        indices = _search(pool, rem0, s, memo)
         if indices is not None:
             return len(indices), _certificate(pool, gram, indices)
     return ExceedsBound(s_max)

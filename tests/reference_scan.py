@@ -72,11 +72,11 @@ def half_box_scan(field, diag_coords):
         ):
             continue
         trace = field.trace_of_coords(square)
-        lows = tuple([interval(square, e)[0] for e in range(n_emb)])
         if id_lo > 0 or id_hi < 0:
             positive = id_lo > 0
         else:
             positive = field.sign_of_coords(coords, 0) > 0
-        record = _Column(coords, square, trace, lows, tuple([m * _MID_SCALE for m in mids]))
+        floats = tuple([m * _MID_SCALE for m in mids])
+        record = _Column(coords, square, trace, tuple([x * x for x in floats]), floats)
         values.append(record if positive else record.negated())
     return tuple(values)

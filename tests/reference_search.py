@@ -1,16 +1,28 @@
-"""The unordered reference search that tests compare the ordered search with.
+"""The reference searches that tests compare the ordered search with.
 
-It explores every row permutation, so it is exponentially slower than
-`soslen.search._search`.  It runs over `ProductPool`, the full product of
-the column values, built here without `RowPool` and its PSD screen, and
-never uses the canonical-order prunes, which makes it an independent check
-of `Unsat`.
+`reference_search` explores every row permutation, so it is exponentially
+slower than `soslen.search._search`.  It runs over `ProductPool`, the full
+product of the column values, built here without `RowPool` and its PSD
+screen, and never uses the canonical-order prunes, which makes it an
+independent check of `Unsat`.
+
+`exact_prune_search` is the ordered search as it was before its prunes read
+floats: the same DFS, with the diagonal prune on integer enclosures and an
+exact, cached PSD test of every remainder it descends into.
 """
 
 import itertools
+from bisect import bisect_left
 
 from soslen import Certificate, GramForm, Represented, Unsat, verify_certificate
-from soslen.search import _Column, _column_values
+from soslen.search import (
+    SEARCH_CACHE_CAP,
+    _Column,
+    _column_values,
+    _outer_floats,
+    _Screen,
+    _slot_pairs,
+)
 
 
 class ProductPool:
@@ -22,9 +34,9 @@ class ProductPool:
         r = gram.rank
         d = field.degree
         n_emb = len(field.embeddings)
-        self.field, self.rank, self.degree, self.n_emb = field, r, d, n_emb
+        self.field, self.rank, self.degree = field, r, d
         zero_entry = (0,) * d
-        zero = _Column(zero_entry, zero_entry, 0, (0,) * n_emb, (0.0,) * n_emb)
+        zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
         # column records hold the member of +-x positive at the identity
         # embedding; `lead` is the index of the row's first nonzero column
         columns = [_column_values(field, icoords[j][j]) for j in range(r)]
@@ -42,19 +54,21 @@ class ProductPool:
                 )
                 key = sum(v.trace for v in row)
                 flat = tuple(itertools.chain(*cols))
-                lows = tuple(itertools.chain(*(v.lows for v in row)))
-                decorated.append((key, flat, cols, outer, lows))
+                floats = _outer_floats(row, _slot_pairs(r))
+                decorated.append((key, flat, cols, outer, floats))
         decorated.sort(reverse=True)
         self.keys = [t[0] for t in decorated]
         self.cols = [t[2] for t in decorated]
         self.outers = [t[3] for t in decorated]
-        self.diag_lo = [t[4] for t in decorated]
+        self.floats = [t[4] for t in decorated]
         self.neg_keys = [-k for k in self.keys]
         self.outer_index = {o: i for i, o in enumerate(self.outers)}
         self.zero_flat = (0,) * (r * (r + 1) // 2 * d)
         self.slots = [(i, j) for i in range(r) for j in range(i, r)]
         self.diag_slots = [self.slots.index((j, j)) for j in range(r)]
         self.slot_of = {ij: s for s, ij in enumerate(self.slots)}
+        self.screen = _Screen(field, r, self.remainder_of(icoords))
+        self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -70,13 +84,6 @@ class ProductPool:
 
     def subtract(self, rem, outer):
         return tuple(a - b for a, b in zip(rem, outer))
-
-    def diag_upper_bounds(self, rem) -> tuple[int, ...]:
-        return tuple(
-            self.field.interval_of_coords(self.entry(rem, s), e)[1]
-            for s in self.diag_slots
-            for e in range(self.n_emb)
-        )
 
     def remainder_psd(self, rem) -> bool:
         r = self.rank
@@ -119,6 +126,105 @@ def reference_search(pool: ProductPool, rem0, budget: int) -> list[int] | None:
         return None
 
     return dfs(rem0, budget)
+
+
+def _diagonal(pool, flat) -> tuple[tuple[int, ...], ...]:
+    """The diagonal entries of a flat remainder or outer product."""
+    d = pool.field.degree
+    slots = [t for t, (i, j) in enumerate(_slot_pairs(pool.rank)) if i == j]
+    return tuple(flat[t * d : (t + 1) * d] for t in slots)
+
+
+def _remainder_psd(pool, rem) -> bool:
+    """Exact total positive semidefiniteness of a flat remainder."""
+    d = pool.field.degree
+    r = pool.rank
+    slot = {ij: t for t, ij in enumerate(_slot_pairs(r))}
+    entry = {ij: rem[t * d : (t + 1) * d] for ij, t in slot.items()}
+    return pool.field.coords_psd(
+        [[entry[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    )
+
+
+def exact_prune_search(pool, rem0, budget: int, memo: dict):
+    """Indices of at most `budget` nonincreasing pool rows summing to rem0,
+    by the ordered search with exact prunes."""
+    field = pool.field
+    n_emb = len(field.embeddings)
+    keys = pool.keys
+    neg_keys = pool.neg_keys
+    outers = pool.outers
+    outer_index = pool.outer_index
+    # lower ends of the diagonal of every row's outer product, per embedding
+    diag_lo = [
+        tuple(field.interval_of_coords(x, e)[0] for x in _diagonal(pool, o) for e in range(n_emb))
+        for o in outers
+    ]
+    zero = pool.zero_flat
+    n = len(keys)
+    slots = pool.rank * n_emb
+    psd_cache: dict = {}
+
+    def psd(rem) -> bool:
+        v = psd_cache.get(rem)
+        if v is None:
+            v = _remainder_psd(pool, rem)
+            if len(psd_cache) < SEARCH_CACHE_CAP:
+                psd_cache[rem] = v
+        return v
+
+    def dfs(rem, budget: int, start: int):
+        if rem == zero:
+            return []
+        if budget == 0:
+            return None
+        tr = pool.trace_of(rem)
+        if tr <= 0:
+            return None
+        cached = memo.get((rem, budget))
+        if cached is not None and cached <= start:
+            return None
+        if budget == 1:
+            idx = outer_index.get(rem)
+            if idx is not None and idx >= start:
+                return [idx]
+        else:
+            first = bisect_left(neg_keys, -tr, lo=start)
+            rem_hi = tuple(
+                field.interval_of_coords(x, e)[1]
+                for x in _diagonal(pool, rem)
+                for e in range(n_emb)
+            )
+            for idx in range(first, n):
+                k = keys[idx]
+                if k * budget < tr:
+                    break
+                lows = diag_lo[idx]
+                feasible = True
+                for t in range(slots):
+                    if rem_hi[t] < lows[t]:
+                        feasible = False
+                        break
+                if not feasible:
+                    continue
+                rem2 = tuple(a - b for a, b in zip(rem, outers[idx]))
+                if rem2 == zero:
+                    return [idx]
+                if budget == 2:
+                    # the last row is a lookup: no PSD test, no memo entry
+                    idx2 = outer_index.get(rem2)
+                    if idx2 is not None and idx2 >= idx:
+                        return [idx, idx2]
+                elif psd(rem2):
+                    tail = dfs(rem2, budget - 1, idx)
+                    if tail is not None:
+                        return [idx] + tail
+        if cached is None or start < cached:
+            if len(memo) < SEARCH_CACHE_CAP:
+                memo[(rem, budget)] = start
+        return None
+
+    return dfs(rem0, budget, 0)
 
 
 def reference_represent(gram: GramForm, budget: int) -> Represented | Unsat:

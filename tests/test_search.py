@@ -5,7 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
-from operator import add
+from operator import add, gt, sub
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from soslen import (
     candidate_rows,
     element_length,
     from_literal_coords,
+    gram_rank,
     length,
     length_certificate,
     make_field,
@@ -33,8 +34,14 @@ from soslen import (
 )
 from soslen import search
 from soslen.search import RowPool, SearchSpaceError, _column_values, _coordinate_range, _search
+from soslen.suite import _random_rows
 from reference_scan import half_box_scan
-from reference_search import ProductPool, reference_represent
+from reference_search import (
+    ProductPool,
+    _remainder_psd,
+    exact_prune_search,
+    reference_represent,
+)
 
 Q = make_field(Shape(()))
 Q2 = make_field(Shape((2,)))
@@ -292,7 +299,8 @@ def brute_column_values(field, diag):
 
 def reference_pool(field, icoords, columns):
     """The sorted candidate rows of RowPool: the rows v of the product of
-    brute-force columns with G - vv^T totally PSD, by the exact test."""
+    brute-force columns with G - vv^T totally PSD, by the exact test, each
+    as (key, flat, cols, outer, floats of vv^T)."""
     d = field.degree
     n_emb = len(field.embeddings)
     r = len(columns)
@@ -321,10 +329,16 @@ def reference_pool(field, icoords, columns):
             for j in range(i, r)
             for c in field.mul_coords(cols[i], cols[j])
         )
-        lows = tuple(
-            field.interval_of_coords(s, e)[0] for s in squares for e in range(n_emb)
+        # the entries of vv^T, each at every embedding, from the interval
+        # midpoints of the columns
+        mids = [
+            [sum(field.interval_of_coords(v, e)) * 2.0**-97 for e in range(n_emb)]
+            for v in cols
+        ]
+        floats = tuple(
+            a * b for i in range(r) for j in range(i, r) for a, b in zip(mids[i], mids[j])
         )
-        rows.append((key, flat, cols, outer, lows))
+        rows.append((key, flat, cols, outer, floats))
     rows.sort(key=lambda t: (t[0], t[1]), reverse=True)
     return rows
 
@@ -363,8 +377,8 @@ class TestColumnScan:
                 assert v.trace == field.trace_of_coords(sq)
                 for e in range(len(field.embeddings)):
                     lo, hi = field.interval_of_coords(v.coords, e)
-                    assert v.lows[e] == field.interval_of_coords(sq, e)[0]
                     assert v.values[e] == (lo + hi) * 2.0**-97
+                    assert v.square_values[e] == v.values[e] ** 2
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
     def test_pool_matches_reference_pool(self, shape):
@@ -398,7 +412,7 @@ class TestColumnScan:
                 assert pool.cols == [t[2] for t in ref], diagonals
                 assert pool.keys == [t[0] for t in ref]
                 assert pool.outers == [t[3] for t in ref]
-                assert pool.diag_lo == [t[4] for t in ref]
+                assert pool.floats == [t[4] for t in ref]
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES[:4], ids=str)
     def test_inconclusive_screens_are_decided_exactly(self, shape, monkeypatch):
@@ -439,7 +453,7 @@ class TestColumnScan:
                 assert pool.cols == [t[2] for t in ref]
                 assert pool.keys == [t[0] for t in ref]
                 assert pool.outers == [t[3] for t in ref]
-                assert pool.diag_lo == [t[4] for t in ref]
+                assert pool.floats == [t[4] for t in ref]
             sign = 1 if row[0].sign_at_index(0) > 0 else -1
             assert tuple(tuple(sign * c for c in v.coords) for v in row) in RowPool(
                 single, single.integral_coords()
@@ -573,6 +587,168 @@ class TestPrunedPoolDifferential:
                 assert _search(full, rem0, budget, {}) is None
             indices = _search(full, rem0, t, {})
             assert cert.rows == full.rows_as_elements(indices)
+
+
+class CountingMemo(dict):
+    """A search memo that counts its lookups: one per expanded node."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _searched_like_length(gram, s_max):
+    """(indices, nodes) of `_search` and of the exact-prune oracle over the
+    budgets `length_certificate` tries, up to the first representation."""
+    icoords = gram.integral_coords()
+    pool = RowPool(gram, icoords)
+    rem0 = pool.remainder_of(icoords)
+    tr0 = pool.trace_of(rem0)
+    lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
+    fast, slow = CountingMemo(), CountingMemo()
+    found = []
+    for budget in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
+        found.append(
+            (_search(pool, rem0, budget, fast), exact_prune_search(pool, rem0, budget, slow))
+        )
+        if found[-1][0] is not None:
+            break
+    return found, fast.lookups, slow.lookups
+
+
+class TestFloatScreen:
+    """`_search` cuts a remainder only when its carried floats prove a
+    principal minor negative; the ordered search with exact prunes,
+    `exact_prune_search`, is the oracle."""
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_same_witnesses_and_nodes_as_exact_prunes(self, radicands):
+        field = make_field(Shape(radicands))
+        rng = random.Random(79 + sum(radicands))
+        spread, most = (1, 4) if len(radicands) == 2 else (2, 5)
+        nodes = 0
+        for rank in (1, 2, 3, 4):
+            made = 0
+            while made < 5:
+                rows = [
+                    tuple(
+                        field.element_from_coords(_random_element(rng, field, spread))
+                        for _ in range(rank)
+                    )
+                    for _ in range(rng.randint(2, most - rank // 2))
+                ]
+                gram = GramForm.from_rows(field, rows)
+                if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
+                    continue
+                made += 1
+                for g in (gram, perp_unit(gram)) if rank < 4 else (gram,):
+                    found, fast, slow = _searched_like_length(g, len(rows) + 1)
+                    for ours, oracle in found:
+                        assert ours == oracle
+                    assert found[-1][0] is not None
+                    assert fast == slow
+                    nodes += fast
+        assert nodes > 100
+
+    def test_perp_unit_case_instance(self):
+        # instance 7 of suite case perp-unit over Q(sqrt 6, sqrt 7): rank 3
+        # with 559 pool rows, whose budget-4 search expands 819 nodes
+        field = make_field(Shape((6, 7)))
+        rng = random.Random(f"perp-unit:{field.shape}")
+        for _ in range(8):
+            rows = _random_rows(rng, field, rng.choice((1, 2)), 3, 1)
+        gram = perp_unit(GramForm.from_rows(field, rows))
+        found, fast, slow = _searched_like_length(gram, 6)
+        assert [len(ours) if ours else None for ours, _ in found] == [None, 4]
+        assert all(ours == oracle for ours, oracle in found)
+        assert fast == slow == 819
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_remainder_is_not_totally_psd(self, radicands, data):
+        # remainders subtract pool rows from G as the DFS does, floats
+        # included: either the rows G is built from, with the unit row of
+        # perp_unit(G), which leave totally PSD remainders down to 0, or
+        # any pool rows, which overshoot
+        field = make_field(Shape(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        rank = data.draw(st.integers(1, 3), label="rank")
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        rows = data.draw(
+            st.lists(st.tuples(*[coords] * rank), min_size=1, max_size=3), label="rows"
+        )
+        gram = GramForm.from_rows(
+            field, [tuple(field.element_from_coords(c) for c in row) for row in rows]
+        )
+        if data.draw(st.booleans(), label="perp_unit"):
+            gram = perp_unit(gram)
+            zero = (0,) * field.degree
+            rows = [row + (zero,) for row in rows] + [(zero,) * rank + (field.one().coords,)]
+        if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
+            return
+        icoords = gram.integral_coords()
+        pool = RowPool(gram, icoords)
+        index = {cols: idx for idx, cols in enumerate(pool.cols)}
+        own = []
+        for row in rows:
+            lead = next((c for c in row if any(c)), None)
+            if lead is not None:
+                sign = field.sign_of_coords(lead, 0)
+                own.append(index[tuple(tuple(sign * c for c in col) for col in row)])
+        picks = data.draw(
+            st.one_of(
+                st.just(own), st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6)
+            ),
+            label="picks",
+        )
+        budget = data.draw(st.integers(len(picks), 6), label="budget")
+        screen = pool.screen
+        rem = pool.remainder_of(icoords)
+        remf, diag_band, level_bands = screen.start(rem, budget)
+        if field.degree == 1:
+            assert not any(diag_band) and not any(map(any, level_bands))
+        for idx in picks:
+            caps = list(map(add, screen.diag_of(remf), diag_band))
+            cut_diagonal = any(map(gt, pool.diag_floats[idx], caps))
+            remf = list(map(sub, remf, pool.floats[idx]))
+            rem = tuple(map(sub, rem, pool.outers[idx]))
+            cut = cut_diagonal or (bool(screen.levels) and screen.rejects(remf, level_bands))
+            if cut:
+                assert not _remainder_psd(pool, rem)
+        if picks == own:
+            assert not any(rem)
+
+    def test_exact_zero_and_singular_remainders_are_kept(self):
+        # G = vv^T leaves 0, and the unit row of perp_unit(vv^T) leaves
+        # vv^T (+) <0>: exactly singular, never cut
+        for radicands in ((), (5,), (6, 7)):
+            field = make_field(Shape(radicands))
+            rng = random.Random(83 + sum(radicands))
+            for rank in (1, 2, 3):
+                row = tuple(
+                    field.element_from_coords(_random_element(rng, field, 1))
+                    for _ in range(rank)
+                )
+                single = GramForm.from_rows(field, [row])
+                if single.is_zero():
+                    continue
+                for gram in (single, perp_unit(single)):
+                    icoords = gram.integral_coords()
+                    pool = RowPool(gram, icoords)
+                    screen = pool.screen
+                    rem0 = pool.remainder_of(icoords)
+                    root, diag_band, level_bands = screen.start(rem0, 3)
+                    caps = list(map(add, screen.diag_of(root), diag_band))
+                    for idx, outer in enumerate(pool.outers):
+                        rem = tuple(map(sub, rem0, outer))
+                        if not _remainder_psd(pool, rem):
+                            continue
+                        assert not any(map(gt, pool.diag_floats[idx], caps))
+                        remf = list(map(sub, root, pool.floats[idx]))
+                        assert not (screen.levels and screen.rejects(remf, level_bands))
 
 
 class TestKnownValues:

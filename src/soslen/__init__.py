@@ -70,12 +70,18 @@ from .certfile import (
     to_certificate,
     verify_document,
 )
-from .suite import (
-    CASE_IDS,
-    SuiteReport,
-    extended_direct_ns,
-    run_suite,
-    write_report,
-)
 
 __version__ = "0.1.0"
+
+# The reproducibility suite (its cases and witness builders) is imported on
+# first use, so that library users do not pay for it at import time.
+_SUITE_NAMES = ("CASE_IDS", "SuiteReport", "extended_direct_ns", "run_suite", "write_report")
+
+
+def __getattr__(name: str):
+    if name == "suite" or name in _SUITE_NAMES:
+        import importlib
+
+        suite = importlib.import_module(".suite", __name__)
+        return suite if name == "suite" else getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

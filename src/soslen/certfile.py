@@ -12,19 +12,41 @@ byte-identical across runs:
 Element strings use the rendering "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)"
 with exact "p/q" rationals.  Parsing returns the embedded data even when the
 rows fail to reproduce the Gram matrix; verification is a separate step.
+
+Documents are read and written on integers.  Each term "p", "p/q",
+"p*sqrt(k)" or "p/q*sqrt(k)" (q nonzero, spaces anywhere) is read into
+integers; an entry becomes integer radical coordinates over one common
+denominator, and the field's integer inverse basis matrix
+(`Field.coords_of_numerators`) turns that into integral-basis coordinates,
+or reports that the entry is not integral.  The Gram matrix is kept as the
+coordinates of 2G (`GramForm.from_doubled`) and each row entry as an
+OElement; only an entry outside the ring of integers is kept as the Radical
+it denotes.  Emission renders coordinates back through the integral basis
+with integer gcds, exactly as `render_radical` would.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from math import isqrt
+import re
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .fields import Field, field_from_descriptor, format_descriptor
+from .fields import (
+    FIELD_CACHE_SIZE,
+    Field,
+    OElement,
+    field_from_descriptor,
+    format_descriptor,
+)
 from .forms import Certificate, GramForm, VerifyResult, verify_certificate
-from .radicals import Radical, parse_radical, render_radical
+from .radicals import Radical, render_radical
 
 FORMAT_VERSION = 1
+
+_TERM_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?")
 
 
 class SchemaError(ValueError):
@@ -37,26 +59,148 @@ class IntegrityError(ValueError):
     """The document parses but its rows do not certify its Gram matrix."""
 
 
-@dataclass(frozen=True)
 class CertificateDocument:
-    field: Field
-    gram: GramForm
-    rows: tuple[tuple[Radical, ...], ...]
+    """A field, a Gram form and certificate rows, as a file records them.
+
+    A row entry is kept as an OElement, or, when it is not integral, as the
+    Radical it denotes; `rows` gives every entry as a Radical, rebuilt on
+    each access.
+    """
+
+    __slots__ = ("field", "gram", "_entries")
+
+    def __init__(self, field: Field, gram: GramForm, rows) -> None:
+        entries = []
+        for row in rows:
+            out = []
+            for v in row:
+                coords = field.coords_of(v)
+                out.append(v if coords is None else OElement(field, coords))
+            entries.append(tuple(out))
+        self._set(field, gram, tuple(entries))
+
+    @classmethod
+    def _of_entries(cls, field: Field, gram: GramForm, entries) -> CertificateDocument:
+        doc = cls.__new__(cls)
+        doc._set(field, gram, entries)
+        return doc
+
+    def _set(self, field: Field, gram: GramForm, entries) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CertificateDocument values are immutable")
+
+    @property
+    def rows(self) -> tuple[tuple[Radical, ...], ...]:
+        return tuple(
+            tuple(v if isinstance(v, Radical) else v.to_radical() for v in row)
+            for row in self._entries
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CertificateDocument):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.gram == other.gram
+            and self._entries == other._entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.gram, self._entries))
+
+    def __repr__(self) -> str:
+        return (
+            f"CertificateDocument({self.field.shape}, rank={self.gram.rank}, "
+            f"rows={len(self._entries)})"
+        )
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _layout(field: Field):
+    """How a field's entries are written: per term, its written radicand,
+    the text after the coefficient, the factor from the written coefficient
+    to the stored radical coordinate (gcd(m, n) on sqrt(mn), else 1), and
+    the basis column giving 4 times that coordinate."""
+    rads = field.shape.radicands
+    if len(rads) == 2:
+        m, n = rads
+        written, factors = (1, m, n, m * n), (1, 1, 1, gcd(m, n))
+    else:
+        written, factors = (1,) + rads, (1,) * field.degree
+    suffixes = tuple(f"*sqrt({w})" if w > 1 else "" for w in written)
+    return written, suffixes, factors, field._basis_columns4
 
 
 def document_from_certificate(gram: GramForm, cert: Certificate) -> CertificateDocument:
-    rows = tuple(tuple(v.to_radical() for v in row) for row in cert.rows)
-    return CertificateDocument(gram.field, gram, rows)
+    return CertificateDocument._of_entries(gram.field, gram, cert.rows)
+
+
+def _render(layout, coords: tuple[int, ...], den: int) -> str:
+    """The entry with integral-basis coordinates coords / den."""
+    _, suffixes, factors, columns = layout
+    terms = []
+    for suffix, factor, col in zip(suffixes, factors, columns):
+        p = sum(map(mul, coords, col))
+        q = 4 * den * factor
+        g = gcd(p, q)
+        terms.append(f"{p // g}{suffix}" if g == q else f"{p // g}/{q // g}{suffix}")
+    return " + ".join(terms)
 
 
 def emit_certificate(doc: CertificateDocument) -> str:
+    layout = _layout(doc.field)
     payload = {
         "format_version": FORMAT_VERSION,
         "field": format_descriptor(doc.field.shape),
-        "gram": [render_radical(e) for row in doc.gram.entries for e in row],
-        "rows": [[render_radical(v) for v in row] for row in doc.rows],
+        "gram": [_render(layout, c, 2) for row in doc.gram.doubled for c in row],
+        "rows": [
+            [render_radical(v) if isinstance(v, Radical) else _render(layout, v.coords, 1) for v in row]
+            for row in doc._entries
+        ],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _read_entry(layout, cell: object, location: str) -> tuple[tuple[int, ...], int]:
+    """(u, den) with the entry equal to u / den over the radical basis,
+    den > 0 and u integers."""
+    if not isinstance(cell, str):
+        raise SchemaError(location, "must be a string")
+    written, _, factors, _ = layout
+    parts = cell.replace(" ", "").split("+")
+    if len(parts) != len(written):
+        raise SchemaError(location, f"expected {len(written)} terms, got {len(parts)}")
+    nums = []
+    dens = []
+    try:
+        for part, want, factor in zip(parts, written, factors):
+            part = part.strip()
+            m = _TERM_RE.fullmatch(part)
+            if m is None:
+                raise ValueError(f"malformed term {part!r}")
+            num, den, rad = m.groups()
+            rad = int(rad) if rad else 1
+            if rad != want:
+                raise ValueError(f"term {part!r} has radicand {rad}, expected {want}")
+            den = int(den) if den else 1
+            if not den:
+                raise ValueError(f"term {part!r} has a zero denominator")
+            nums.append(int(num) * factor)
+            dens.append(den)
+    except ValueError as exc:  # also int()'s limit on digit count
+        raise SchemaError(location, str(exc)) from None
+    common = lcm(*dens)
+    if common == 1:
+        return tuple(nums), 1
+    return tuple(p * (common // q) for p, q in zip(nums, dens)), common
+
+
+def _radical(field: Field, u: tuple[int, ...], den: int) -> Radical:
+    return Radical(field.shape, tuple(Fraction(p, den) for p in u))
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -71,62 +215,48 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise SchemaError(f"$.{key}", "missing required key")
     if payload["format_version"] != FORMAT_VERSION:
         raise SchemaError("$.format_version", f"unsupported version {payload['format_version']!r}")
+    if not isinstance(payload["field"], str):
+        raise SchemaError("$.field", "must be a string")
     try:
         field = field_from_descriptor(payload["field"])
     except ValueError as exc:
         raise SchemaError("$.field", str(exc)) from None
+    layout = _layout(field)
     gram_list = payload["gram"]
     if not isinstance(gram_list, list) or not gram_list:
         raise SchemaError("$.gram", "must be a nonempty array")
     r = isqrt(len(gram_list))
     if r * r != len(gram_list):
         raise SchemaError("$.gram", f"length {len(gram_list)} is not a perfect square")
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            cell = gram_list[i * r + j]
-            try:
-                row.append(parse_radical(field.shape, cell))
-            except ValueError as exc:
-                raise SchemaError(f"$.gram[{i * r + j}]", str(exc)) from None
-        entries.append(tuple(row))
+    cells = [_read_entry(layout, cell, f"$.gram[{k}]") for k, cell in enumerate(gram_list)]
     try:
-        gram = GramForm(field, tuple(entries))
+        gram = GramForm.from_numerators(field, [cells[i * r : (i + 1) * r] for i in range(r)])
     except ValueError as exc:
         raise SchemaError("$.gram", str(exc)) from None
     if not isinstance(payload["rows"], list):
         raise SchemaError("$.rows", "must be an array")
-    rows = []
+    entries = []
     for k, row in enumerate(payload["rows"]):
         if not isinstance(row, list) or len(row) != r:
             raise SchemaError(f"$.rows[{k}]", f"must be an array of {r} entries")
-        parsed = []
+        out = []
         for j, cell in enumerate(row):
-            try:
-                parsed.append(parse_radical(field.shape, cell))
-            except ValueError as exc:
-                raise SchemaError(f"$.rows[{k}][{j}]", str(exc)) from None
-        rows.append(tuple(parsed))
-    return CertificateDocument(field, gram, tuple(rows))
+            u, den = _read_entry(layout, cell, f"$.rows[{k}][{j}]")
+            coords = field.coords_of_numerators(u, den)
+            out.append(_radical(field, u, den) if coords is None else OElement(field, coords))
+        entries.append(tuple(out))
+    return CertificateDocument._of_entries(field, gram, tuple(entries))
 
 
 def verify_document(doc: CertificateDocument) -> VerifyResult:
     """Membership plus exact Gram reproduction for the document's rows."""
-    field = doc.field
-    rows = []
-    for k, row in enumerate(doc.rows):
+    for k, row in enumerate(doc._entries):
         if all(v.is_zero() for v in row):
             return VerifyResult(False, f"zero-row:{k}")
-        elems = []
         for j, v in enumerate(row):
-            coords = field.coords_of(v)
-            if coords is None:
+            if isinstance(v, Radical):
                 return VerifyResult(False, f"row-entry-not-integral:{k},{j}")
-            elems.append(field.element_from_coords(coords))
-        rows.append(tuple(elems))
-    cert = Certificate(field, doc.gram.rank, tuple(rows))
-    return verify_certificate(doc.gram, cert)
+    return verify_certificate(doc.gram, Certificate(doc.field, doc.gram.rank, doc._entries))
 
 
 def to_certificate(doc: CertificateDocument) -> tuple[GramForm, Certificate]:
@@ -134,8 +264,4 @@ def to_certificate(doc: CertificateDocument) -> tuple[GramForm, Certificate]:
     result = verify_document(doc)
     if not result.ok:
         raise IntegrityError(result.reason or "certificate does not verify")
-    field = doc.field
-    rows = tuple(
-        tuple(field.element(v) for v in row) for row in doc.rows
-    )
-    return doc.gram, Certificate(field, doc.gram.rank, rows)
+    return doc.gram, Certificate(doc.field, doc.gram.rank, doc._entries)

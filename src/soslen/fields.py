@@ -213,6 +213,7 @@ class Field:
         den = lcm(*(v.denominator for row in inv for v in row))
         self._minv_den = den
         self._minv_int = [[int(v * den) for v in row] for row in inv]
+        self._minv_cols = tuple(zip(*self._minv_int))
         # |sigma(x)| <= t at every embedding bounds the radical coordinate of
         # sqrt(r_j) by t / (d sqrt(r_j)), and coordinate i of x by the sum
         # over j of that times |minv[j][i]| / den.  With 1/sqrt(r_j) rounded
@@ -306,15 +307,15 @@ class Field:
         if x.shape != self.shape:
             raise ValueError("element shape does not match the field")
         den, u = _clear_denominators(x)
-        d = self.degree
-        minv = self._minv_int
+        return self.coords_of_numerators(u, den)
+
+    def coords_of_numerators(self, u: tuple[int, ...], den: int) -> tuple[int, ...] | None:
+        """Integral-basis coordinates of u/den, for integer radical
+        coordinates u and den > 0, or None when it is not integral."""
         div = self._minv_den * den
         out = []
-        for i in range(d):
-            s = 0
-            for j in range(d):
-                s += u[j] * minv[j][i]
-            q, r = divmod(s, div)
+        for col in self._minv_cols:
+            q, r = divmod(sum(map(mul, u, col)), div)
             if r:
                 return None
             out.append(q)
@@ -453,6 +454,8 @@ class Field:
         return True
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # make_field keeps one Field per shape
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return self.shape == other.shape
@@ -507,7 +510,7 @@ class OElement:
         return OElement(self.field, self.field.mul_coords(self.coords, other.coords))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def trace(self) -> int:
         return self.field.trace_of_coords(self.coords)

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, NotIntegralError, OElement
+from .fields import Field, NotIntegralError, OElement, _clear_denominators
 from .radicals import Radical
 
 
@@ -45,20 +45,8 @@ class GramForm:
             raise ValueError("entries must form a square matrix of rank >= 1")
         if any(e.shape != field.shape for row in entries for e in row):
             raise ValueError("entry shape does not match the field")
-        doubled: list[list[tuple[int, ...]]] = [[()] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i, r):
-                e = entries[i][j]
-                if e != entries[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
-                c = field.coords_of(e.scale(2))
-                # an entry is integral iff every coordinate of its double is even
-                if i == j and (c is None or any(v % 2 for v in c)):
-                    raise NotIntegralError(f"diagonal entry {e} is not integral")
-                if c is None:
-                    raise NotIntegralError(f"doubled off-diagonal {e} is not integral")
-                doubled[i][j] = doubled[j][i] = c
-        self._set(field, doubled)
+        cells = [[(u, den) for den, u in map(_clear_denominators, row)] for row in entries]
+        self._set(field, GramForm.from_numerators(field, cells).doubled)
 
     def _set(self, field: Field, doubled) -> None:
         object.__setattr__(self, "field", field)
@@ -95,6 +83,30 @@ class GramForm:
         gram = cls.__new__(cls)
         gram._set(field, doubled)
         return gram
+
+    @classmethod
+    def from_numerators(cls, field: Field, cells) -> GramForm:
+        """The Gram matrix with entry (i, j) equal to u / den over the
+        radical basis, where cells[i][j] = (u, den), u are integers and
+        den > 0; raises ValueError unless it is symmetric and classically
+        integral."""
+        r = len(cells)
+        doubled: list[list[tuple[int, ...]]] = [[()] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                u, den = cells[i][j]
+                if j > i:
+                    v, den_t = cells[j][i]
+                    if any(a * den_t != b * den for a, b in zip(u, v)):
+                        raise ValueError("gram matrix must be symmetric")
+                c = field.coords_of_numerators(tuple(2 * a for a in u), den)
+                # an entry is integral iff every coordinate of its double is even
+                if c is None or (i == j and any(v % 2 for v in c)):
+                    e = Radical(field.shape, tuple(Fraction(a, den) for a in u))
+                    what = "diagonal entry" if i == j else "doubled off-diagonal"
+                    raise NotIntegralError(f"{what} {e} is not integral")
+                doubled[i][j] = doubled[j][i] = c
+        return cls.from_doubled(field, doubled)
 
     @classmethod
     def from_element(cls, alpha: OElement) -> GramForm:

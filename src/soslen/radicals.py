@@ -341,7 +341,10 @@ def parse_radical(shape: Shape, text: str) -> Radical:
         rad = int(m.group(2)) if m.group(2) else 1
         if rad != want:
             raise ValueError(f"term {part!r} has radicand {rad}, expected {want}")
-        coords.append(Rat(m.group(1)))
+        try:
+            coords.append(Rat(m.group(1)))
+        except ZeroDivisionError:
+            raise ValueError(f"term {part!r} has a zero denominator") from None
     return from_literal_coords(shape, tuple(coords))
 
 

@@ -1,7 +1,11 @@
 """End-to-end command-line interface behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,29 @@ class TestDescendVerify:
         code, _, err = run(capsys, "verify", "--cert-in", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, location",
+        [
+            ('{"field":"Q","format_version":1,"gram":["1/0"],"rows":[]}', "$.gram[0]"),
+            (
+                '{"field":"Q(sqrt 5)","format_version":1,"gram":["1 + 0*sqrt(5)"],'
+                '"rows":[["1/0 + 0*sqrt(5)"]]}',
+                "$.rows[0][0]",
+            ),
+            ('{"field":"Q","format_version":1,"gram":[1],"rows":[]}', "$.gram[0]"),
+            ('{"field":"Q","format_version":1,"gram":["1"],"rows":[[1]]}', "$.rows[0][0]"),
+            ('{"field":7,"format_version":1,"gram":["1"],"rows":[]}', "$.field"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "descend"])
+    def test_malformed_certificate_is_input_error(self, capsys, tmp_path, text, location, command):
+        # exit 1 would claim the certificate was checked and found false
+        path = tmp_path / "malformed.json"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, command, "--cert-in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {location}: ") and err.count("\n") == 1
+
 
 class TestSuiteCli:
     def test_single_case_with_report(self, capsys, tmp_path):
@@ -191,6 +218,17 @@ class TestSuiteCli:
     def test_unknown_case_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "run", "--case", "nonsense"])
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "soslen", "gtable", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "g(2) = 5\n"
 
 
 class TestGTableCli:

@@ -1,6 +1,10 @@
 """Suite plumbing: oracles, element scans and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from soslen import Shape, make_field, run_suite
 from soslen.suite import (
@@ -80,3 +84,28 @@ class TestReports:
         reports = run_suite(["prop53-direct"], ns=(69,))
         assert reports[0].verdict == "pass"
         assert reports[0].note is not None and "69" in reports[0].note
+
+
+class TestLazyImport:
+    def test_suite_loads_on_first_use(self):
+        # a fresh interpreter: this process has imported soslen.suite already
+        code = (
+            "import sys, soslen\n"
+            "assert 'soslen.suite' not in sys.modules\n"
+            "from soslen import CASE_IDS, SuiteReport, extended_direct_ns, run_suite, write_report\n"
+            "assert soslen.suite is sys.modules['soslen.suite']\n"
+            "assert soslen.run_suite is soslen.suite.run_suite and CASE_IDS\n"
+            "assert callable(soslen.suite.four_square_oracle)\n"
+            "try:\n"
+            "    soslen.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr

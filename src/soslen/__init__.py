@@ -3,7 +3,6 @@ quadratic and biquadratic fields, with certificate compression through Z."""
 
 from .radicals import (
     Embedding,
-    Interval,
     InvalidRadicandError,
     Radical,
     Shape,

@@ -213,8 +213,10 @@ def parse_certificate(text: str) -> CertificateDocument:
     for key in ("format_version", "field", "gram", "rows"):
         if key not in payload:
             raise SchemaError(f"$.{key}", "missing required key")
-    if payload["format_version"] != FORMAT_VERSION:
-        raise SchemaError("$.format_version", f"unsupported version {payload['format_version']!r}")
+    version = payload["format_version"]
+    # True and 1.0 compare equal to 1 but are not the integer version
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SchemaError("$.format_version", f"unsupported version {version!r}")
     if not isinstance(payload["field"], str):
         raise SchemaError("$.field", "must be a string")
     try:

@@ -24,9 +24,11 @@ from .radicals import (
     Radical,
     Rat,
     Shape,
+    _clear_denominators,
 )
 
 EMBEDDING_TABLE_BITS = 96
+_TABLE_GUARD_BITS = 64  # extra bits of each root under the table entries
 _INV_SQRT_BITS = 16
 _MID_SCALE = 2.0 ** -(EMBEDDING_TABLE_BITS + 1)  # float of (lo + hi) / 2 / 2^table bits
 
@@ -69,12 +71,6 @@ def expected_discriminant(shape: Shape) -> int:
     for r in shape.basis_radicands[1:]:
         disc *= _quadratic_disc(r)
     return disc
-
-
-def _clear_denominators(x: Radical) -> tuple[int, tuple[int, ...]]:
-    """(k, y) with x = y/k, k > 0 and y integer radical coordinates."""
-    k = lcm(*(q.denominator for q in x.coords))
-    return k, tuple(q.numerator * (k // q.denominator) for q in x.coords)
 
 
 def _integer_charpoly(shape: Shape, y: tuple[int, ...]) -> list[int]:
@@ -260,17 +256,23 @@ class Field:
         return self.det_coords(gram)[0]
 
     def _prepare_embedding_tables(self) -> None:
+        # sigma(b) 2^96 is the sum of y_i s_i sqrt(r_i) 2^96 / 4 for b = y/4;
+        # sqrt(r_i) 2^(96 + guard) is q_i for r_0 = 1 and in (q_i, q_i + 1)
+        # for the others, and the sum is rounded outward to 2^96
+        bits = EMBEDDING_TABLE_BITS + _TABLE_GUARD_BITS
+        roots = [isqrt(r << 2 * bits) for r in self.shape.basis_radicands]
+        div = 4 << _TABLE_GUARD_BITS
         lo_tab = []
         hi_tab = []
         for emb in self.embeddings:
+            signs = self.shape.embedding_signs(emb)
             lo_row = []
             hi_row = []
-            for b in self.integral_basis:
-                iv = b.interval(emb, EMBEDDING_TABLE_BITS)
-                shift = iv.exp - EMBEDDING_TABLE_BITS
-                assert shift >= 0
-                lo_row.append(iv.lo_num >> shift)
-                hi_row.append(-((-iv.hi_num) >> shift))
+            for y in zip(*self._basis_columns4):
+                v = list(map(mul, y, signs))
+                mid = sum(map(mul, v, roots))
+                lo_row.append((mid + sum(min(a, 0) for a in v[1:])) // div)
+                hi_row.append(-(-(mid + sum(max(a, 0) for a in v[1:])) // div))
             lo_tab.append(tuple(lo_row))
             hi_tab.append(tuple(hi_row))
         self._emb_lo = tuple(lo_tab)

@@ -5,9 +5,10 @@ Numbers are stored as exact rational coordinates over the radical basis
 radicands stay squarefree and the basis is linearly independent over Q.
 Quadratic fields use (1, sqrt(n)); the rationals use (1).
 
-Real-embedding signs are decided exactly: a zero test on coordinates first,
-then adaptive outward-rounded dyadic interval refinement, which terminates
-because a nonzero element has a nonzero image under every embedding.
+Real-embedding signs are decided exactly, with no approximation, in the
+tower Q < Q(sqrt m) < Q(sqrt m, sqrt n) on integer numerators: the sign of
+a + b sqrt(r) is that of a when a and b agree, and otherwise that of a times
+the sign of a^2 - b^2 r, which is one level down and is not 0.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, lcm
 
 Rat = Fraction
 
 #: A real embedding, given by the signs it assigns to sqrt(m) and sqrt(n).
 #: () for Q, (s1,) for quadratic, (s1, s2) for biquadratic shapes.
 Embedding = tuple[int, ...]
-
-INITIAL_SIGN_BITS = 32
 
 #: Largest radicand accepted; larger ones are refused before the
 #: squarefree test, whose trial division up to sqrt(r) would not finish.
@@ -145,43 +144,24 @@ class Shape:
 RATIONAL_SHAPE = Shape(())
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Dyadic enclosure [lo/2^exp, hi/2^exp] of a real embedding value."""
-
-    lo_num: int
-    hi_num: int
-    exp: int
-    bits: int
-
-    @property
-    def lo(self) -> Rat:
-        return Rat(self.lo_num, 1 << self.exp)
-
-    @property
-    def hi(self) -> Rat:
-        return Rat(self.hi_num, 1 << self.exp)
-
-    @property
-    def width(self) -> Rat:
-        return Rat(self.hi_num - self.lo_num, 1 << self.exp)
-
-    def sign(self) -> int | None:
-        """Sign if the interval excludes 0, else None."""
-        if self.lo_num > 0:
-            return 1
-        if self.hi_num < 0:
-            return -1
-        return None
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _sqrt_enclosure(r: int, exp: int) -> tuple[int, int]:
-    """Integers (s, s') with s/2^exp <= sqrt(r) <= s'/2^exp."""
-    if r == 1:
-        s = 1 << exp
-        return s, s
-    s = isqrt(r << (2 * exp))
-    return s, s + 1
+def _quadratic_sign(a: int, b: int, r: int) -> int:
+    """Sign of a + b sqrt(r) for integers a, b and a non-square r > 1."""
+    sa, sb = _sign(a), _sign(b)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa * _sign(a * a - b * b * r)
+
+
+def _clear_denominators(x: Radical) -> tuple[int, tuple[int, ...]]:
+    """(k, y) with x = y/k, k > 0 and y integer radical coordinates."""
+    k = lcm(*(q.denominator for q in x.coords))
+    return k, tuple(q.numerator * (k // q.denominator) for q in x.coords)
 
 
 class Radical:
@@ -256,44 +236,29 @@ class Radical:
         """Sum over all embeddings; the radical parts cancel."""
         return self.shape.degree * self.coords[0]
 
-    def interval(self, emb: Embedding, bits: int) -> Interval:
-        """Enclosure of the embedding value with width <= 2^-bits."""
-        if bits < 1:
-            raise ValueError("bits must be at least 1")
-        signs = self.shape.embedding_signs(emb)
-        slack = sum(abs(q.numerator) // q.denominator + 2 for q in self.coords) + 2
-        exp = bits + slack.bit_length() + 2
-        lo = hi = 0
-        for q, s, r in zip(self.coords, signs, self.shape.basis_radicands):
-            if q == 0:
-                continue
-            num = q.numerator * s
-            den = q.denominator
-            slo, shi = _sqrt_enclosure(r, exp)
-            if num >= 0:
-                lo += (num * slo) // den
-                hi += -((-num * shi) // den)
-            else:
-                lo += (num * shi) // den
-                hi += -((-num * slo) // den)
-        return Interval(lo, hi, exp, bits)
-
     def sign_at(self, emb: Embedding) -> int:
         """Exact sign of the embedding value: -1, 0 or +1."""
-        if self.is_zero():
-            return 0
-        bits = INITIAL_SIGN_BITS
-        while True:
-            s = self.interval(emb, bits).sign()
-            if s is not None:
-                return s
-            bits *= 2
-
-    def is_totally_nonnegative(self) -> bool:
-        return all(self.sign_at(e) >= 0 for e in self.shape.embeddings)
-
-    def is_totally_positive(self) -> bool:
-        return all(self.sign_at(e) > 0 for e in self.shape.embeddings)
+        _, u = _clear_denominators(self)
+        y = [v * s for v, s in zip(u, self.shape.embedding_signs(emb))]
+        rs = self.shape.radicands
+        if not rs:
+            return _sign(y[0])
+        if len(rs) == 1:
+            return _quadratic_sign(y[0], y[1], rs[0])
+        # x = u / k and sqrt(c) = sqrt(m) sqrt(n) / g, so g k x is
+        # P + Q sqrt(n) with P = a + b sqrt(m) and Q = e + f sqrt(m)
+        m, n = rs
+        g = gcd(m, n)
+        a, b, e, f = g * y[0], g * y[1], g * y[2], y[3]
+        sp, sq = _quadratic_sign(a, b, m), _quadratic_sign(e, f, m)
+        if sp == sq or not sq:
+            return sp
+        if not sp:
+            return sq
+        # P^2 - n Q^2, which is not 0 as sqrt(n) is not in Q(sqrt m)
+        return sp * _quadratic_sign(
+            a * a + m * b * b - n * (e * e + m * f * f), 2 * (a * b - n * e * f), m
+        )
 
     def __str__(self) -> str:
         return render_radical(self)

@@ -95,6 +95,13 @@ class TestSchemaErrors:
             parse_certificate('{"format_version":99,"field":"Q","gram":["1"],"rows":[]}')
         assert err.value.location == "$.format_version"
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_an_integer(self, version):
+        # true and 1.0 compare equal to 1 in Python but are not the version
+        with pytest.raises(SchemaError) as err:
+            parse_certificate(f'{{"format_version":{version},"field":"Q","gram":["1"],"rows":[]}}')
+        assert err.value.location == "$.format_version"
+
     def test_bad_field(self):
         with pytest.raises(SchemaError) as err:
             parse_certificate('{"format_version":1,"field":"X","gram":["1"],"rows":[]}')

@@ -216,8 +216,20 @@ class TestSuiteCli:
         assert payload["reports"][0]["verdict"] == "pass"
 
     def test_unknown_case_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["suite", "run", "--case", "nonsense"])
+        code, out, err = run(capsys, "suite", "run", "--case", "nonsense")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: unknown suite case 'nonsense'; known: ")
+        assert "peters" in err
+
+    def test_cli_import_leaves_suite_unloaded(self):
+        # a fresh interpreter: this process has imported soslen.suite already
+        code = "import sys, soslen.cli\nassert 'soslen.suite' not in sys.modules\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestModuleEntryPoint:

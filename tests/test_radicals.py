@@ -1,21 +1,25 @@
 """Exact radical arithmetic, embeddings and sign determination."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soslen import (
     InvalidRadicandError,
     Radical,
     Shape,
     from_literal_coords,
+    make_field,
     parse_coords,
     parse_radical,
     render_radical,
     to_literal_coords,
 )
+from soslen.fields import EMBEDDING_TABLE_BITS
 
 Q = Shape(())
 Q6 = Shape((6,))
@@ -91,52 +95,6 @@ class TestArithmetic:
         assert s6.trace() == 0
 
 
-class TestIntervals:
-    def test_rational_point_is_exact(self):
-        iv = Radical.from_rational(Q6, 2).interval((1,), 10)
-        assert iv.lo == 2 and iv.hi == 2
-
-    def test_sqrt6_conjugate_enclosure(self):
-        # oracle: 24494^2 <= 6*10^8 < 24495^2, so sqrt(6) is inside
-        # (2.4494, 2.4495) and its conjugate inside (-2.4495, -2.4494)
-        assert 24494 == isqrt(6 * 10**8)
-        iv = Radical.sqrt_generator(Q6, 0).interval((-1,), 30)
-        assert F(-24495, 10**4) < iv.lo <= iv.hi < F(-24494, 10**4)
-        assert iv.width <= F(1, 2**30)
-
-    def test_quartic_value_enclosure(self):
-        # oracle bounds by integer square roots at scale 10^4
-        b6, b7, b42 = isqrt(6 * 10**8), isqrt(7 * 10**8), isqrt(42 * 10**8)
-        lo = F(43) + F(b6, 10**4) - 8 * F(b7 + 1, 10**4) + F(b42, 10**4)
-        hi = F(43) + F(b6 + 1, 10**4) - 8 * F(b7, 10**4) + F(b42 + 1, 10**4)
-        assert F(307, 10) < lo and hi < F(308, 10)
-        x = lit(Q67, 43, 1, -8, 1)
-        iv = x.interval((1, 1), 20)
-        assert F(307, 10) < iv.lo <= iv.hi < F(308, 10)
-        assert iv.lo <= hi and iv.hi >= lo  # overlaps the oracle window
-
-    def test_widths_shrink_and_share_the_value(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            shape = rng.choice((Q, Q6, Q17, Q67))
-            coords = tuple(
-                F(rng.randint(-40, 40), rng.choice((1, 2, 4)))
-                for _ in range(shape.degree)
-            )
-            x = Radical(shape, coords)
-            for emb in shape.embeddings:
-                prev = None
-                tight = x.interval(emb, 120)
-                for bits in (8, 16, 32, 64):
-                    iv = x.interval(emb, bits)
-                    assert iv.width <= F(1, 2**bits)
-                    # encloses the true value, located by the tighter interval
-                    assert iv.lo <= tight.hi and iv.hi >= tight.lo
-                    if prev is not None:
-                        assert iv.width <= prev.width
-                    prev = iv
-
-
 class TestSigns:
     def test_zero(self):
         for emb in Q67.embeddings:
@@ -187,15 +145,100 @@ class TestSigns:
                 assert x.sign_at(emb) == oracle(a, b, n, s)
 
     def test_total_positivity(self):
-        assert Radical.one(Q67).is_totally_positive()
-        assert not lit(Q6, 1, 1).is_totally_nonnegative()
-        assert lit(Q67, 43, 1, -8, 1).is_totally_positive()
+        def signs(x):
+            return [x.sign_at(emb) for emb in x.shape.embeddings]
+
+        assert signs(Radical.one(Q67)) == [1, 1, 1, 1]
+        assert signs(lit(Q6, 1, 1)) == [1, -1]
+        # 43 - sqrt 6 - 8 sqrt 7 - sqrt 42 > 43 - 2.45 - 21.17 - 6.49 > 0
+        assert signs(lit(Q67, 43, 1, -8, 1)) == [1, 1, 1, 1]
 
     def test_zero_iff_coords_zero(self):
         x = lit(Q67, 0, 0, 0, 0)
         assert x.is_zero() and x.sign_at((1, 1)) == 0
         y = Radical(Q67, (F(0), F(0), F(1, 4), F(0)))
         assert y.sign_at((1, 1)) != 0
+
+
+ORACLE_SHAPES = (Q, Shape((5,)), Q17, Q67, Shape((10, 65)), Shape((6, 15)))
+
+
+def decimal_value(x, emb, scale=1):
+    """The embedding value times scale at 120 digits, from the stdlib only."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        return scale * sum(
+            Decimal(q.numerator) / Decimal(q.denominator) * s * Decimal(r).sqrt()
+            for q, s, r in zip(x.coords, x.shape.embedding_signs(emb), x.shape.basis_radicands)
+        )
+
+
+def decimal_sign(x, emb):
+    value = decimal_value(x, emb)
+    if x.is_zero():
+        return 0
+    # far above the oracle's own error, so its sign is the true one
+    assert abs(value) > Decimal(10) ** -90
+    return 1 if value > 0 else -1
+
+
+@st.composite
+def radicals(draw, shape):
+    """Random coordinates over 1, 2 and 4, or u*u - k with k the integer
+    nearest u*u at one embedding, which nearly cancels there."""
+    coords = tuple(
+        F(draw(st.integers(-(10**6), 10**6)), draw(st.sampled_from((1, 2, 4))))
+        for _ in range(shape.degree)
+    )
+    u = Radical(shape, coords)
+    if not draw(st.booleans()):
+        return u
+    emb = draw(st.sampled_from(shape.embeddings))
+    k = draw(st.integers(-1, 1)) + int(decimal_value(u * u, emb).to_integral_value())
+    return u * u - Radical.from_rational(shape, k)
+
+
+class TestSignOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(ORACLE_SHAPES))
+    def test_sign_matches_decimal(self, data, shape):
+        x = data.draw(radicals(shape))
+        y = data.draw(radicals(shape))
+        for emb in shape.embeddings:
+            assert x.sign_at(emb) == decimal_sign(x, emb)
+            assert (x * y).sign_at(emb) == x.sign_at(emb) * y.sign_at(emb)
+
+    @pytest.mark.parametrize(
+        "shape, coords",
+        [
+            (Shape((5,)), (9, -4)),
+            (Q17, (33, -8)),
+            (Q67, (5, -2, 0, 0)),
+            (Q67, (8, 0, -3, 0)),
+            (Q67, (13, 0, 0, -2)),
+            (Shape((10, 65)), (19, -6, 0, 0)),
+            (Shape((10, 65)), (51, 0, 0, -2)),  # 51 - 10 sqrt 26
+            (Shape((6, 15)), (4, 0, -1, 0)),
+            (Shape((6, 15)), (19, 0, 0, -2)),  # 19 - 6 sqrt 10
+        ],
+    )
+    def test_unit_powers_near_zero(self, shape, coords):
+        # a - b sqrt(r) with a^2 - b^2 r = 1 is 1 / (a + b sqrt r), and its
+        # powers approach 0 at the identity embedding
+        x = lit(shape, *coords)
+        y = x
+        for _ in range(8):
+            for emb in shape.embeddings:
+                assert y.sign_at(emb) == decimal_sign(y, emb) == 1
+            y = y * x
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_tables_enclose_the_basis(self, shape):
+        f = make_field(shape)
+        for e, emb in enumerate(f.embeddings):
+            for k, b in enumerate(f.integral_basis):
+                value = decimal_value(b, emb, 2**EMBEDDING_TABLE_BITS)
+                assert f._emb_lo[e][k] <= value <= f._emb_hi[e][k]
 
 
 class TestTextForms:

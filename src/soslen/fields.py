@@ -17,6 +17,7 @@ import re
 from functools import lru_cache
 from math import isqrt, lcm
 from operator import mul
+from typing import Callable
 
 from .radicals import (
     Embedding,
@@ -163,6 +164,36 @@ def _invert_matrix(m: list[list[Rat]]) -> list[list[Rat]]:
     return [row[n:] for row in aug]
 
 
+def _multiplier(tensor) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
+    """The product of coordinate tuples for the multiplication tensor, as
+    straight-line code: tensor[i][j] holds the coordinates of b_i b_j, which
+    equal those of b_j b_i, so each pair i <= j is multiplied once, and
+    output k sums the pair products with the integer weights tensor[i][j][k].
+    The generated source holds nothing but those integers."""
+    d = len(tensor)
+    lines = [
+        "def mul_coords(a, b):",
+        f"    {''.join(f'a{i}, ' for i in range(d))}= a",
+        f"    {''.join(f'b{i}, ' for i in range(d))}= b",
+    ]
+    sums: list[list[str]] = [[] for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if tensor[i][j] != tensor[j][i]:
+                raise AssertionError("basis products do not commute")
+            cross = "" if i == j else f" + a{j} * b{i}"
+            lines.append(f"    p{i}_{j} = a{i} * b{j}{cross}")
+            for k, w in enumerate(tensor[i][j]):
+                if w:
+                    term = f"p{i}_{j}" if abs(w) == 1 else f"{abs(w)} * p{i}_{j}"
+                    sums[k].append(("+ " if w > 0 else "- ") + term)
+    outputs = [" ".join(terms).removeprefix("+ ") or "0" for terms in sums]
+    lines.append(f"    return ({''.join(f'{out}, ' for out in outputs)})")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["mul_coords"]
+
+
 class Field:
     """A ring of integers with its integral basis and real embeddings."""
 
@@ -239,6 +270,7 @@ class Field:
                 row.append(coords)
             tensor.append(row)
         self._mul_tensor = tuple(tuple(r) for r in tensor)
+        self.mul_coords = _multiplier(self._mul_tensor)
         traces = []
         for b in self.integral_basis:
             t = b.trace()
@@ -345,26 +377,6 @@ class Field:
         return OElement(self, (1,) + (0,) * (self.degree - 1))
 
     # coordinate arithmetic (hot paths stay on plain int tuples) -----------
-
-    def mul_coords(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        d = self.degree
-        tensor = self._mul_tensor
-        out = [0] * d
-        for i in range(d):
-            ai = a[i]
-            if not ai:
-                continue
-            row = tensor[i]
-            for j in range(d):
-                bj = b[j]
-                if not bj:
-                    continue
-                f = ai * bj
-                t = row[j]
-                for k in range(d):
-                    if t[k]:
-                        out[k] += f * t[k]
-        return tuple(out)
 
     def det_coords(self, m) -> tuple[int, ...]:
         """Determinant of a square matrix of coordinate tuples, by cofactors."""

@@ -22,9 +22,21 @@ Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
 fitting pair +-x, holding x^2, its trace and the values of x and x^2 at
 every embedding as floats, and keeps the result in a bounded cache.  The scan
-fixes coordinates one at a time and solves the range of the next one
-exactly from integer enclosures, so a box point is skipped only when its
-enclosure proves that x^2 exceeds the diagonal at some embedding.  Every
+fixes the coordinates c_j of x = sum c_j b_j one at a time, and each range
+it solves is proven to hold every member:
+
+  * before the last coordinate, on the real slice of the prefix: for d - i
+    embeddings E with [sigma_e(b_j)], e in E, j >= i, invertible, the w with
+    sum over E of w_e sigma_e(b_j) = [j = i] for j >= i gives
+    c_i = sum over E of w_e sigma_e(x) - (a linear form in c_0..c_{i-1}),
+    because the later coordinates drop out.  Each |sigma_e(x)| is at most
+    sqrt(sigma_e(diag)), so every such E bounds c_i, whatever the later
+    coordinates are, and all of them together give the exact range on the
+    slice.  w is rounded to integers once per field and level, and the
+    rounding residuals, enclosed exactly, only widen the range;
+  * at the last coordinate, exactly from the prefix's integer enclosures,
+    so a point is skipped only when its enclosure proves that x^2 exceeds
+    the diagonal at some embedding.  Every
 row v of a representation leaves a totally PSD remainder, so G - vv^T is
 totally PSD; `RowPool` keeps exactly those rows.  It extends row prefixes
 one column at a time, keeps a prefix only while the leading block of
@@ -47,7 +59,7 @@ from math import isqrt
 from operator import add, gt, itemgetter, lt, mul, neg, sub
 from typing import NamedTuple
 
-from .fields import _MID_SCALE, Field, OElement
+from .fields import _MID_SCALE, FIELD_CACHE_SIZE, Field, OElement
 from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
 
@@ -136,6 +148,91 @@ def _coordinate_range(lo: int, hi: int, top: int, bottom: int) -> tuple[int, int
     return first, last
 
 
+_SLICE_BITS = 40  # support weights are 2^40 w, rounded to integers
+
+
+def _float_solve(m: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """x with m x = rhs in floats, by Gauss-Jordan elimination with partial
+    pivoting, or None when a pivot is below 2^-30 of the largest entry."""
+    n = len(m)
+    tiny = 2.0**-30 * max(abs(v) for row in m for v in row)
+    rows = [row + [v] for row, v in zip(m, rhs)]
+    for col in range(n):
+        best = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if abs(rows[best][col]) <= tiny:
+            return None
+        rows[col], rows[best] = rows[best], rows[col]
+        pivot = rows[col]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col] / pivot[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], pivot)]
+    return [row[n] / row[r] for r, row in enumerate(rows)]
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
+    """Per level i below degree - 1, the supports of `_column_values`'s
+    slice bound: (weights, coeffs, errs) for each set E of degree - i
+    embeddings on which B_E = [sigma_e(b_j)], j >= i, is invertible in
+    floats.
+
+    weights holds (e, |W_e|) with W = 2^40 w rounded, for the float solution
+    w of B_E^T w = e_i.  The real M_j = sum over E of W_e sigma_e(b_j) is
+    enclosed exactly from the basis enclosures, and errs[j] bounds
+    2^96 |M_j - a_j| for the integers a_j: the rounded M_j for j < i, which
+    coeffs holds, 2^40 for j = i and 0 for j > i.  The float solve only
+    makes the bound tight; the enclosures make it sound.
+    """
+    deg = field.degree
+    floats = field._emb_floats
+    basis = field._basis_enclosures
+    levels = []
+    for i in range(deg - 1):
+        supports = []
+        for support in itertools.combinations(range(len(field.embeddings)), deg - i):
+            w = _float_solve(
+                [[floats[e][j] for e in support] for j in range(i, deg)],
+                [1.0] + [0.0] * (deg - i - 1),
+            )
+            if w is None:
+                continue
+            weights = [(e, round(x * 2.0**_SLICE_BITS)) for e, x in zip(support, w)]
+            coeffs = []
+            errs = []
+            for j in range(deg):
+                ends = [sorted([weight * end for end in basis[j][e]]) for e, weight in weights]
+                lo = sum([low for low, _ in ends])
+                hi = sum([high for _, high in ends])
+                if j < i:
+                    a = (lo + hi + (1 << _EMB_BITS)) >> (_EMB_BITS + 1)
+                    coeffs.append(a)
+                else:
+                    a = 1 << _SLICE_BITS if j == i else 0
+                errs.append(max(hi - (a << _EMB_BITS), (a << _EMB_BITS) - lo))
+            supports.append(
+                (tuple([(e, abs(weight)) for e, weight in weights]), tuple(coeffs), tuple(errs))
+            )
+        levels.append(tuple(supports))
+    return tuple(levels)
+
+
+def _slice_range(bounds, prefix: tuple[int, ...], limit: int) -> tuple[int, int]:
+    """(first, last): the coordinates c_i that the slice bounds leave to the
+    prefix c_0..c_{i-1}, within the box limit; bounds holds (coeffs, t) per
+    support, and |2^40 c_i + sum of c_j coeffs[j]| <= t."""
+    first, last = -limit, limit
+    for coeffs, t in bounds:
+        dot = sum(map(mul, prefix, coeffs))
+        f = -((t + dot) >> _SLICE_BITS)
+        if f > first:
+            first = f
+        f = (t - dot) >> _SLICE_BITS
+        if f < last:
+            last = f
+    return first, last
+
+
 @lru_cache(maxsize=1 << 13)
 def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
@@ -151,17 +248,29 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     A box of more than POOL_ROW_CAP points raises SearchSpaceError before
     the scan, and a diagonal negative at some embedding has no values.
 
-    The scan visits only the points whose integer enclosure [xlo, xhi] of
-    sigma_e(x), scaled by 2^table bits, meets [-R_e, R_e] at every
-    embedding, where R_e = isqrt(2^table bits * the upper end of
-    sigma_e(diag)); at any other point sigma_e(x)^2 > sigma_e(diag), so a
-    point is skipped only when its enclosure proves that it misses.
-    Coordinates are fixed one at a time in product order: a prefix carries
-    its partial enclosures, and the range of the next coordinate is solved
-    exactly at every embedding, with the later coordinates free inside
-    their box limits.  On the points visited, interval tests decide
-    membership and the sign at the identity embedding unless they are
-    inconclusive; then exact sign tests decide.
+    Coordinates are fixed one at a time in product order.  With R_e =
+    isqrt(2^table bits * the upper end of sigma_e(diag)) + 1, every member
+    has |2^table bits sigma_e(x)| <= R_e.  For the coordinate c_i after a
+    prefix c_0..c_{i-1}, take a support E of d - i embeddings with B_E =
+    [sigma_e(b_j)], e in E, j >= i, invertible, and w with B_E^T w = e_i:
+    then sum over E of w_e sigma_e(x) = c_i + sum over j < i of c_j A_j,
+    with A_j = sum over E of w_e sigma_e(b_j), since the later coordinates
+    drop out.  So c_i lies within sum |w_e| R_e of -sum c_j A_j, on the
+    real slice of the prefix, whatever the later coordinates are.  Any
+    support gives a sound range, and every support together gives the
+    exact range on the slice (LP duality).  `_slice_supports` holds w
+    scaled and rounded to integers W, and the identity holds for W with
+    coefficients M_j = sum over E of W_e sigma_e(b_j); the rounding leaves
+    residuals M_j - a_j against integers a_j, each enclosed exactly and
+    times the box limit of c_j, so the integer bound only widens the real
+    one.  The box limits clamp the range.
+
+    The last coordinate's range is solved exactly per embedding on the
+    prefix's integer enclosure [xlo, xhi] of sigma_e(x), scaled by 2^table
+    bits, which must meet [-isqrt(...), isqrt(...)]: a point is skipped only
+    when its enclosure proves that it misses.  On the points visited,
+    interval tests decide membership and the sign at the identity embedding
+    unless they are inconclusive; then exact sign tests decide.
     """
     deg = field.degree
     n_emb = len(field.embeddings)
@@ -189,33 +298,38 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         roots.append(isqrt(hi * shift))
     # x^2 <= diag is proven at e once max(xlo^2, xhi^2) <= floors[e]
     floors = [lo * shift for lo, _ in diag_ivs]
-    # basis[i][e] is the enclosure of basis element i at embedding e, and
-    # slack[i][e] bounds what the coordinates after i add to |xlo| and |xhi|
+    # per level below the last, (coeffs, t) for each support
+    slices = []
+    for supports in _slice_supports(field):
+        level = []
+        for weights, coeffs, errs in supports:
+            # |2^96 (2^40 c_i + sum c_j a_j)| <= sum |W_e| R_e + sum |c_j| errs[j]
+            top = sum([w * (roots[e] + 1) for e, w in weights]) + sum(map(mul, limits, errs))
+            level.append((coeffs, top >> _EMB_BITS))
+        slices.append(level)
+    # basis[i][e] is the enclosure of basis element i at embedding e
     basis = field._basis_enclosures
-    slack = [(0,) * n_emb] * deg
-    for i in range(deg - 2, -1, -1):
-        slack[i] = tuple(
-            [s + limits[i + 1] * max(hi, -lo) for s, (lo, hi) in zip(slack[i + 1], basis[i + 1])]
-        )
-    mul = field.mul_coords
+    square_of = field.mul_coords
     values: list[_Column] = []
     # (coords, xlo and xhi at each embedding) of every prefix that can fit;
     # its first nonzero coordinate is positive, which keeps the half box
     prefixes = [((), (0,) * n_emb, (0,) * n_emb)]
     for i in range(deg):
         enclosures = basis[i]
-        rest = slack[i]
         limit = limits[i]
         final = i == deg - 1
         extended = []
         for prefix, plo, phi in prefixes:
-            first, last = -limit, limit
-            for (lo, hi), root, p, q, s in zip(enclosures, roots, plo, phi, rest):
-                f, t = _coordinate_range(lo, hi, root - p + s, -root - q - s)
-                if f > first:
-                    first = f
-                if t < last:
-                    last = t
+            if final:
+                first, last = -limit, limit
+                for (lo, hi), root, p, q in zip(enclosures, roots, plo, phi):
+                    f, t = _coordinate_range(lo, hi, root - p, -root - q)
+                    if f > first:
+                        first = f
+                    if t < last:
+                        last = t
+            else:
+                first, last = _slice_range(slices[i], prefix, limit)
             if not any(prefix):
                 # 0 is not a column value
                 first = max(first, 1 if final else 0)
@@ -244,7 +358,7 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
                     if a * a > floor or b * b > floor:
                         exact_needed = True
                     mids.append((a + b) * _MID_SCALE)
-                square = mul(coords, coords)
+                square = square_of(coords, coords)
                 if exact_needed and not field.coords_totally_nonneg(
                     tuple(map(sub, diag_coords, square))
                 ):

@@ -178,6 +178,17 @@ class TestDescendVerify:
         code, _, err = run(capsys, "verify", "--cert-in", "/nonexistent.json")
         assert code == 2
 
+    def test_directory_as_cert_out_is_input_error(self, capsys, tmp_path):
+        # exit 1 would claim the length was checked and found false
+        code, out, err = run(
+            capsys,
+            "elem", "length", "Q(sqrt 6, sqrt 7)", "--coords", "43,1,-8,1",
+            "--cert-out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize(
         "text, location",
         [
@@ -214,6 +225,14 @@ class TestSuiteCli:
         assert "PASS" in out and "peters" in out
         payload = json.loads(report.read_text())
         assert payload["reports"][0]["verdict"] == "pass"
+
+    def test_directory_as_report_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "suite", "run", "--case", "peters", "--n", "17", "--report", str(tmp_path)
+        )
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "Traceback" not in out + err
 
     def test_unknown_case_rejected(self, capsys):
         code, out, err = run(capsys, "suite", "run", "--case", "nonsense")

@@ -21,6 +21,8 @@ from soslen import (
     render_radical,
 )
 from soslen.fields import characteristic_polynomial
+from reference_mul import tensor_mul
+from test_search import SCAN_SHAPES
 
 
 def lit(shape, *coords):
@@ -275,6 +277,25 @@ class TestElementOps:
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
             assert (a * b).to_radical() == a.to_radical() * b.to_radical()
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES + [Shape((2, 5)), Shape((6, 15))], ids=str)
+    def test_mul_coords_matches_tensor_loop(self, shape):
+        f = make_field(shape)
+        d = f.degree
+        rng = random.Random(sum(shape.radicands) + 83)
+        samples = [(0,) * d, (1,) + (0,) * (d - 1), (-1,) * d]
+        samples += [tuple((0, -1, 1)[(k + i) % 3] for i in range(d)) for k in range(3)]
+        for bits in (3, 30, 64, 200):
+            for _ in range(6):
+                # some coordinates 0, the rest up to +-2^bits
+                samples.append(
+                    tuple(rng.choice((0, 1)) * rng.randint(-(2**bits), 2**bits) for _ in range(d))
+                )
+        samples.append((2**200,) * d)
+        samples.append((-(2**200),) + (2**200 - 1,) * (d - 1))
+        for a in samples:
+            for b in samples:
+                assert f.mul_coords(a, b) == tensor_mul(f._mul_tensor, a, b), (a, b)
 
     def test_mixed_fields_rejected(self):
         f1, f2 = make_field(Shape((2,))), make_field(Shape((3,)))

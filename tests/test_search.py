@@ -345,6 +345,31 @@ def reference_pool(field, icoords, columns):
 
 SCAN_SHAPES = [Shape(rads) for rads in ((), (5,), (17,), (6, 7), (13, 15), (10, 65))]
 
+# (unit of a quadratic subfield in radical coordinates, largest k) for the
+# diagonals u^(2k): large at one embedding and small at its conjugates
+SUBFIELD_UNITS = {
+    (2, 5): [((1, 1, 0, 0), 3), ((F(1, 2), 0, F(1, 2), 0), 3), ((3, 0, 0, 1), 1)],
+    (6, 7): [((5, 2, 0, 0), 1), ((8, 0, 3, 0), 1), ((13, 0, 0, 2), 1)],
+}
+
+
+def _unit_squares(field):
+    """The even powers u^(2k) of `SUBFIELD_UNITS` in integral coordinates."""
+    out = []
+    for unit, top in SUBFIELD_UNITS[field.shape.radicands]:
+        u = field.element(from_literal_coords(field.shape, tuple(F(c) for c in unit))).coords
+        power = u
+        for _ in range(top):
+            out.append(field.mul_coords(power, power))
+            power = field.mul_coords(power, u)
+    return out
+
+
+def _sum_of_squares(field, diag, xs):
+    for x in xs:
+        diag = tuple(map(add, diag, field.mul_coords(x, x)))
+    return diag
+
 
 def _random_element(rng, field, spread):
     return tuple(rng.randint(-spread, spread) for _ in range(field.degree))
@@ -534,6 +559,78 @@ class TestColumnScan:
         for x in data.draw(st.lists(coords, min_size=1, max_size=3), label="squares"):
             diag = tuple(map(add, diag, field.mul_coords(x, x)))
         assert _column_values(field, diag) == half_box_scan(field, diag)
+
+    @pytest.mark.parametrize("radicands", list(SUBFIELD_UNITS), ids=str)
+    def test_matches_half_box_scan_on_unit_diagonals(self, radicands):
+        # all of u^(2k) sits at one embedding: the slice of a prefix is long
+        # and thin, and the box limits are far from it
+        field = make_field(Shape(radicands))
+        rng = random.Random(73 + sum(radicands))
+        for square in _unit_squares(field):
+            u = next(v.coords for v in _column_values(field, square))
+            assert field.mul_coords(u, u) == square
+            for count in (0, 1, 2):
+                xs = [_random_element(rng, field, 1) for _ in range(count)]
+                diag = _sum_of_squares(field, square, xs)
+                assert _column_values(field, diag) == half_box_scan(field, diag), diag
+
+    def test_matches_half_box_scan_on_forms_biquad_diagonals(self, monkeypatch):
+        # the diagonals of Grams of 2-3 rows with {-1, 0, 1} coordinates
+        field = make_field(Shape((13, 15)))
+        rng = random.Random(79)
+        created = [0, 0, 0]  # prefixes of length 1, 2 and 3
+        slice_range = search._slice_range
+
+        def counted(bounds, prefix, limit):
+            first, last = slice_range(bounds, prefix, limit)
+            start = first if any(prefix) else max(first, 0)
+            created[len(prefix)] += len(range(start, last + 1))
+            return first, last
+
+        monkeypatch.setattr(search, "_slice_range", counted)
+        for _ in range(24):
+            xs = [_random_element(rng, field, 1) for _ in range(rng.randint(2, 3))]
+            diag = _sum_of_squares(field, (0,) * 4, xs)
+            assert _column_values.__wrapped__(field, diag) == half_box_scan(field, diag), diag
+        # the counts of the exact slice ranges: a bound that stays sound but
+        # is looser scans more, as a w of the wrong sign does (304, 3274
+        # and 22000 prefixes here)
+        assert created[0] <= 228 and created[1] <= 1184 and created[2] <= 2894, created
+
+    @pytest.mark.parametrize(
+        "shape", [sh for sh in SCAN_SHAPES if sh.degree > 1] + [Shape((2, 5))], ids=str
+    )
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_slice_ranges_hold_every_live_prefix(self, shape, data):
+        # at every level before the last, the range solved for the prefix of
+        # each member of the half box must contain the member's coordinate
+        field = make_field(shape)
+        spread = 2 if field.degree < 4 else 1
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        diag = (data.draw(st.integers(0, 3), label="integer"),) + (0,) * (field.degree - 1)
+        if shape.radicands in SUBFIELD_UNITS and data.draw(st.booleans(), label="unit"):
+            diag = tuple(map(add, diag, data.draw(st.sampled_from(_unit_squares(field)))))
+        xs = data.draw(st.lists(coords, min_size=1, max_size=3), label="squares")
+        diag = _sum_of_squares(field, diag, xs)
+        solved = {}
+        slice_range = search._slice_range
+
+        def recorded(bounds, prefix, limit):
+            solved[prefix] = slice_range(bounds, prefix, limit)
+            return solved[prefix]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_slice_range", recorded)
+            records = _column_values.__wrapped__(field, diag)
+        expected = half_box_scan(field, diag)
+        assert records == expected
+        for x in [v.coords for v in expected]:
+            if next(c for c in x if c) < 0:
+                x = tuple(-c for c in x)
+            for i in range(field.degree - 1):
+                first, last = solved[x[:i]]
+                assert first <= x[i] <= last, (diag, x, i)
 
 
 class TestPrunedPoolDifferential:

@@ -64,6 +64,16 @@ def _parse_gram(f: Field, text: str) -> GramForm:
     return GramForm(f, tuple(tuple(row) for row in matrix))
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any search, an output path that cannot be written: a
+    directory, or a file in a directory that does not exist."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(f"output path is a directory: {path}")
+    if not target.parent.is_dir():
+        raise FileNotFoundError(f"no such directory for the output path: {path}")
+
+
 def _write_certificate(path: str, gram: GramForm, cert) -> None:
     Path(path).write_text(emit_certificate(document_from_certificate(gram, cert)))
 
@@ -79,6 +89,8 @@ def _cmd_field_info(args) -> int:
 
 
 def _report_length(gram: GramForm, s_max: int, cert_out: str | None) -> int:
+    if cert_out:
+        _check_output_path(cert_out)
     res = length_certificate(gram, s_max)
     if isinstance(res, NotSoS):
         print(f"not a sum of squares ({res.reason})")
@@ -168,6 +180,8 @@ def _cmd_gtable(args) -> int:
 def _cmd_suite_run(args) -> int:
     from .suite import run_suite, write_report  # only this command needs it
 
+    if args.report:
+        _check_output_path(args.report)
     ns = None
     if args.n:
         ns = tuple(int(v) for chunk in args.n for v in chunk.split(",") if v)

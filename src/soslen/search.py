@@ -16,7 +16,13 @@ discard provably infeasible branches:
   * rows are nonincreasing, so when key * budget < trace(remainder) no
     completion exists;
   * at budget 1 the remainder must equal a candidate outer product, found
-    by dictionary lookup.
+    by dictionary lookup;
+  * at budget 2 the remainder is one row's outer product or a pair's, and a
+    pair has a row nonzero in each column where the remainder's diagonal is
+    nonzero.  When such a column's support, the pool rows nonzero there
+    (`RowPool.column_supports`), leaves fewer rows than the key range, each
+    support row is subtracted and the rest looked up, and the pair with the
+    smallest first row, the one the scan would find, is returned.
 
 Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
@@ -64,6 +70,9 @@ from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
 
 POOL_ROW_CAP = 2_000_000
+# pools of at most this many rows keep no column supports: scanning them
+# costs less than building the supports and choosing a column at each node
+SUPPORT_MIN_ROWS = 32
 SEARCH_CACHE_CAP = 1 << 22  # entries in the memo of (remainder, budget)
 
 
@@ -807,6 +816,11 @@ class RowPool:
     is trace(v . v) and flat the concatenated coordinates.  Each row keeps
     its outer product exactly and as floats at every embedding, with its
     diagonal floats apart, for `_search` and its `_Screen`.
+
+    A pool of more than SUPPORT_MIN_ROWS rows keeps `column_supports`: for
+    each column that some rows leave zero and others not, (start, end,
+    indices), where the column's diagonal entry lies in a flat remainder and
+    the ascending indices of the rows nonzero in it.
     """
 
     def __init__(self, gram: GramForm, icoords) -> None:
@@ -847,6 +861,14 @@ class RowPool:
             for i in range(d)
             if traces[i]
         ]
+        self.column_supports = []
+        if r > 1 and len(self) > SUPPORT_MIN_ROWS:
+            zero_entry = (0,) * d
+            for k in range(r):
+                support = [i for i, cols in enumerate(self.cols) if cols[k] != zero_entry]
+                if 0 < len(support) < len(self):
+                    start = _slot_pairs(r).index((k, k)) * d
+                    self.column_supports.append((start, start + d, support))
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -883,6 +905,7 @@ def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
     diag_floats = pool.diag_floats
     outer_index = pool.outer_index
     zero = pool.zero_flat
+    supports = pool.column_supports
     screen = pool.screen
     diag_of = screen.diag_of
     root, diag_band, level_bands = screen.start(rem0, budget)
@@ -909,6 +932,38 @@ def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
             first = bisect_left(neg_keys, -tr, lo=start)
             last = bisect_right(neg_keys, -tr // budget, lo=first)
             caps = list(map(add, diag_of(remf), diag_band))
+            if budget == 2 and supports:
+                # a pair summing to rem has a row nonzero in every column
+                # where rem's diagonal is nonzero, and both of its rows have
+                # keys at most tr, so they lie at or after first
+                cover = None
+                fewest = last - first
+                for lo, hi, support in supports:
+                    if any(rem[lo:hi]):
+                        at = bisect_left(support, first)
+                        if len(support) - at < fewest:
+                            fewest = len(support) - at
+                            cover = support[at:]
+                if cover is not None:
+                    # the pair with the smallest first row, which the scan
+                    # would return; a row of a pair passes its diagonal test
+                    best = None
+                    for u in cover:
+                        if any(map(gt, diag_floats[u], caps)):
+                            continue
+                        rem2 = tuple(map(sub, rem, outers[u]))
+                        if rem2 == zero:
+                            pair = [u]
+                        else:
+                            v = outer_index.get(rem2)
+                            if v is None or v < start:
+                                continue
+                            pair = sorted((u, v))
+                        if best is None or pair < best:
+                            best = pair
+                    if best is not None:
+                        return best
+                    last = first  # no pair: nothing is left to scan
             for idx, diagonal in zip(range(first, last), diag_floats[first:last]):
                 if any(map(gt, diagonal, caps)):
                     continue

@@ -69,6 +69,15 @@ class ProductPool:
         self.slot_of = {ij: s for s, ij in enumerate(self.slots)}
         self.screen = _Screen(field, r, self.remainder_of(icoords))
         self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
+        # (start, end, indices) per column that some rows leave zero and
+        # others not: where its diagonal lies in a flat remainder, and the
+        # rows nonzero there
+        self.column_supports = []
+        for j in range(r):
+            support = [i for i, cols in enumerate(self.cols) if any(cols[j])]
+            if 0 < len(support) < len(self):
+                start = self.diag_slots[j] * d
+                self.column_supports.append((start, start + d, support))
 
     def __len__(self) -> int:
         return len(self.keys)

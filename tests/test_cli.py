@@ -185,9 +185,31 @@ class TestDescendVerify:
             "elem", "length", "Q(sqrt 6, sqrt 7)", "--coords", "43,1,-8,1",
             "--cert-out", str(tmp_path),
         )
-        assert code == 2
+        assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("elem", "length", "Q(sqrt 6, sqrt 7)", "--coords", "43,1,-8,1"),
+            ("form", "length", "Q", "--gram", "2;1;1"),
+        ],
+        ids=["elem", "form"],
+    )
+    def test_bad_cert_out_is_refused_before_the_search(
+        self, capsys, tmp_path, monkeypatch, kind, argv
+    ):
+        def no_search(*args):
+            raise AssertionError("searched before the output path was checked")
+
+        monkeypatch.setattr("soslen.cli.length_certificate", no_search)
+        path = tmp_path if kind == "directory" else tmp_path / "absent" / "cert.json"
+        code, out, err = run(capsys, *argv, "--cert-out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert not (tmp_path / "absent").exists()
 
     @pytest.mark.parametrize(
         "text, location",
@@ -230,9 +252,21 @@ class TestSuiteCli:
         code, out, err = run(
             capsys, "suite", "run", "--case", "peters", "--n", "17", "--report", str(tmp_path)
         )
-        assert code == 2
+        assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "Traceback" not in out + err
+
+    def test_report_in_missing_directory_is_refused_before_the_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran the suite before the report path was checked")
+
+        monkeypatch.setattr("soslen.suite.run_suite", no_run)
+        report = tmp_path / "absent" / "report.json"
+        code, out, err = run(capsys, "suite", "run", "--case", "peters", "--report", str(report))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_unknown_case_rejected(self, capsys):
         code, out, err = run(capsys, "suite", "run", "--case", "nonsense")

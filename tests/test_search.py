@@ -848,6 +848,152 @@ class TestFloatScreen:
                         assert not (screen.levels and screen.rejects(remf, level_bands))
 
 
+class WatchedSupport(list):
+    """A column support that counts the slices the search reads of it, which
+    it does when the support covers a budget-2 node."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+def _element_or_zero(rng, field, spread):
+    """A random element, zero one time in three, so that Grams of such rows
+    have zero entries off the diagonal."""
+    if rng.randrange(3) == 0:
+        return field.element_from_coords((0,) * field.degree)
+    return field.element_from_coords(_random_element(rng, field, spread))
+
+
+class TestColumnSupports:
+    """A budget-2 node resolves its remainder from the support of one of its
+    columns, the rows nonzero there, when that is smaller than the rows the
+    scan would visit; the scan is the reference."""
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_same_indices_and_nodes_as_the_scan(self, radicands, monkeypatch):
+        # supports on every pool, also those small enough to go without
+        monkeypatch.setattr(search, "SUPPORT_MIN_ROWS", 0)
+        field = make_field(Shape(radicands))
+        rng = random.Random(89 + sum(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        grams = []
+        for rank in (1, 2, 3):
+            made = 0
+            while made < 6:
+                rows = [
+                    tuple(_element_or_zero(rng, field, spread) for _ in range(rank))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                gram = GramForm.from_rows(field, rows)
+                if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
+                    continue
+                made += 1
+                grams.append((gram, len(rows) + 1, False))
+                if rank < 3:
+                    grams.append((perp_unit(gram), len(rows) + 2, True))
+        zero = (0,) * field.degree
+        assert any(
+            e == zero for gram, _, _ in grams for row in gram.doubled for e in row
+        ), "no Gram with a zero entry"
+        taken_on_perp = 0
+        for gram, s_max, perp in grams:
+            icoords = gram.integral_coords()
+            pool = RowPool(gram, icoords)
+            if gram.rank == 1:
+                assert pool.column_supports == []
+            for start, end, support in pool.column_supports:
+                assert start % field.degree == 0 and end - start == field.degree
+                assert support == sorted(support) and 0 < len(support) < len(pool)
+            watched = [(a, b, WatchedSupport(support)) for a, b, support in pool.column_supports]
+            rem0 = pool.remainder_of(icoords)
+            for budget in range(1, s_max + 1):
+                pool.column_supports = watched
+                with_supports = CountingMemo()
+                ours = _search(pool, rem0, budget, with_supports)
+                pool.column_supports = []
+                scan_only = CountingMemo()
+                assert ours == _search(pool, rem0, budget, scan_only), budget
+                assert with_supports.lookups == scan_only.lookups, budget
+            if perp:
+                taken_on_perp += sum(support.slices for _, _, support in watched)
+        assert taken_on_perp > 0
+
+
+    def test_unit_column_of_a_perp_unit_pool(self):
+        # the Gram of `test_perp_unit_case_instance`, with 559 pool rows:
+        # only the unit row is nonzero in the unit column, the last one
+        field = make_field(Shape((6, 7)))
+        rng = random.Random(f"perp-unit:{field.shape}")
+        for _ in range(8):
+            rows = _random_rows(rng, field, rng.choice((1, 2)), 3, 1)
+        gram = perp_unit(GramForm.from_rows(field, rows))
+        pool = RowPool(gram, gram.integral_coords())
+        assert len(pool) > search.SUPPORT_MIN_ROWS
+        r, d = gram.rank, field.degree
+        unit = pool.cols.index(((0,) * d,) * (r - 1) + (field.one().coords,))
+        # the last column's diagonal entry is the last slot of the triangle
+        start = (r * (r + 1) // 2 - 1) * d
+        assert (start, start + d, [unit]) in pool.column_supports
+
+
+def _signed_permutation(gram, order, signs):
+    """P^T G P for the signed permutation P whose column i is signs[i] times
+    the unit vector of order[i]: entry (i, j) is signs[i] signs[j] G[order[i]][order[j]]."""
+    doubled = gram.doubled
+    return GramForm.from_doubled(
+        gram.field,
+        [
+            [
+                tuple(signs[i] * signs[j] * c for c in doubled[a][b])
+                for j, b in enumerate(order)
+            ]
+            for i, a in enumerate(order)
+        ],
+    )
+
+
+class TestSignedPermutations:
+    """Metamorphic: a signed permutation P is in GL_r(O), so P^T G P has the
+    length of G."""
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_unit_column_in_every_position(self, radicands, data):
+        field = make_field(Shape(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        rank = data.draw(st.integers(1, 2), label="rank")
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        rows = data.draw(
+            st.lists(st.tuples(*[coords] * rank), min_size=1, max_size=3), label="rows"
+        )
+        gram = GramForm.from_rows(
+            field, [tuple(field.element_from_coords(c) for c in row) for row in rows]
+        )
+        if gram.is_zero():
+            return
+        perp = perp_unit(gram)
+        if TestPrunedPoolDifferential.product_size(perp) > 3000:
+            return
+        t = length(perp, len(rows) + 1)
+        assert t == length(gram, len(rows)) + 1
+        # the unit column of perp_unit(G) is column `rank`
+        for position in range(rank + 1):
+            order = list(data.draw(st.permutations(range(rank)), label="order"))
+            order.insert(position, rank)
+            signs = data.draw(
+                st.lists(st.sampled_from((1, -1)), min_size=rank + 1, max_size=rank + 1),
+                label="signs",
+            )
+            moved = _signed_permutation(perp, order, signs)
+            assert moved.integral_coords()[position][position] == field.one().coords
+            assert length(moved, t) == t, (order, signs)
+
+
 class TestKnownValues:
     def test_quartic_pythagoras_witness(self):
         f = make_field(Shape((6, 7)))

@@ -16,7 +16,7 @@ import math
 import re
 from functools import lru_cache
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable
 
 from .radicals import (
@@ -285,7 +285,8 @@ class Field:
             [(self.trace_of_coords(prod),) + pad for prod in row]
             for row in self._mul_tensor
         ]
-        return self.det_coords(gram)[0]
+        order = tuple(range(self.degree))
+        return self.minor(gram, order, order, {})[0]
 
     def _prepare_embedding_tables(self) -> None:
         # sigma(b) 2^96 is the sum of y_i s_i sqrt(r_i) 2^96 / 4 for b = y/4;
@@ -378,21 +379,25 @@ class Field:
 
     # coordinate arithmetic (hot paths stay on plain int tuples) -----------
 
-    def det_coords(self, m) -> tuple[int, ...]:
-        """Determinant of a square matrix of coordinate tuples, by cofactors."""
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        det = (0,) * self.degree
-        for j in range(n):
-            if not any(m[0][j]):
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = self.mul_coords(m[0][j], self.det_coords(minor))
-            if j % 2:
-                det = tuple(a - b for a, b in zip(det, term))
-            else:
-                det = tuple(a + b for a, b in zip(det, term))
+    def minor(self, m, rows: tuple, cols: tuple, memo: dict) -> tuple[int, ...]:
+        """det m[rows, cols] for a symmetric matrix m of coordinate tuples, by
+        expansion along the first row.  Minors of size >= 2 are memoized in
+        memo, which serves one matrix: m[rows, cols] and m[cols, rows] share
+        an entry."""
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        key = (rows, cols) if rows <= cols else (cols, rows)
+        det = memo.get(key)
+        if det is None:
+            det = (0,) * self.degree
+            first, below = m[rows[0]], rows[1:]
+            for j, c in enumerate(cols):
+                if any(first[c]):
+                    term = self.mul_coords(
+                        first[c], self.minor(m, below, cols[:j] + cols[j + 1 :], memo)
+                    )
+                    det = tuple(map(sub if j % 2 else add, det, term))
+            memo[key] = det
         return det
 
     def trace_of_coords(self, coords: tuple[int, ...]) -> int:
@@ -454,16 +459,17 @@ class Field:
         coordinate tuples.
 
         Leading minors alone are not sufficient for singular matrices, so
-        every principal minor is required to be totally nonnegative.
+        every principal minor is required to be totally nonnegative: the
+        diagonal entries first, then the larger minors through one memo.
         """
         r = len(m)
         for i in range(r):
             if not self.coords_totally_nonneg(m[i][i]):
                 return False
+        memo: dict = {}
         for size in range(2, r + 1):
             for subset in itertools.combinations(range(r), size):
-                minor = [[m[i][j] for j in subset] for i in subset]
-                if not self.coords_totally_nonneg(self.det_coords(minor)):
+                if not self.coords_totally_nonneg(self.minor(m, subset, subset, memo)):
                     return False
         return True
 

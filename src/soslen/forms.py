@@ -169,9 +169,10 @@ def gram_rank(gram: GramForm) -> int:
     """
     field = gram.field
     m = gram.doubled
+    memo: dict = {}  # one for all the minors, which share sub-minors
     for size in range(gram.rank, 0, -1):
         for subset in itertools.combinations(range(gram.rank), size):
-            if any(field.det_coords([[m[i][j] for j in subset] for i in subset])):
+            if any(field.minor(m, subset, subset, memo)):
                 return size
     return 0
 

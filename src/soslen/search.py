@@ -10,9 +10,10 @@ discard provably infeasible branches:
 
   * a branch dies when a principal minor of its remainder is proven
     negative at some embedding: the DFS carries the remainder's embedding
-    values as floats and cuts only when a float lies below minus an error
-    band fixed once per search (`_Screen`); a remainder the floats cannot
-    decide is searched on, and the exact leaf tests decide it;
+    values as floats, starting from those of G (`RowPool.root`), and cuts
+    only when a float lies below minus an error band fixed once per search
+    (`_Screen`); a remainder the floats cannot decide is searched on, and
+    the exact leaf tests decide it;
   * rows are nonincreasing, so when key * budget < trace(remainder) no
     completion exists;
   * at budget 1 the remainder must equal a candidate outer product, found
@@ -48,6 +49,10 @@ totally PSD; `RowPool` keeps exactly those rows.  It extends row prefixes
 one column at a time, keeps a prefix only while the leading block of
 G - vv^T stays totally PSD, and multiplies the off-diagonal entries of
 surviving prefixes only.
+
+Every minor is exact before it is read as a float: one memoized expansion,
+`Field.minor`, gives them all.  Both float screens, the pool's minor screens
+and the DFS's `_Screen`, bound vv^T by one `_column_bounds` per pool.
 
 Every verdict is exact: a prune fires only on a proof, from integer
 enclosures or from floats with a proven error band, and a representation is
@@ -386,46 +391,47 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
 _SCREEN_SLACK = 2.0**-30
 
 
-def _column_half_width(field: Field) -> float:
-    """A bound on the half-width of the interval of any column value,
-    divided by 2^table bits: its coordinates are below POOL_ROW_CAP."""
-    return field._table_width * field.degree * POOL_ROW_CAP * _MID_SCALE
+def _column_bounds(field: Field, icoords, columns) -> tuple[list[list[float]], list[list[float]]]:
+    """(bound, err): every value x of column a has |sigma_e(x)| <=
+    bound[a][e] and a float (`_Column.values`) within err[a][e] of it.  Both
+    are 0 for a column that holds only zero, and err is 0 with exact
+    embedding tables (degree 1).  Both float screens read these.
+
+    |sigma_e(x)| <= sqrt(sigma_e(G_aa)), read off the upper end of its
+    enclosure.  The float is the rounded midpoint of x's enclosure, whose
+    half-width is at most degree * POOL_ROW_CAP times the widest basis
+    enclosure, halved: a column value's coordinates are below POOL_ROW_CAP.
+    """
+    n_emb = len(field.embeddings)
+    absolute = field._table_width * field.degree * POOL_ROW_CAP * _MID_SCALE
+    bound = [[0.0] * n_emb for _ in columns]
+    err = [[0.0] * n_emb for _ in columns]
+    for a, values in enumerate(columns):
+        if values:
+            for e in range(n_emb):
+                hi = field.interval_of_coords(icoords[a][a], e)[1]
+                bound[a][e] = top = math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40)
+                if absolute:
+                    err[a][e] = 2.0**-52 * top + absolute
+    return bound, err
 
 
-def _minor(field: Field, icoords, memo: dict, rows: tuple, cols: tuple) -> tuple[int, ...]:
-    """det G[rows, cols] by expansion along the first row, memoized in memo;
-    G is symmetric, so G[rows, cols] and G[cols, rows] share one entry."""
-    key = (rows, cols) if rows <= cols else (cols, rows)
-    m = memo.get(key)
-    if m is None:
-        mul = field.mul_coords
-        m = icoords[rows[0]][cols[0]]
-        if len(rows) > 1:
-            m = mul(m, _minor(field, icoords, memo, rows[1:], cols[1:]))
-            for j in range(1, len(cols)):
-                g = icoords[rows[0]][cols[j]]
-                if any(g):
-                    t = mul(g, _minor(field, icoords, memo, rows[1:], cols[:j] + cols[j + 1 :]))
-                    m = tuple(map(sub if j % 2 else add, m, t))
-        memo[key] = m
-    return m
-
-
-def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
-    """Float tests for the principal minors of G - vv^T, per new column k.
+def _minor_screens(field: Field, icoords, bounds) -> list[list[tuple]]:
+    """Float tests for the principal minors of G - vv^T, per new column k,
+    for rows whose column values obey bounds (`_column_bounds`).
 
     For S = T + {k} with T a nonempty subset of the earlier columns,
     det(G_S - v_S v_S^T) = det(G_S) - v_S^T adj(G_S) v_S.  The determinant
-    and the adjugate are exact elements of O, read as floats D, A at each
-    embedding; a row prefix turns the minor into c0 - x (c1 + c2 x) in the
-    value x of column k.  Each test is (e, D, pairs, cross, A_kk, band):
-    pairs holds (a, b, A_ab) for a = b and (a, b, 2 A_ab) for a < b in T,
-    cross holds (a, 2 A_ka) for a in T, and band >= |computed - exact|:
+    and the adjugate are exact elements of O (`Field.minor`), read as floats
+    D, A at each embedding; a row prefix turns the minor into
+    c0 - x (c1 + c2 x) in the value x of column k.  Each test is
+    (e, D, pairs, cross, A_kk, band): pairs holds (a, b, A_ab) for a = b and
+    (a, b, 2 A_ab) for a < b in T, cross holds (a, 2 A_ka) for a in T, and
+    band >= |computed - exact|:
       * rad: the distance of D and of every A_ab from the exact value,
         times the bounds s_a s_b on |sigma_e(v_a v_b)|;
-      * vterm: each column float is within e_a = 2^-52 |value| + `absolute`
-        of sigma_e(x), which moves v_a v_b by at most
-        e_a (s_b + e_b) + e_b (s_a + e_a);
+      * vterm: each column float is within e_a of sigma_e(x), which moves
+        v_a v_b by at most e_a (s_b + e_b) + e_b (s_a + e_a);
       * rounding: at most (2|S|^2 + 4) 2^-53 times mag, the sum of the
         absolute values of all terms, which 2^-30 mag covers with room for
         the rounding of band itself.  With exact embedding tables (degree 1)
@@ -437,18 +443,7 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
     r = len(icoords)
     n_emb = len(field.embeddings)
     width = field._table_width
-    absolute = _column_half_width(field)
-    # bound[a][e] >= |sigma_e(x)| for every x in column a, err[a][e] >= the
-    # error of its float; both are 0 for a column that holds only zero
-    bound = [[0.0] * n_emb for _ in range(r)]
-    err = [[0.0] * n_emb for _ in range(r)]
-    for a in range(r):
-        if columns[a]:
-            for e in range(n_emb):
-                hi = field.interval_of_coords(icoords[a][a], e)[1]
-                bound[a][e] = math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40)
-                # exact tables give integer coordinates exact floats
-                err[a][e] = 2.0**-52 * bound[a][e] + absolute if width else 0.0
+    bound, err = bounds
     minors: dict = {}  # shared by all screens
     screens: list[list[tuple]] = [[] for _ in range(r)]
     for k in range(1, r):
@@ -457,12 +452,12 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
             for subset in itertools.combinations(range(k), size):
                 S = subset + (k,)
                 n = len(S)
-                det = _minor(field, icoords, minors, S, S)
+                det = field.minor(icoords, S, S, minors)
                 # adj(G_S) is symmetric; entry (p, q) is the (q, p) cofactor
                 cof = {}
                 for p in range(n):
                     for q in range(p, n):
-                        c = _minor(field, icoords, minors, S[:q] + S[q + 1 :], S[:p] + S[p + 1 :])
+                        c = field.minor(icoords, S[:q] + S[q + 1 :], S[:p] + S[p + 1 :], minors)
                         cof[p, q] = tuple(map(neg, c)) if (p + q) % 2 else c
                 if not any(det) and not any(any(c) for c in cof.values()):
                     continue
@@ -522,10 +517,11 @@ def _outer_floats(row, pairs) -> tuple[float, ...]:
     )
 
 
-def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
+def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     """(key, flat, cols, outer, floats) of every sign-normalized row v whose
     columns are column values and for which G - vv^T is totally PSD; floats
-    holds vv^T at every embedding, as `_outer_floats` lays it out.
+    holds vv^T at every embedding, as `_outer_floats` lays it out, and
+    bounds are the columns' (`_column_bounds`).
 
     Rows grow one column at a time.  A prefix is (its column records, the
     upper triangle of its outer product in column order, entry (i, j) at
@@ -545,7 +541,7 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
     zero_entry = (0,) * d
     zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
     mul = field.mul_coords
-    screens = _minor_screens(field, icoords, columns)
+    screens = _minor_screens(field, icoords, bounds)
     slot_order = [j * (j + 1) // 2 + i for i in range(r) for j in range(i, r)]
     slot_pairs = _slot_pairs(r)
     prefixes = [((v,), (v.square,), True) for v in columns[0]]
@@ -693,25 +689,24 @@ class _Screen:
     """The DFS prune: a remainder is cut only when a principal minor of it is
     proven negative at some embedding, read from floats the DFS carries.
 
-    The DFS starts from the floats of rem0 (`Field.floats_of_coords`) and
-    subtracts a row's floats `_outer_floats` per child.  The minors are
-    evaluated level by level, all embeddings at once (`_minor_levels`), and
-    each level is tested as soon as it is computed; the full minor is built
-    from the smaller ones, so testing those on the way costs nothing.  Bands
-    are fixed once per search of budget s, per embedding e:
-      * entries: every column value x of the pool has sigma_e(x)^2 at most
-        the diagonal entry of G in its column, so |sigma_e(x)| <= B, the
-        root of the largest upper end of sigma_e(G_jj), and its float is
-        within eps = 2^-52 B plus the interval half-width of
-        `_column_half_width`.  With B' = B + eps an entry of vv^T and its
-        float, one rounded product, are at most B'^2, and the float is
-        within delta = 2 eps B' + 2^-53 B'^2;
-      * remainders: a path subtracts at most s rows from rem0, whose entries
+    The DFS starts from the floats of the pool's root G
+    (`Field.floats_of_coords`) and subtracts a row's floats `_outer_floats`
+    per child.  The minors are evaluated level by level, all embeddings at
+    once (`_minor_levels`), and each level is tested as soon as it is
+    computed; the full minor is built from the smaller ones, so testing
+    those on the way costs nothing.  Bands are fixed once per search of
+    budget s, per embedding e:
+      * entries: every column value x of the pool has |sigma_e(x)| <= B and
+        a float within eps of it, the largest of the column bounds and of
+        their errors (`_column_bounds`).  With B' = B + eps an entry of vv^T
+        and its float, one rounded product, are at most B'^2, and the float
+        is within delta = 2 eps B' + 2^-53 B'^2;
+      * remainders: a path subtracts at most s rows from G, whose entries
         and their floats are at most N with floats within eta0, so every
         remainder entry and its float are at most E = N + s B'^2 (times
         1 + 2^-50) plus eta, where eta = eta0 + s (delta + 2^-52 E) bounds
         the error of its float: each subtraction adds one row error and one
-        rounding.  For rem0 = G, N <= max_j sigma_e(G_jj) and E is about
+        rounding.  N <= max_j sigma_e(G_jj), so E is about
         (s + 1) max_j sigma_e(G_jj);
       * a size-k minor of floats within eta of entries at most E differs
         from the exact one by at most k! k eta E'^(k-1), with E' = E + eta,
@@ -729,54 +724,43 @@ class _Screen:
     verdict: the leaf tests are exact.
     """
 
-    def __init__(self, field: Field, rank: int, gram) -> None:
-        """For a pool of rows whose columns fit the diagonal of gram, the
-        flat Gram the pool was built for."""
-        n_emb = len(field.embeddings)
-        width = rank * (rank + 1) // 2
-        self.field, self.rank, self.n_emb, self.width = field, rank, n_emb, width
-        self.levels, self.diag_of = _screen_indices(rank, n_emb)
+    def __init__(self, field: Field, root, bounds) -> None:
+        """For a pool whose flat Gram is root and whose column values obey
+        bounds (`_column_bounds`)."""
+        bound, err = bounds
+        r = len(bound)
+        d = field.degree
+        self.rank = r
+        self.levels, self.diag_of = _screen_indices(r, len(field.embeddings))
         self.exact_tables = field._table_width == 0
-        self.factorials = [math.factorial(k) for k in range(rank + 1)]
-        self.gram = gram
-        self.gram_floats, self.gram_sizes, self.gram_error = self.floats_of(gram)
-        absolute = _column_half_width(field)
-        diagonal = self.diag_of(self.gram_floats)
+        self.factorials = [math.factorial(k) for k in range(r + 1)]
+        # the floats of root, laid out as `_outer_floats`, eta0, their largest
+        # error, and per embedding the largest entry plus eta0
+        values, errs = zip(
+            *[field.floats_of_coords(root[t : t + d]) for t in range(0, len(root), d)]
+        )
+        self.eta0 = eta0 = max(errs)
+        self.root_floats = list(itertools.chain.from_iterable(values))
+        self.sizes = [(max(map(abs, at)) + eta0) * (1 + 2.0**-50) for at in zip(*values)]
         # entry[e] >= |sigma_e(v_i v_j)| and its float, delta[e] >= its error
         self.entry: list[float] = []
         self.delta: list[float] = []
-        for e in range(n_emb):
-            top = max(diagonal[e::n_emb]) + self.gram_error
-            bound = math.sqrt(max(top, 0.0)) * (1 + 2.0**-40)
-            eps = 0.0 if self.exact_tables else 2.0**-52 * bound + absolute
-            big = bound + eps
+        for tops, epss in zip(zip(*bound), zip(*err)):
+            eps = max(epss)
+            big = max(tops) + eps
             entry = big * big * (1 + 2.0**-50)
             self.entry.append(entry)
             self.delta.append((2 * eps * big + 2.0**-53 * entry) * (1 + 2.0**-50))
 
-    def floats_of(self, rem) -> tuple[list[float], list[float], float]:
-        """The floats of a flat remainder, laid out as `_outer_floats`, per
-        embedding the largest entry plus the error, and eta0, the largest
-        error."""
-        d = self.field.degree
-        floats_of = self.field.floats_of_coords
-        values, errs = zip(*[floats_of(rem[t * d : (t + 1) * d]) for t in range(self.width)])
-        eta0 = max(errs)
-        sizes = [(max(map(abs, at)) + eta0) * (1 + 2.0**-50) for at in zip(*values)]
-        return list(itertools.chain.from_iterable(values)), sizes, eta0
-
-    def start(self, rem0, budget: int) -> tuple[list[float], list[float], list[list[float]]]:
-        """The floats of rem0, the diagonal bands and, per level, the negated
-        minor bands, for a search of `budget` rows from rem0."""
-        if rem0 == self.gram:
-            floats, sizes, eta0 = self.gram_floats, self.gram_sizes, self.gram_error
-        else:
-            floats, sizes, eta0 = self.floats_of(rem0)
+    def start(self, budget: int) -> tuple[list[float], list[float], list[list[float]]]:
+        """The floats of the root, the diagonal bands and, per level, the
+        negated minor bands, for a search of `budget` rows from the root."""
+        eta0 = self.eta0
         r = self.rank
         factorials = self.factorials
         diag: list[float] = []  # per embedding
         per_level: list[list[float]] = [[] for _ in self.levels]
-        for top, entry, delta in zip(sizes, self.entry, self.delta):
+        for top, entry, delta in zip(self.sizes, self.entry, self.delta):
             reach = (top + budget * entry) * (1 + 2.0**-50)
             if self.exact_tables and eta0 == 0 and factorials[r] * reach**r < 2.0**52:
                 diag.append(0.0)
@@ -789,7 +773,7 @@ class _Screen:
             for k, (level, (_, _, principal)) in enumerate(zip(per_level, self.levels), 2):
                 band = factorials[k] * (k * eta * reach ** (k - 1) + k * k * 2.0**-52 * reach**k)
                 level += [-band * (1 + 2.0**-20)] * principal
-        return floats, diag * r, per_level
+        return self.root_floats, diag * r, per_level
 
     def rejects(self, f, level_bands) -> bool:
         """Whether some principal minor of size >= 2 of the remainder with
@@ -837,22 +821,24 @@ class RowPool:
             raise SearchSpaceError(
                 f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
-        decorated = _fitting_rows(field, icoords, columns)
+        bounds = _column_bounds(field, icoords, columns)
+        decorated = _fitting_rows(field, icoords, columns, bounds)
         # by (key, flat); flat is unique, so later fields are never compared
         decorated.sort(reverse=True)
         self.cols = [t[2] for t in decorated]
         self.keys = [t[0] for t in decorated]
         self.outers = [t[3] for t in decorated]
         self.floats = [t[4] for t in decorated]
-        self.screen = _Screen(field, r, self.remainder_of(icoords))
+        # remainders, outer products and pool rows are flat int tuples of
+        # length r(r+1)/2 * d: upper-triangle slots (`_slot_pairs`), d
+        # coordinates per slot; root is G's
+        self.root = tuple(c for i in range(r) for j in range(i, r) for c in icoords[i][j])
+        self.zero_flat = (0,) * len(self.root)
+        self.screen = _Screen(field, self.root, bounds)
         diag = self.screen.diag_of
         self.diag_floats = self.floats if r == 1 else [diag(f) for f in self.floats]
         self.neg_keys = [-k for k in self.keys]
         self.outer_index = {o: i for i, o in enumerate(self.outers)}
-        # remainders, outer products and pool rows are flat int tuples of
-        # length r(r+1)/2 * d: upper-triangle slots (`_slot_pairs`), d
-        # coordinates per slot
-        self.zero_flat = (0,) * (r * (r + 1) // 2 * d)
         traces = field._basis_traces
         self.trace_slots = [
             (t * d + i, traces[i])
@@ -873,12 +859,6 @@ class RowPool:
     def __len__(self) -> int:
         return len(self.cols)
 
-    def remainder_of(self, icoords) -> tuple[int, ...]:
-        r = self.rank
-        return tuple(
-            c for i in range(r) for j in range(i, r) for c in icoords[i][j]
-        )
-
     def trace_of(self, rem) -> int:
         return sum(rem[pos] * w for pos, w in self.trace_slots)
 
@@ -890,8 +870,9 @@ class RowPool:
         )
 
 
-def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
-    """Indices of at most `budget` nonincreasing pool rows summing to rem0.
+def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
+    """Indices of at most `budget` nonincreasing pool rows summing to the
+    pool's root G.
 
     A node carries its remainder exactly, as floats and by trace.  A child
     is cut when its diagonal or, once it would be searched further, one of
@@ -908,7 +889,7 @@ def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
     supports = pool.column_supports
     screen = pool.screen
     diag_of = screen.diag_of
-    root, diag_band, level_bands = screen.start(rem0, budget)
+    root_floats, diag_band, level_bands = screen.start(budget)
     rejects = screen.rejects if screen.levels else None
     memo_get = memo.get
 
@@ -990,7 +971,8 @@ def _search(pool: RowPool, rem0, budget: int, memo: dict) -> list[int] | None:
                 memo[(rem, budget)] = start
         return None
 
-    return dfs(rem0, root, pool.trace_of(rem0), budget, 0)
+    root = pool.root
+    return dfs(root, root_floats, pool.trace_of(root), budget, 0)
 
 
 def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certificate:
@@ -1021,8 +1003,7 @@ def represent(gram: GramForm, budget: int) -> SearchOutcome:
     if not totally_psd(gram):
         return NotTotallyPsd()
     pool = RowPool(gram, icoords)
-    rem0 = pool.remainder_of(icoords)
-    indices = _search(pool, rem0, budget, {})
+    indices = _search(pool, budget, {})
     if indices is None:
         return Unsat(budget)
     return Represented(_certificate(pool, gram, indices))
@@ -1051,14 +1032,13 @@ def length_certificate(
     pool = RowPool(gram, icoords)
     if len(pool) == 0:
         return ExceedsBound(s_max)
-    rem0 = pool.remainder_of(icoords)
-    tr0 = pool.trace_of(rem0)
+    tr0 = pool.trace_of(pool.root)
     lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
     if lower > s_max:
         return ExceedsBound(s_max)
     memo: dict = {}
     for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
-        indices = _search(pool, rem0, s, memo)
+        indices = _search(pool, s, memo)
         if indices is not None:
             return len(indices), _certificate(pool, gram, indices)
     return ExceedsBound(s_max)

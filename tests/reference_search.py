@@ -18,6 +18,7 @@ from soslen import Certificate, GramForm, Represented, Unsat, verify_certificate
 from soslen.search import (
     SEARCH_CACHE_CAP,
     _Column,
+    _column_bounds,
     _column_values,
     _outer_floats,
     _Screen,
@@ -67,7 +68,8 @@ class ProductPool:
         self.slots = [(i, j) for i in range(r) for j in range(i, r)]
         self.diag_slots = [self.slots.index((j, j)) for j in range(r)]
         self.slot_of = {ij: s for s, ij in enumerate(self.slots)}
-        self.screen = _Screen(field, r, self.remainder_of(icoords))
+        self.root = tuple(c for i, j in self.slots for c in icoords[i][j])
+        self.screen = _Screen(field, self.root, _column_bounds(field, icoords, columns))
         self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
         # (start, end, indices) per column that some rows leave zero and
         # others not: where its diagonal lies in a flat remainder, and the
@@ -84,9 +86,6 @@ class ProductPool:
 
     def entry(self, rem, slot: int) -> tuple[int, ...]:
         return rem[slot * self.degree : (slot + 1) * self.degree]
-
-    def remainder_of(self, icoords) -> tuple[int, ...]:
-        return tuple(c for i, j in self.slots for c in icoords[i][j])
 
     def trace_of(self, rem) -> int:
         return sum(self.field.trace_of_coords(self.entry(rem, s)) for s in self.diag_slots)
@@ -241,7 +240,7 @@ def reference_represent(gram: GramForm, budget: int) -> Represented | Unsat:
     icoords = gram.integral_coords()
     assert icoords is not None, "the reference search takes integral Grams"
     pool = ProductPool(gram, icoords)
-    indices = reference_search(pool, pool.remainder_of(icoords), budget)
+    indices = reference_search(pool, pool.root, budget)
     if indices is None:
         return Unsat(budget)
     cert = Certificate(gram.field, gram.rank, pool.rows_as_elements(indices))

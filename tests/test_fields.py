@@ -1,5 +1,6 @@
 """Integral bases, membership and ring arithmetic of the field layer."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -301,3 +302,100 @@ class TestElementOps:
         f1, f2 = make_field(Shape((2,))), make_field(Shape((3,)))
         with pytest.raises(ValueError):
             f1.one() + f2.one()
+
+
+def leibniz_det(entries, rows, cols):
+    """det entries[rows, cols] of Radicals as the signed sum over
+    permutations, in Radical arithmetic only."""
+    total = Radical.zero(entries[0][0].shape)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Radical.one(total.shape)
+        for i, j in zip(rows, perm):
+            term = term * entries[i][cols[j]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _symmetric_radicals(rng, field, n, kind):
+    """A symmetric n x n matrix of integral Radicals: a sum of outer
+    products (kind "psd", or "indefinite" with signs), plain random
+    entries, one of those with its last index a copy of its first
+    ("copy"), or a sum of outer products with its second row and column
+    zero, so that only principal minors off the leading ones can be
+    negative ("zero")."""
+    shape = field.shape
+
+    def element():
+        coords = tuple(rng.randint(-2, 2) for _ in range(field.degree))
+        return field.radical_of_coords(coords)
+
+    if kind == "copy":
+        inner = _symmetric_radicals(rng, field, n - 1, rng.choice(("psd", "random")))
+        index = list(range(n - 1)) + [0]
+        return [[inner[a][b] for b in index] for a in index]
+    if kind == "zero":
+        # plus x^2, k x y, y^2 at 0 and n - 1, k >= 2: on its own, a totally
+        # nonnegative diagonal with a negative minor
+        m = _symmetric_radicals(rng, field, n, "psd")
+        x, y, last = element(), element(), n - 1
+        m[0][0] = m[0][0] + x * x
+        m[last][last] = m[last][last] + y * y
+        m[0][last] = m[last][0] = m[0][last] + (x * y).scale(rng.choice((2, 3)))
+        zero = Radical.zero(shape)
+        return [[zero if 1 in (i, j) else e for j, e in enumerate(row)] for i, row in enumerate(m)]
+    if kind == "random":
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = element()
+        return m
+    m = [[Radical.zero(shape)] * n for _ in range(n)]
+    for k in range(rng.randint(1, n + 1)):
+        v = [element() for _ in range(n)]
+        sign = -1 if kind == "indefinite" and (k == 0 or rng.random() < 0.5) else 1
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = m[i][j] + (v[i] * v[j]).scale(sign)
+    return m
+
+
+class TestMinors:
+    """`Field.minor` and `Field.coords_psd` against Leibniz determinants in
+    `Radical` arithmetic and exact `sign_at`, which share no code with the
+    coordinate multiplication."""
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (10, 65)], ids=str)
+    def test_minors_and_psd_match_radical_determinants(self, radicands):
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"minors:{radicands}")
+        kinds = ("psd", "indefinite", "random", "copy", "zero")
+        seen = {"psd": 0, "not psd": 0, "singular": 0}
+        for trial in range(25 if field.degree < 4 else 15):
+            n = rng.randint(2, 4)
+            entries = _symmetric_radicals(rng, field, n, kinds[trial % len(kinds)])
+            m = [[field.coords_of(x) for x in row] for row in entries]
+            pairs = [
+                (rows, cols)
+                for size in range(1, n + 1)
+                for rows in itertools.combinations(range(n), size)
+                for cols in itertools.combinations(range(n), size)
+            ]
+            rng.shuffle(pairs)
+            shared: dict = {}
+            for rows, cols in pairs:
+                det = field.minor(m, rows, cols, shared)
+                assert det == field.minor(m, rows, cols, {}), (rows, cols)
+                oracle = leibniz_det(entries, rows, cols)
+                assert field.radical_of_coords(det) == oracle, (rows, cols)
+            psd = all(
+                leibniz_det(entries, subset, subset).sign_at(emb) >= 0
+                for size in range(1, n + 1)
+                for subset in itertools.combinations(range(n), size)
+                for emb in field.embeddings
+            )
+            assert field.coords_psd(m) == psd, entries
+            seen["psd" if psd else "not psd"] += 1
+            full = tuple(range(n))
+            seen["singular"] += leibniz_det(entries, full, full).is_zero()
+        assert all(seen.values()), seen

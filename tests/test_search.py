@@ -33,7 +33,14 @@ from soslen import (
     verify_certificate,
 )
 from soslen import search
-from soslen.search import RowPool, SearchSpaceError, _column_values, _coordinate_range, _search
+from soslen.search import (
+    RowPool,
+    SearchSpaceError,
+    _column_bounds,
+    _column_values,
+    _coordinate_range,
+    _search,
+)
 from soslen.suite import _random_rows
 from reference_scan import half_box_scan
 from reference_search import (
@@ -633,6 +640,64 @@ class TestColumnScan:
                 assert first <= x[i] <= last, (diag, x, i)
 
 
+class TestColumnBounds:
+    """`_column_bounds`, which both float screens read, holds every column
+    record, checked against the records' exact integer enclosures."""
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_bounds_hold_every_column_record(self, shape):
+        field = make_field(shape)
+        rng = random.Random(97 + sum(shape.radicands))
+        d = field.degree
+        n_emb = len(field.embeddings)
+        scale = F(2**96)
+        spread = 2 if d < 4 else 1
+        zero_columns = records = 0
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                # the last column of every other Gram is zero in every row
+                zero_last = rank > 1 and rng.random() < 0.5
+                rows = [
+                    tuple(
+                        field.zero()
+                        if zero_last and j == rank - 1
+                        else field.element_from_coords(_random_element(rng, field, spread))
+                        for j in range(rank)
+                    )
+                    for _ in range(rng.randint(1, 3))
+                ]
+                icoords = GramForm.from_rows(field, rows).integral_coords()
+                columns = [_column_values(field, icoords[j][j]) for j in range(rank)]
+                bound, err = _column_bounds(field, icoords, columns)
+                for a, values in enumerate(columns):
+                    if not values:
+                        zero_columns += 1
+                        assert bound[a] == err[a] == [0.0] * n_emb
+                    for v in values:
+                        records += 1
+                        for e in range(n_emb):
+                            lo, hi = field.interval_of_coords(v.coords, e)
+                            # sigma_e(x) lies in [lo, hi] / 2^96
+                            assert max(abs(lo), abs(hi)) <= F(bound[a][e]) * scale, (v, e)
+                            value = F(v.values[e]) * scale
+                            distance = max(abs(value - lo), abs(value - hi))
+                            assert distance <= F(err[a][e]) * scale, (v, e)
+                if d == 1:
+                    assert not any(map(any, err))
+        assert zero_columns and records > 30, (zero_columns, records)
+
+    def test_a_nonzero_diagonal_without_values_gets_zero(self):
+        # 2 - sqrt2 is totally positive, and no nonzero x in Z[sqrt2] has
+        # x^2 <= 2 - sqrt2 at both embeddings
+        diag = (2, -1)
+        assert _column_values(Q2, diag) == ()
+        icoords = [[diag, (1, 0)], [(1, 0), (2, 0)]]
+        columns = [_column_values(Q2, diag), _column_values(Q2, (2, 0))]
+        bound, err = _column_bounds(Q2, icoords, columns)
+        assert bound[0] == err[0] == [0.0, 0.0]
+        assert all(bound[1]) and all(err[1])
+
+
 class TestPrunedPoolDifferential:
     """`RowPool` keeps only rows v with G - vv^T totally PSD; the full
     product of column values, `ProductPool`, is the reference."""
@@ -679,10 +744,9 @@ class TestPrunedPoolDifferential:
                 if len(full) <= 150:
                     assert type(fast) is type(reference_represent(gram, budget))
             # the first witness of the ordered search over the product pool
-            rem0 = full.remainder_of(icoords)
             for budget in range(1, t):
-                assert _search(full, rem0, budget, {}) is None
-            indices = _search(full, rem0, t, {})
+                assert _search(full, budget, {}) is None
+            indices = _search(full, t, {})
             assert cert.rows == full.rows_as_elements(indices)
 
 
@@ -701,14 +765,13 @@ def _searched_like_length(gram, s_max):
     budgets `length_certificate` tries, up to the first representation."""
     icoords = gram.integral_coords()
     pool = RowPool(gram, icoords)
-    rem0 = pool.remainder_of(icoords)
-    tr0 = pool.trace_of(rem0)
+    tr0 = pool.trace_of(pool.root)
     lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
     fast, slow = CountingMemo(), CountingMemo()
     found = []
     for budget in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
         found.append(
-            (_search(pool, rem0, budget, fast), exact_prune_search(pool, rem0, budget, slow))
+            (_search(pool, budget, fast), exact_prune_search(pool, pool.root, budget, slow))
         )
         if found[-1][0] is not None:
             break
@@ -803,8 +866,8 @@ class TestFloatScreen:
         )
         budget = data.draw(st.integers(len(picks), 6), label="budget")
         screen = pool.screen
-        rem = pool.remainder_of(icoords)
-        remf, diag_band, level_bands = screen.start(rem, budget)
+        rem = pool.root
+        remf, diag_band, level_bands = screen.start(budget)
         if field.degree == 1:
             assert not any(diag_band) and not any(map(any, level_bands))
         for idx in picks:
@@ -836,8 +899,8 @@ class TestFloatScreen:
                     icoords = gram.integral_coords()
                     pool = RowPool(gram, icoords)
                     screen = pool.screen
-                    rem0 = pool.remainder_of(icoords)
-                    root, diag_band, level_bands = screen.start(rem0, 3)
+                    rem0 = pool.root
+                    root, diag_band, level_bands = screen.start(3)
                     caps = list(map(add, screen.diag_of(root), diag_band))
                     for idx, outer in enumerate(pool.outers):
                         rem = tuple(map(sub, rem0, outer))
@@ -909,14 +972,13 @@ class TestColumnSupports:
                 assert start % field.degree == 0 and end - start == field.degree
                 assert support == sorted(support) and 0 < len(support) < len(pool)
             watched = [(a, b, WatchedSupport(support)) for a, b, support in pool.column_supports]
-            rem0 = pool.remainder_of(icoords)
             for budget in range(1, s_max + 1):
                 pool.column_supports = watched
                 with_supports = CountingMemo()
-                ours = _search(pool, rem0, budget, with_supports)
+                ours = _search(pool, budget, with_supports)
                 pool.column_supports = []
                 scan_only = CountingMemo()
-                assert ours == _search(pool, rem0, budget, scan_only), budget
+                assert ours == _search(pool, budget, scan_only), budget
                 assert with_supports.lookups == scan_only.lookups, budget
             if perp:
                 taken_on_perp += sum(support.slices for _, _, support in watched)

@@ -70,8 +70,12 @@ class CertificateDocument:
     __slots__ = ("field", "gram", "_entries")
 
     def __init__(self, field: Field, gram: GramForm, rows) -> None:
+        if gram.field != field:
+            raise ValueError("gram matrix must live in the field")
         entries = []
         for row in rows:
+            if len(row) != gram.rank:
+                raise ValueError("row dimension must equal the rank")
             out = []
             for v in row:
                 coords = field.coords_of(v)
@@ -136,6 +140,8 @@ def _layout(field: Field):
 
 
 def document_from_certificate(gram: GramForm, cert: Certificate) -> CertificateDocument:
+    if cert.field != gram.field or cert.rank != gram.rank:
+        raise ValueError("certificate field and rank must match the gram matrix")
     return CertificateDocument._of_entries(gram.field, gram, cert.rows)
 
 

@@ -6,11 +6,17 @@ integer Gram matrix of rank at most rd.  Re-representing that matrix as a
 sum of squares over Z and lifting the rows back along the basis compresses
 the original certificate to at most g(rd) squares, where g is the exact
 table value for integer forms.
+
+With V the input rows' coordinate vectors and W the compressed rows,
+W^T W = V^T V (verified by `represent`), so the lifted rows have exactly the
+Gram of the input rows: `descend` checks only the certificate it returns,
+which verifies exactly when the input does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .fields import Field
 from .forms import Certificate, GramForm, verify_certificate
@@ -61,46 +67,14 @@ class ExpandedGram:
 
 
 def expand(problem: DescentProblem) -> ExpandedGram:
-    """Decompose certificate entries over the integral basis and assemble
-    the integer Gram of the coordinate vectors."""
-    check = verify_certificate(problem.gram, problem.input_cert)
-    if not check.ok:
-        raise CertificateInvalidError(check.reason or "certificate does not verify")
-    field = problem.field
-    d = field.degree
+    """The integer Gram V^T V of the rows' integral-basis coordinate vectors V,
+    a pure expansion: whether the rows certify the Gram is not checked."""
+    d = problem.field.degree
     r = problem.gram.rank
     rows = problem.input_cert.rows
-    n = len(rows)
-    vectors = []
-    for j in range(r):
-        for i in range(d):
-            vectors.append(tuple(rows[k][j].coords[i] for k in range(n)))
-    rd = r * d
-    zgram = tuple(
-        tuple(sum(a * b for a, b in zip(vectors[p], vectors[q])) for q in range(rd))
-        for p in range(rd)
-    )
-    expanded = ExpandedGram(r, d, zgram)
-    _check_expansion(problem, expanded)
-    return expanded
-
-
-def _check_expansion(problem: DescentProblem, e: ExpandedGram) -> None:
-    """Lifting the expanded generators must reproduce the original Gram:
-    the basis products weighted by twice the integer Gram give the
-    coordinates of 2G."""
-    tensor = problem.field._mul_tensor
-    d, r = e.degree, e.rank
-    for j in range(r):
-        for j2 in range(r):
-            total = [0] * d
-            for i in range(d):
-                for i2 in range(d):
-                    z = 2 * e.zgram[j * d + i][j2 * d + i2]
-                    if z:
-                        for k, t in enumerate(tensor[i][i2]):
-                            total[k] += z * t
-            assert tuple(total) == problem.gram.doubled[j][j2], "expansion lost exactness"
+    vectors = [tuple(row[j].coords[i] for row in rows) for j in range(r) for i in range(d)]
+    zgram = tuple(tuple(sum(map(mul, u, v)) for v in vectors) for u in vectors)
+    return ExpandedGram(r, d, zgram)
 
 
 def compress(e: ExpandedGram, target: int) -> tuple[tuple[int, ...], ...]:
@@ -141,14 +115,28 @@ def lift(
     return Certificate(field, r, tuple(rows))
 
 
+def _input_failure(problem: DescentProblem) -> str | None:
+    """Why the input does not certify the problem's Gram, or None."""
+    if problem.gram.field != problem.field:
+        return "field-mismatch"
+    return verify_certificate(problem.gram, problem.input_cert).reason
+
+
 def descend(problem: DescentProblem, target: int | None = None) -> Certificate:
     """Compress a certificate to at most g(rank * degree) squares.
 
     The compression budget never exceeds the input row count: the stacked
     coordinate matrix is itself a witness of that size, so a certificate
     already at or under the table value cannot grow.
+
+    Only the returned certificate is verified.  An input that does not verify
+    raises CertificateInvalidError, whatever the target; a valid input whose
+    lift does not verify raises AssertionError.
     """
-    rd = problem.gram.rank * problem.field.degree
+    field, gram, cert = problem.field, problem.gram, problem.input_cert
+    if cert.rank != gram.rank or not field == gram.field == cert.field:
+        raise CertificateInvalidError(_input_failure(problem))  # expand would misindex
+    rd = gram.rank * field.degree
     if target is None:
         entry = g_table(rd)
         if not isinstance(entry, Exact):
@@ -157,10 +145,14 @@ def descend(problem: DescentProblem, target: int | None = None) -> Certificate:
             )
         target = entry.value
     e = expand(problem)
-    budget = min(target, len(problem.input_cert.rows))
-    w = compress(e, budget)
-    out = lift(w, e, problem.field)
-    check = verify_certificate(problem.gram, out)
-    assert check.ok, f"lifted certificate does not verify: {check.reason}"
+    try:
+        out = lift(compress(e, min(target, len(cert.rows))), e, field)
+        check = verify_certificate(gram, out)
+        if not check.ok:
+            raise AssertionError(f"lifted certificate does not verify: {check.reason}")
+    except (CompressionError, AssertionError):
+        if failure := _input_failure(problem):
+            raise CertificateInvalidError(failure) from None
+        raise
     assert len(out.rows) <= target
     return out

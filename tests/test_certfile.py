@@ -173,6 +173,22 @@ class TestIntegrity:
         gram, cert = to_certificate(doc_two_ones())
         assert len(cert.rows) == 2
 
+    def test_document_rows_must_match_the_rank(self):
+        # such a document would be emitted as one that parse_certificate refuses
+        gram = GramForm.from_rows(Q, [(Q.one(), Q.one())])
+        with pytest.raises(ValueError, match="row dimension"):
+            CertificateDocument(Q, gram, [(Radical.one(Shape(())),)])
+        with pytest.raises(ValueError, match="rank"):
+            document_from_certificate(gram, Certificate(Q, 1, ((Q.one(),),)))
+
+    def test_document_gram_must_live_in_the_field(self):
+        gram = GramForm.from_element(Q.element_from_coords((2,)))
+        one = Radical.one(Shape((2,)))
+        with pytest.raises(ValueError, match="field"):
+            CertificateDocument(Q2, gram, [(one,), (one,)])
+        with pytest.raises(ValueError, match="field"):
+            document_from_certificate(gram, Certificate(Q2, 1, ((Q2.one(),),)))
+
 
 # Shapes of the differential test: Q, quadratic, biquadratic, and two
 # biquadratic shapes whose radicands share a factor, where the written

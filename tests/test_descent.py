@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from soslen import descent
 from soslen import (
     Certificate,
     CertificateInvalidError,
@@ -54,12 +55,6 @@ class TestExpand:
         e = expand(DescentProblem(Q, gram, cert))
         assert e.zgram == ((9,),)
 
-    def test_invalid_certificate_rejected(self):
-        gram = GramForm.from_element(Q2.element_from_coords((10, 0)))
-        cert = Certificate(Q2, 1, ((Q2.one(),),))
-        with pytest.raises(CertificateInvalidError):
-            expand(DescentProblem(Q2, gram, cert))
-
     def test_expansion_reproduces_gram_randomized(self):
         rng = random.Random(53)
         for shape in (Shape((2,)), Shape((5,)), Shape((6, 7))):
@@ -79,8 +74,19 @@ class TestExpand:
                 if not rows:
                     continue
                 gram = GramForm.from_rows(f, rows)
-                cert = Certificate(f, r, tuple(rows))
-                expand(DescentProblem(f, gram, cert))  # asserts internally
+                problem = DescentProblem(f, gram, Certificate(f, r, tuple(rows)))
+                e = expand(problem)
+                # V: one line per certificate row, its coordinates stacked
+                v = tuple(tuple(c for x in row for c in x.coords) for row in rows)
+                rd = r * f.degree
+                vtv = tuple(
+                    tuple(sum(line[p] * line[q] for line in v) for q in range(rd))
+                    for p in range(rd)
+                )
+                assert e.zgram == vtv
+                assert lift(v, e, f).rows == tuple(rows)
+                out = descend(problem, target=len(rows))
+                assert verify_certificate(gram, out).ok
 
 
 class TestCompressAndLift:
@@ -167,6 +173,65 @@ class TestDescend:
             assert len(out.rows) <= entry.value
             assert len(out.rows) <= max(len(rows), 0) or not rows
             assert verify_certificate(gram, out).ok
+
+
+class TestDescendContract:
+    """descend verifies only the certificate it returns; the input is
+    checked again only to name a failure."""
+
+    @staticmethod
+    def seven_ones_for_eight():
+        gram = GramForm.from_element(Q.element_from_coords((8,)))
+        cert = Certificate(Q, 1, tuple((Q.one(),) for _ in range(7)))
+        return DescentProblem(Q, gram, cert)
+
+    @pytest.mark.parametrize("target", [None, 3], ids=["table", "below-rows"])
+    def test_gram_mismatch_is_invalid_at_any_target(self, target):
+        # 7 = 4 + 1 + 1 + 1 compresses at the table target 4, not at 3
+        p = self.seven_ones_for_eight()
+        with pytest.raises(CertificateInvalidError) as err:
+            descend(p, target=target)
+        reason = verify_certificate(p.gram, p.input_cert).reason
+        assert reason == "gram-mismatch:0,0" and str(err.value) == reason
+
+    @pytest.mark.parametrize(
+        "gram, cert",
+        [
+            (GramForm.zero(Q, 2), Certificate(Q, 1, ((Q.one(),),))),
+            (GramForm.zero(Q2, 1), Certificate(Q, 1, ((Q.one(),),))),
+        ],
+        ids=["rank", "field"],
+    )
+    def test_mismatch_is_invalid_before_expand(self, monkeypatch, gram, cert):
+        def no_expand(problem):
+            raise AssertionError("expand ran")
+
+        monkeypatch.setattr(descent, "expand", no_expand)
+        with pytest.raises(CertificateInvalidError) as err:
+            descend(DescentProblem(gram.field, gram, cert))
+        assert str(err.value) == verify_certificate(gram, cert).reason
+
+    def test_unsound_lift_is_an_internal_error(self, monkeypatch):
+        lift_ok = descent.lift
+
+        def bumped(w, e, field):
+            w = ((w[0][0] + 1,) + w[0][1:],) + w[1:]
+            return lift_ok(w, e, field)
+
+        monkeypatch.setattr(descent, "lift", bumped)
+        with pytest.raises(AssertionError, match="lifted certificate"):
+            descend(problem_ten_ones())
+
+    def test_valid_input_is_verified_once(self, monkeypatch):
+        calls = []
+
+        def counted(gram, cert):
+            calls.append(cert)
+            return verify_certificate(gram, cert)
+
+        monkeypatch.setattr(descent, "verify_certificate", counted)
+        out = descend(problem_ten_ones())
+        assert calls == [out]
 
 
 class TestGTable:

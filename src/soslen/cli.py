@@ -46,7 +46,9 @@ EXIT_UNDECIDED = 4
 
 
 def _parse_gram(f: Field, text: str) -> GramForm:
-    entries = [e for e in text.split(";") if e.strip()]
+    entries = text.split(";")
+    if not all(e.strip() for e in entries):
+        raise ValueError(f"empty entry in --gram {text!r}")
     k = len(entries)
     r = (isqrt(8 * k + 1) - 1) // 2
     if r * (r + 1) // 2 != k:

@@ -326,14 +326,11 @@ class Field:
             for row in zip(self._emb_floats, lo_tab, hi_tab)
         ]
         self._emb_float_weights = tuple(map(max, zip(*weights)))
-        # (lo, hi) of each basis element at every embedding; the column scan
-        # solves coordinate ranges on them, which needs them to exclude 0
+        # (lo, hi) of each basis element at every embedding, from which the
+        # column scan encloses its prefixes and its slice supports
         self._basis_enclosures = tuple(
             tuple(zip(col_lo, col_hi)) for col_lo, col_hi in zip(zip(*lo_tab), zip(*hi_tab))
         )
-        assert all(
-            lo > 0 or hi < 0 for col in self._basis_enclosures for lo, hi in col
-        ), "a basis enclosure contains 0"
 
     # conversions ---------------------------------------------------------
 

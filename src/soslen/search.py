@@ -29,26 +29,23 @@ Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
 fitting pair +-x, holding x^2, its trace and the values of x and x^2 at
 every embedding as floats, and keeps the result in a bounded cache.  The scan
-fixes the coordinates c_j of x = sum c_j b_j one at a time, and each range
-it solves is proven to hold every member:
+fixes the coordinates c_j of x = sum c_j b_j one at a time and solves each
+one's range on the real slice of the prefix, which holds every member: for
+d - i embeddings E with [sigma_e(b_j)], e in E, j >= i, invertible, the w
+with sum over E of w_e sigma_e(b_j) = [j = i] for j >= i gives
+c_i = sum over E of w_e sigma_e(x) - (a linear form in c_0..c_{i-1}),
+because the later coordinates drop out; at the last coordinate E is one
+embedding.  Each |sigma_e(x)| is at most sqrt(sigma_e(diag)), so every such
+E bounds c_i, whatever the later coordinates are, and all of them together
+give the exact range on the slice.  w is rounded to integers once per field
+and level, and the rounding residuals, enclosed exactly, only widen the
+range.
 
-  * before the last coordinate, on the real slice of the prefix: for d - i
-    embeddings E with [sigma_e(b_j)], e in E, j >= i, invertible, the w with
-    sum over E of w_e sigma_e(b_j) = [j = i] for j >= i gives
-    c_i = sum over E of w_e sigma_e(x) - (a linear form in c_0..c_{i-1}),
-    because the later coordinates drop out.  Each |sigma_e(x)| is at most
-    sqrt(sigma_e(diag)), so every such E bounds c_i, whatever the later
-    coordinates are, and all of them together give the exact range on the
-    slice.  w is rounded to integers once per field and level, and the
-    rounding residuals, enclosed exactly, only widen the range;
-  * at the last coordinate, exactly from the prefix's integer enclosures,
-    so a point is skipped only when its enclosure proves that x^2 exceeds
-    the diagonal at some embedding.  Every
-row v of a representation leaves a totally PSD remainder, so G - vv^T is
-totally PSD; `RowPool` keeps exactly those rows.  It extends row prefixes
-one column at a time, keeps a prefix only while the leading block of
-G - vv^T stays totally PSD, and multiplies the off-diagonal entries of
-surviving prefixes only.
+Every row v of a representation leaves a totally PSD remainder, so
+G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
+row prefixes one column at a time, keeps a prefix only while the leading
+block of G - vv^T stays totally PSD, and multiplies the off-diagonal
+entries of surviving prefixes only.
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
@@ -141,27 +138,6 @@ class _Column(NamedTuple):
         )
 
 
-def _coordinate_range(lo: int, hi: int, top: int, bottom: int) -> tuple[int, int]:
-    """(first, last): the integers c, first to last, whose contributions to
-    an integer enclosure fit, for a basis element with enclosure [lo, hi]
-    that excludes 0.
-
-    A coordinate c adds c lo (c >= 0) or c hi (c < 0) to the lower end and
-    c hi (c >= 0) or c lo (c < 0) to the upper end; c fits when the first is
-    at most top and the second at least bottom.  Both are increasing in c
-    when lo > 0 and decreasing when hi < 0, so the fitting c are one range,
-    empty when first > last.
-    """
-    if lo > 0:
-        last = top // lo if top >= 0 else top // hi
-        first = -(-bottom // lo) if bottom <= 0 else -(-bottom // hi)
-    else:
-        # c b = (-c)(-b), and -b has enclosure [-hi, -lo]
-        first = -(top // -hi) if top >= 0 else -(top // -lo)
-        last = bottom // hi if bottom <= 0 else bottom // lo
-    return first, last
-
-
 _SLICE_BITS = 40  # support weights are 2^40 w, rounded to integers
 
 
@@ -186,10 +162,10 @@ def _float_solve(m: list[list[float]], rhs: list[float]) -> list[float] | None:
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
-    """Per level i below degree - 1, the supports of `_column_values`'s
-    slice bound: (weights, coeffs, errs) for each set E of degree - i
-    embeddings on which B_E = [sigma_e(b_j)], j >= i, is invertible in
-    floats.
+    """Per level i, the supports of `_column_values`'s slice bound:
+    (weights, coeffs, errs) for each set E of degree - i embeddings on which
+    B_E = [sigma_e(b_j)], j >= i, is invertible in floats; at the last level
+    each support is one embedding.
 
     weights holds (e, |W_e|) with W = 2^40 w rounded, for the float solution
     w of B_E^T w = e_i.  The real M_j = sum over E of W_e sigma_e(b_j) is
@@ -202,7 +178,7 @@ def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
     floats = field._emb_floats
     basis = field._basis_enclosures
     levels = []
-    for i in range(deg - 1):
+    for i in range(deg):
         supports = []
         for support in itertools.combinations(range(len(field.embeddings)), deg - i):
             w = _float_solve(
@@ -279,12 +255,10 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     times the box limit of c_j, so the integer bound only widens the real
     one.  The box limits clamp the range.
 
-    The last coordinate's range is solved exactly per embedding on the
-    prefix's integer enclosure [xlo, xhi] of sigma_e(x), scaled by 2^table
-    bits, which must meet [-isqrt(...), isqrt(...)]: a point is skipped only
-    when its enclosure proves that it misses.  On the points visited,
-    interval tests decide membership and the sign at the identity embedding
-    unless they are inconclusive; then exact sign tests decide.
+    At the last coordinate d - i = 1, so each support is one embedding.
+    On the points visited there, interval tests decide membership and the
+    sign at the identity embedding unless they are inconclusive; then exact
+    sign tests decide.
     """
     deg = field.degree
     n_emb = len(field.embeddings)
@@ -312,7 +286,7 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         roots.append(isqrt(hi * shift))
     # x^2 <= diag is proven at e once max(xlo^2, xhi^2) <= floors[e]
     floors = [lo * shift for lo, _ in diag_ivs]
-    # per level below the last, (coeffs, t) for each support
+    # per level, (coeffs, t) for each support
     slices = []
     for supports in _slice_supports(field):
         level = []
@@ -334,16 +308,7 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         final = i == deg - 1
         extended = []
         for prefix, plo, phi in prefixes:
-            if final:
-                first, last = -limit, limit
-                for (lo, hi), root, p, q in zip(enclosures, roots, plo, phi):
-                    f, t = _coordinate_range(lo, hi, root - p, -root - q)
-                    if f > first:
-                        first = f
-                    if t < last:
-                        last = t
-            else:
-                first, last = _slice_range(slices[i], prefix, limit)
+            first, last = _slice_range(slices[i], prefix, limit)
             if not any(prefix):
                 # 0 is not a column value
                 first = max(first, 1 if final else 0)
@@ -978,7 +943,8 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
 def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certificate:
     cert = Certificate(gram.field, gram.rank, pool.rows_as_elements(indices))
     check = verify_certificate(gram, cert)
-    assert check.ok, f"internal soundness failure: {check.reason}"
+    if not check.ok:
+        raise AssertionError(f"internal soundness failure: {check.reason}")
     return cert
 
 

@@ -130,6 +130,13 @@ class TestFormCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("gram", ["2;1;;2", "1;;2;3", "2;1;2;"])
+    def test_empty_gram_entry(self, capsys, gram):
+        # a dropped entry would shift the later ones into other positions
+        code, out, err = run(capsys, "form", "length", "Q", "--gram", gram)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: empty entry")
+
 
 class TestDescendVerify:
     def test_descend_pipeline(self, capsys, tmp_path):

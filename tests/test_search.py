@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from operator import add, gt, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +42,6 @@ from soslen.search import (
     SearchSpaceError,
     _column_bounds,
     _column_values,
-    _coordinate_range,
     _search,
 )
 from soslen.suite import _random_rows
@@ -109,6 +112,28 @@ class TestRepresent:
         out = represent(g, 4)
         assert isinstance(out, Represented)
         assert len(out.certificate.rows) == 4
+
+    def test_witness_check_survives_optimize(self):
+        # python -O strips assert statements; a witness that fails its exact
+        # check must still raise from represent and length_certificate
+        code = (
+            "from soslen import GramForm, Shape, VerifyResult, length_certificate, make_field\n"
+            "from soslen import represent, search\n"
+            "search.verify_certificate = lambda gram, cert: VerifyResult(False, 'patched')\n"
+            "g = GramForm.from_element(make_field(Shape(())).element_from_coords((7,)))\n"
+            "for call in (lambda: represent(g, 4), lambda: length_certificate(g, 4)):\n"
+            "    try:\n"
+            "        print(call())\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised internal soundness failure: patched\n" * 2, proc.stdout
 
     def test_not_totally_psd(self):
         g = GramForm.from_element(Q6.element(from_literal_coords(Q6.shape, (F(1), F(1)))))
@@ -496,39 +521,16 @@ class TestColumnScan:
         with pytest.raises(SearchSpaceError, match="coordinate box"):
             _column_values(field, (10**6, 0, 0, 0))
 
-    @pytest.mark.parametrize("enclosure", [(3, 5), (7, 7), (1, 2), (-5, -3), (-7, -7)], ids=str)
-    def test_coordinate_range_matches_brute_force(self, enclosure):
-        # tops and bottoms of both signs and 0, and multiples of lo and hi,
-        # where a contribution equals its bound
-        lo, hi = enclosure
-        limit = 30
-        for top in range(-25, 26):
-            for bottom in range(-25, 26):
-                first, last = _coordinate_range(lo, hi, top, bottom)
-                fits = [
-                    c
-                    for c in range(-limit, limit + 1)
-                    if (c * lo if c > 0 else c * hi) <= top
-                    and (c * hi if c > 0 else c * lo) >= bottom
-                ]
-                assert fits == list(range(max(first, -limit), min(last, limit) + 1)), (
-                    top,
-                    bottom,
-                )
-
     def test_square_equal_to_the_diagonal_fits(self):
-        # sqrt2^2 = 2 at both embeddings: the enclosure of sqrt2 meets the
-        # root of 2, so c = +-1 stays in range and the exact test keeps it
-        for e, (lo, hi) in enumerate(Q2._basis_enclosures[1]):
-            root = math.isqrt(Q2.interval_of_coords((2, 0), e)[1] << 96)
-            assert _coordinate_range(lo, hi, root, -root) == (-1, 1)
+        # sqrt2^2 = 2 at both embeddings: sqrt2 meets the root of 2, so it
+        # stays in range and the exact test keeps it
         assert [v.coords for v in _column_values(Q2, (2, 0))] == [(0, 1), (1, 0)]
 
     def test_diagonal_negative_somewhere_is_not_scanned(self, monkeypatch):
         def no_scan(*args):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(search, "_coordinate_range", no_scan)
+        monkeypatch.setattr(search, "_slice_range", no_scan)
         # 1 - sqrt2 < 0 at the identity embedding
         assert _column_values.__wrapped__(Q2, (1, -1)) == () == half_box_scan(Q2, (1, -1))
         # the box refusal still comes first
@@ -585,7 +587,7 @@ class TestColumnScan:
         # the diagonals of Grams of 2-3 rows with {-1, 0, 1} coordinates
         field = make_field(Shape((13, 15)))
         rng = random.Random(79)
-        created = [0, 0, 0]  # prefixes of length 1, 2 and 3
+        created = [0, 0, 0, 0]  # prefixes of length 1, 2 and 3, and points
         slice_range = search._slice_range
 
         def counted(bounds, prefix, limit):
@@ -603,15 +605,14 @@ class TestColumnScan:
         # is looser scans more, as a w of the wrong sign does (304, 3274
         # and 22000 prefixes here)
         assert created[0] <= 228 and created[1] <= 1184 and created[2] <= 2894, created
+        assert created[3] <= 2199, created
 
-    @pytest.mark.parametrize(
-        "shape", [sh for sh in SCAN_SHAPES if sh.degree > 1] + [Shape((2, 5))], ids=str
-    )
+    @pytest.mark.parametrize("shape", SCAN_SHAPES + [Shape((2, 5))], ids=str)
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
     def test_slice_ranges_hold_every_live_prefix(self, shape, data):
-        # at every level before the last, the range solved for the prefix of
-        # each member of the half box must contain the member's coordinate
+        # at every level, the range solved for the prefix of each member of
+        # the half box must contain the member's coordinate
         field = make_field(shape)
         spread = 2 if field.degree < 4 else 1
         coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
@@ -635,7 +636,7 @@ class TestColumnScan:
         for x in [v.coords for v in expected]:
             if next(c for c in x if c) < 0:
                 x = tuple(-c for c in x)
-            for i in range(field.degree - 1):
+            for i in range(field.degree):
                 first, last = solved[x[:i]]
                 assert first <= x[i] <= last, (diag, x, i)
 
@@ -1054,6 +1055,41 @@ class TestSignedPermutations:
             moved = _signed_permutation(perp, order, signs)
             assert moved.integral_coords()[position][position] == field.one().coords
             assert length(moved, t) == t, (order, signs)
+
+
+class TestUnimodularChanges:
+    """Metamorphic: U = I + k E_ij is in GL_r(O), and v -> U^T v maps the
+    rows that fit under G onto those that fit under U^T G U, so the pool
+    size and the length of G are those of U^T G U."""
+
+    @pytest.mark.parametrize("radicands", [(), (2,), (5,), (6, 7), (13, 15)], ids=str)
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_pool_size_and_length_are_kept(self, radicands, data):
+        field = make_field(Shape(radicands))
+        d = field.degree
+        coords = st.tuples(*[st.integers(-1, 1)] * d)
+        rows = data.draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=2), label="rows")
+        if d > 2:
+            k = (data.draw(st.sampled_from((1, -1)), label="k"),) + (0,) * (d - 1)
+        else:
+            k = data.draw(coords, label="k")
+        i, j = data.draw(st.permutations((0, 1)), label="ij")
+        moved = []
+        for row in rows:
+            row = list(row)
+            # (U^T v)_j = v_j + k v_i
+            row[j] = tuple(map(add, row[j], field.mul_coords(k, row[i])))
+            moved.append(row)
+
+        def gram_of(rows):
+            return GramForm.from_rows(
+                field, [tuple(map(field.element_from_coords, row)) for row in rows]
+            )
+
+        gram, changed = gram_of(rows), gram_of(moved)
+        assert len(candidate_rows(changed)) == len(candidate_rows(gram))
+        assert length(changed, 6) == length(gram, 6)
 
 
 class TestKnownValues:

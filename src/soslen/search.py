@@ -23,7 +23,14 @@ discard provably infeasible branches:
     nonzero.  When such a column's support, the pool rows nonzero there
     (`RowPool.column_supports`), leaves fewer rows than the key range, each
     support row is subtracted and the rest looked up, and the pair with the
-    smallest first row, the one the scan would find, is returned.
+    smallest first row, the one the scan would find, is returned;
+  * at budget >= 3 a representation likewise has a row nonzero in each such
+    column, at or after the first row the key range allows.  When a
+    column's support leaves no such row the node is Unsat, and when it
+    leaves one, that row is forced (Knuth's Algorithm X): it is subtracted
+    and the rest searched with one row fewer from the same start.  Putting
+    the forced row into each representation of the rest keeps their order,
+    so the witness is the one the scan would find.
 
 Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
@@ -45,7 +52,12 @@ Every row v of a representation leaves a totally PSD remainder, so
 G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
 row prefixes one column at a time, keeps a prefix only while the leading
 block of G - vv^T stays totally PSD, and multiplies the off-diagonal
-entries of surviving prefixes only.
+entries of surviving prefixes only.  A unit column c, with G_cc = 1 and
+every other entry of the column 0, is split off first: a value x there has
+sigma(x)^2 <= 1 at every embedding, so x is 0 or +-1 (Kronecker), a row
+with x = +-1 is +-e_c, because the zero diagonal entry it leaves at c zeroes
+the rest of the remainder's column, and the other rows are those of G
+without column c.  So the pool of G (+) <1> costs what G's does.
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
@@ -496,7 +508,9 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     those with it are screened here.  A screen that cannot decide sends the
     whole block to the exact test.  Rows start with a value positive at the
     identity embedding, so an all-zero prefix continues only with zero or a
-    column record, and other prefixes with zero or either sign of one.
+    column record, and other prefixes with zero or either sign of one.  A
+    Gram of rank above 1 with a unit column is first split there
+    (`_with_unit_column`).
     """
     r = len(columns)
     if r == 1:
@@ -504,6 +518,10 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     d = field.degree
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
+    one = field.one().coords
+    for c in range(r):
+        if icoords[c][c] == one and not any(any(icoords[c][j]) for j in range(r) if j != c):
+            return _with_unit_column(field, icoords, columns, bounds, c)
     zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
     mul = field.mul_coords
     screens = _minor_screens(field, icoords, bounds)
@@ -566,6 +584,69 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
                     )
         prefixes = extended
     return decorated
+
+
+def _with_unit_column(field: Field, icoords, columns, bounds, c: int) -> list[tuple]:
+    """`_fitting_rows` of a Gram G whose column c is a unit column: G_cc = 1
+    and G_cj = 0 for j != c.
+
+    The value x of a row at c has sigma(x)^2 <= 1 at every embedding, so x
+    is 0 or a root of unity in a real field, +-1 (Kronecker).  A row with
+    x = +-1 leaves a zero diagonal entry at c in the totally PSD G - vv^T,
+    so the rest of its column, -x v_j, is zero: the row is e_c up to sign.
+    A row with x = 0 leaves (G' - v'v'^T) (+) <1>, with G' and v' without
+    column c.  So the rows are those of G' with a zero put in at c, and e_c.
+    """
+    r = len(columns)
+    d = field.degree
+    n_emb = len(field.embeddings)
+    zero_entry = (0,) * d
+    keep = [j for j in range(r) if j != c]
+    bound, err = bounds
+    rest = _fitting_rows(
+        field,
+        [[icoords[i][j] for j in keep] for i in keep],
+        [columns[j] for j in keep],
+        ([bound[j] for j in keep], [err[j] for j in keep]),
+    )
+    outer_of = _unit_column_layout(r, c, d)
+    floats_of = _unit_column_layout(r, c, n_emb)
+    cut = c * d
+    rows = [
+        (
+            key,
+            flat[:cut] + zero_entry + flat[cut:],
+            cols[:c] + (zero_entry,) + cols[c:],
+            outer_of(outer + (0,)),
+            floats_of(floats + (0.0,)),
+        )
+        for key, flat, cols, outer, floats in rest
+    ]
+    (unit,) = columns[c]
+    cols = tuple([unit.coords if j == c else zero_entry for j in range(r)])
+    at_c = [i == j == c for i, j in _slot_pairs(r)]
+    outer = [unit.square if at else zero_entry for at in at_c]
+    floats = [unit.square_values if at else (0.0,) * n_emb for at in at_c]
+    chain = itertools.chain.from_iterable
+    rows.append((unit.trace, tuple(chain(cols)), cols, tuple(chain(outer)), tuple(chain(floats))))
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _unit_column_layout(r: int, c: int, width: int):
+    """The getter that lays a flat upper triangle of size r - 1, width
+    entries per slot (`_slot_pairs`), with one zero appended, out as the
+    upper triangle of size r whose row and column c are zero."""
+    rest = {ij: t for t, ij in enumerate(_slot_pairs(r - 1))}
+    pad = len(rest) * width
+    indices = []
+    for i, j in _slot_pairs(r):
+        if c in (i, j):
+            indices += [pad] * width
+        else:
+            t = rest[i - (i > c), j - (j > c)]
+            indices += range(t * width, (t + 1) * width)
+    return _getter(indices)
 
 
 def _slot_pairs(r: int) -> list[tuple[int, int]]:
@@ -766,6 +847,11 @@ class RowPool:
     its outer product exactly and as floats at every embedding, with its
     diagonal floats apart, for `_search` and its `_Screen`.
 
+    A unit column c of G, G_cc = 1 and G_cj = 0 for j != c, holds only 0 and
+    +-1: sigma(x)^2 <= 1 at every embedding makes a nonzero x a root of
+    unity (Kronecker).  So the rows are e_c and those of G without column c
+    with a zero put in (`_with_unit_column`).
+
     A pool of more than SUPPORT_MIN_ROWS rows keeps `column_supports`: for
     each column that some rows leave zero and others not, (start, end,
     indices), where the column's diagonal entry lies in a flat remainder and
@@ -842,7 +928,9 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     A node carries its remainder exactly, as floats and by trace.  A child
     is cut when its diagonal or, once it would be searched further, one of
     its principal minors is proven negative (`_Screen`); the exact leaf
-    tests decide the rest.
+    tests decide the rest.  One pass over the column supports finds a
+    column left without rows (Unsat), a forced row at budget >= 3, or a
+    cover for a budget-2 node.
     """
     keys = pool.keys
     neg_keys = pool.neg_keys
@@ -878,19 +966,21 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
             first = bisect_left(neg_keys, -tr, lo=start)
             last = bisect_right(neg_keys, -tr // budget, lo=first)
             caps = list(map(add, diag_of(remf), diag_band))
-            if budget == 2 and supports:
-                # a pair summing to rem has a row nonzero in every column
-                # where rem's diagonal is nonzero, and both of its rows have
-                # keys at most tr, so they lie at or after first
+            if supports:
+                # a representation of rem has a row nonzero in every column
+                # where rem's diagonal is nonzero, and its rows have keys at
+                # most tr, so they lie at or after first: take the column
+                # with the fewest such rows, if it has none, or one (a forced
+                # row), or, at budget 2, fewer than the scan would visit
                 cover = None
-                fewest = last - first
+                fewest = last - first if budget == 2 else 2
                 for lo, hi, support in supports:
                     if any(rem[lo:hi]):
                         at = bisect_left(support, first)
                         if len(support) - at < fewest:
                             fewest = len(support) - at
                             cover = support[at:]
-                if cover is not None:
+                if cover is not None and budget == 2:
                     # the pair with the smallest first row, which the scan
                     # would return; a row of a pair passes its diagonal test
                     best = None
@@ -910,6 +1000,24 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
                     if best is not None:
                         return best
                     last = first  # no pair: nothing is left to scan
+                elif cover is not None:
+                    # no row left: no representation; one row u: every
+                    # representation holds u and others from start on, and
+                    # inserting u into each keeps their order, so the first
+                    # one is the scan's
+                    last = first
+                    for u in cover:
+                        if any(map(gt, diag_floats[u], caps)):
+                            break
+                        remf2 = list(map(sub, remf, floats[u]))
+                        if rejects is not None and rejects(remf2, level_bands):
+                            break
+                        rem2 = tuple(map(sub, rem, outers[u]))
+                        if rem2 == zero:
+                            return [u]
+                        tail = dfs(rem2, remf2, tr - keys[u], budget - 1, start)
+                        if tail is not None:
+                            return sorted([u] + tail)
             for idx, diagonal in zip(range(first, last), diag_floats[first:last]):
                 if any(map(gt, diagonal, caps)):
                     continue

@@ -8,7 +8,8 @@ independent check of `Unsat`.
 
 `exact_prune_search` is the ordered search as it was before its prunes read
 floats: the same DFS, with the diagonal prune on integer enclosures and an
-exact, cached PSD test of every remainder it descends into.
+exact, cached PSD test of every remainder it descends into.  It forces rows
+by the rule of `_search`, or, with `force=False`, scans every node.
 """
 
 import itertools
@@ -154,9 +155,27 @@ def _remainder_psd(pool, rem) -> bool:
     )
 
 
-def exact_prune_search(pool, rem0, budget: int, memo: dict):
+def _forced_rows(pool, rem, first: int) -> list[int] | None:
+    """The rule of `_search` at a node of budget >= 3: among the columns of
+    `column_supports` where rem's diagonal is nonzero, their rows at or
+    after first.  [] when some column has none, [u] for the first column
+    with only u, and None otherwise."""
+    d = pool.field.degree
+    left = [
+        [i for i in support if i >= first]
+        for lo, hi, support in pool.column_supports
+        if rem[lo:hi] != (0,) * d
+    ]
+    if any(not rows for rows in left):
+        return []
+    return next((rows for rows in left if len(rows) == 1), None)
+
+
+def exact_prune_search(pool, rem0, budget: int, memo: dict, force: bool = True):
     """Indices of at most `budget` nonincreasing pool rows summing to rem0,
-    by the ordered search with exact prunes."""
+    by the ordered search with exact prunes; with `force`, a node of budget
+    >= 3 takes a row that some column leaves as its only choice, as
+    `_search` does, and one with no choice left there is Unsat."""
     field = pool.field
     n_emb = len(field.embeddings)
     keys = pool.keys
@@ -203,7 +222,17 @@ def exact_prune_search(pool, rem0, budget: int, memo: dict):
                 for x in _diagonal(pool, rem)
                 for e in range(n_emb)
             )
-            for idx in range(first, n):
+            forced = _forced_rows(pool, rem, first) if force and budget >= 3 else None
+            for u in forced or ():
+                if all(rem_hi[t] >= diag_lo[u][t] for t in range(slots)):
+                    rem2 = tuple(a - b for a, b in zip(rem, outers[u]))
+                    if rem2 == zero:
+                        return [u]
+                    if psd(rem2):
+                        tail = dfs(rem2, budget - 1, start)
+                        if tail is not None:
+                            return sorted([u] + tail)
+            for idx in range(first, n if forced is None else first):
                 k = keys[idx]
                 if k * budget < tr:
                     break

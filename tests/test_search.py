@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soslen import (
+    Certificate,
     ExceedsBound,
     GramForm,
     NotIntegral,
@@ -45,6 +46,7 @@ from soslen.search import (
     _search,
 )
 from soslen.suite import _random_rows
+import reference_search
 from reference_scan import half_box_scan
 from reference_search import (
     ProductPool,
@@ -407,6 +409,15 @@ def _random_element(rng, field, spread):
     return tuple(rng.randint(-spread, spread) for _ in range(field.degree))
 
 
+def _plus_four(gram):
+    """gram (+) <4>, one rank higher."""
+    field = gram.field
+    zero = (0,) * field.degree
+    rows = [row + (zero,) for row in gram.doubled]
+    rows.append((zero,) * gram.rank + ((8,) + zero[1:],))
+    return GramForm.from_doubled(field, rows)
+
+
 class TestColumnScan:
     @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
     def test_matches_brute_force(self, shape):
@@ -473,11 +484,13 @@ class TestColumnScan:
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES[:4], ids=str)
     def test_inconclusive_screens_are_decided_exactly(self, shape, monkeypatch):
-        # G - vv^T = 0 for the row of a one-row Gram, and the unit row of
-        # perp_unit(G) leaves G (+) <0>: exact zero minors, which a float
+        # G - vv^T = 0 for the row of a one-row Gram, and the row 2 e_last
+        # of G (+) <4> leaves G (+) <0>: exact zero minors, which a float
         # screen with a nonzero error band cannot sign, so the exact test
         # must decide them.  Over Q the floats are exact integers, the band
-        # is 0 and the screen decides every minor itself.
+        # is 0 and the screen decides every minor itself.  A unit column
+        # is split off before any screen (`_with_unit_column`), so G has
+        # none: its diagonal entries are 2x^2, of trace at least 2 degree.
         field = make_field(shape)
         rng = random.Random(67 + sum(shape.radicands))
         exact_calls = []
@@ -497,9 +510,9 @@ class TestColumnScan:
                     for _ in range(rank)
                 )
             single = GramForm.from_rows(field, [row])
-            grams = [single, perp_unit(GramForm.from_rows(field, [row[1:]]))]
+            grams = [single, _plus_four(GramForm.from_rows(field, [row[1:]] * 2))]
             if rank == 2:
-                grams.append(perp_unit(GramForm.from_rows(field, [(one, one)])))
+                grams.append(_plus_four(GramForm.from_rows(field, [(one, one)])))
             for gram in grams:
                 icoords = gram.integral_coords()
                 exact_calls.clear()
@@ -815,7 +828,8 @@ class TestFloatScreen:
 
     def test_perp_unit_case_instance(self):
         # instance 7 of suite case perp-unit over Q(sqrt 6, sqrt 7): rank 3
-        # with 559 pool rows, whose budget-4 search expands 819 nodes
+        # with 559 pool rows, whose budget-4 search expands 86 nodes: the
+        # unit row is forced at the root (819 nodes without forcing)
         field = make_field(Shape((6, 7)))
         rng = random.Random(f"perp-unit:{field.shape}")
         for _ in range(8):
@@ -824,7 +838,7 @@ class TestFloatScreen:
         found, fast, slow = _searched_like_length(gram, 6)
         assert [len(ours) if ours else None for ours, _ in found] == [None, 4]
         assert all(ours == oracle for ours, oracle in found)
-        assert fast == slow == 819
+        assert fast == slow == 86
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
     @settings(derandomize=True, max_examples=30, deadline=None)
@@ -914,7 +928,8 @@ class TestFloatScreen:
 
 class WatchedSupport(list):
     """A column support that counts the slices the search reads of it, which
-    it does when the support covers a budget-2 node."""
+    it does when the support covers a node: at budget 2, or at budget >= 3
+    when it leaves one row or none."""
 
     slices = 0
 
@@ -972,17 +987,24 @@ class TestColumnSupports:
             for start, end, support in pool.column_supports:
                 assert start % field.degree == 0 and end - start == field.degree
                 assert support == sorted(support) and 0 < len(support) < len(pool)
-            watched = [(a, b, WatchedSupport(support)) for a, b, support in pool.column_supports]
+            supports = pool.column_supports
+            watched = [(a, b, WatchedSupport(support)) for a, b, support in supports]
             for budget in range(1, s_max + 1):
                 pool.column_supports = watched
                 with_supports = CountingMemo()
+                before = sum(support.slices for _, _, support in watched)
                 ours = _search(pool, budget, with_supports)
+                if perp and budget == 2:
+                    # the root is the only node of a budget-2 search
+                    taken_on_perp += sum(support.slices for _, _, support in watched) - before
+                # the oracle forces the rows `_search` forces, and scans
+                # every budget-2 node
+                pool.column_supports = supports
+                scanned = CountingMemo()
+                assert ours == exact_prune_search(pool, pool.root, budget, scanned), budget
+                assert with_supports.lookups == scanned.lookups, budget
                 pool.column_supports = []
-                scan_only = CountingMemo()
-                assert ours == _search(pool, budget, scan_only), budget
-                assert with_supports.lookups == scan_only.lookups, budget
-            if perp:
-                taken_on_perp += sum(support.slices for _, _, support in watched)
+                assert ours == _search(pool, budget, {}), budget
         assert taken_on_perp > 0
 
 
@@ -1001,6 +1023,179 @@ class TestColumnSupports:
         # the last column's diagonal entry is the last slot of the triangle
         start = (r * (r + 1) // 2 - 1) * d
         assert (start, start + d, [unit]) in pool.column_supports
+
+
+def _unit_columns(gram):
+    """The columns c of gram with G_cc = 1 and G_cj = 0 for j != c."""
+    icoords = gram.integral_coords()
+    one = gram.field.one().coords
+    r = gram.rank
+    return [
+        c
+        for c in range(r)
+        if icoords[c][c] == one and not any(any(icoords[c][j]) for j in range(r) if j != c)
+    ]
+
+
+class TestUnitColumnSplit:
+    """A unit column is split off the pool build (`_with_unit_column`): the
+    rows are those of G without it, with a zero put in, and e_c.  The exact
+    filter of the brute-force product, `reference_pool`, is the reference."""
+
+    @staticmethod
+    def pool_and_splits(gram, monkeypatch):
+        """The pool of gram and the columns split off while building it."""
+        split = search._with_unit_column
+        splits = []
+
+        def counted(field, icoords, columns, bounds, c):
+            splits.append(c)
+            return split(field, icoords, columns, bounds, c)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_with_unit_column", counted)
+            pool = RowPool(gram, gram.integral_coords())
+        return pool, splits
+
+    @staticmethod
+    def assert_reference_pool(pool, gram):
+        field = gram.field
+        icoords = gram.integral_coords()
+        columns = [brute_column_values(field, icoords[j][j]) for j in range(gram.rank)]
+        ref = reference_pool(field, icoords, columns)
+        assert pool.cols == [t[2] for t in ref]
+        assert pool.keys == [t[0] for t in ref]
+        assert pool.outers == [t[3] for t in ref]
+        assert pool.floats == [t[4] for t in ref]
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_split_pools_match_the_reference(self, radicands, monkeypatch):
+        field = make_field(Shape(radicands))
+        rng = random.Random(97 + sum(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        zero, one = field.zero(), field.one()
+        identity = GramForm.from_rows(
+            field, [tuple(one if i == j else zero for j in range(3)) for i in range(3)]
+        )
+        grams = [identity]
+        while len(grams) < 13:
+            rank = 1 + len(grams) % 2
+            rows = [
+                tuple(
+                    field.element_from_coords(_random_element(rng, field, spread))
+                    for _ in range(rank)
+                )
+                for _ in range(rng.randint(1, 2))
+            ]
+            x = GramForm.from_rows(field, rows)
+            twice = perp_unit(perp_unit(x))
+            # small products keep the reference pool quick
+            if x.is_zero() or TestPrunedPoolDifferential.product_size(twice) > 2000:
+                continue
+            # the unit column first, in the middle and last, and two of them
+            for position in range(rank + 1):
+                order = list(range(rank))
+                order.insert(position, rank)
+                grams.append(_signed_permutation(perp_unit(x), order, [1] * (rank + 1)))
+            grams.append(twice)
+        for gram in grams:
+            units = _unit_columns(gram)
+            assert units
+            pool, splits = self.pool_and_splits(gram, monkeypatch)
+            # one split per unit column, down to rank 1
+            assert len(splits) == min(len(units), gram.rank - 1)
+            self.assert_reference_pool(pool, gram)
+            e_unit = tuple(one.coords if j == units[0] else zero.coords for j in range(gram.rank))
+            assert e_unit in pool.cols
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_a_unit_diagonal_with_an_off_diagonal_entry_is_not_split(
+        self, radicands, monkeypatch
+    ):
+        # G = (1, a)(1, a)^T + (0, y)(0, y)^T: G_00 = 1 and G_01 = a, and
+        # the row (1, a), G's first row, leaves <y^2>
+        field = make_field(Shape(radicands))
+        rng = random.Random(101 + sum(radicands))
+        zero, one = field.zero(), field.one()
+        made = 0
+        while made < 3:
+            a, y = (field.element_from_coords(_random_element(rng, field, 1)) for _ in range(2))
+            if not any(a.coords) or not any(y.coords):
+                continue
+            made += 1
+            gram = GramForm.from_rows(field, [(one, a), (zero, y)])
+            assert _unit_columns(gram) == []
+            pool, splits = self.pool_and_splits(gram, monkeypatch)
+            assert splits == []
+            self.assert_reference_pool(pool, gram)
+            assert (one.coords, a.coords) in pool.cols
+
+    def test_a_unit_other_than_one_is_not_split(self, monkeypatch):
+        # 3 + 2 sqrt2 = (1 + sqrt2)^2 is a totally positive unit: its column
+        # holds +-(1 + sqrt2), not +-1
+        gram = GramForm.from_doubled(Q2, [[(6, 4), (0, 0)], [(0, 0), (4, 0)]])
+        pool, splits = self.pool_and_splits(gram, monkeypatch)
+        assert splits == []
+        self.assert_reference_pool(pool, gram)
+        assert ((1, 1), (0, 0)) in pool.cols
+
+    def test_a_refused_pool_stays_refused(self, monkeypatch):
+        # G (+) <1> with G = diag(10^6, 10^5) over Z: 2001 * 633 * 3 rows
+        # exceed POOL_ROW_CAP, though G's own 2001 * 633 do not
+        gram = perp_unit(zgram((10**6, 0), (0, 10**5)))
+        assert _unit_columns(gram) == [2]
+
+        def enumerated(*args):
+            raise AssertionError("rows enumerated")
+
+        monkeypatch.setattr(search, "_fitting_rows", enumerated)
+        with pytest.raises(SearchSpaceError, match="candidate space"):
+            RowPool(gram, gram.integral_coords())
+
+
+class TestForcedRows:
+    """A node of budget >= 3 takes a row that a column leaves as its only
+    choice, and is Unsat when a column leaves none; the ordered search
+    without the rule, `exact_prune_search(..., force=False)`, is the
+    reference."""
+
+    @pytest.mark.parametrize("radicands", [(6, 7), (13, 15)], ids=str)
+    def test_same_indices_and_certificates_as_without_forcing(
+        self, radicands, monkeypatch
+    ):
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"forced:{radicands}")
+        rule = reference_search._forced_rows
+        fired = []
+
+        def watched(pool, rem, first):
+            rows = rule(pool, rem, first)
+            if rows is not None:
+                fired.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(reference_search, "_forced_rows", watched)
+        made = 0
+        while made < 2:
+            rows = _random_rows(rng, field, 2, 3, 1)
+            if len(rows) < 2:
+                continue
+            gram = GramForm.from_rows(field, rows)
+            perp = perp_unit(gram)
+            # pools with supports, and small enough for a quick unforced
+            # search; G's pool is perp_unit(G)'s without the unit row
+            if not search.SUPPORT_MIN_ROWS < len(candidate_rows(perp)) - 1 <= 1500:
+                continue
+            made += 1
+            for g in (gram, perp):
+                pool = RowPool(g, g.integral_coords())
+                t, cert = length_certificate(g, len(rows) + 1)
+                for budget in range(1, t + 1):
+                    ours = _search(pool, budget, {})
+                    assert ours == exact_prune_search(pool, pool.root, budget, {}, force=False)
+                    assert ours == exact_prune_search(pool, pool.root, budget, {})
+                assert cert == Certificate(field, g.rank, pool.rows_as_elements(ours))
+        assert 1 in fired, fired
 
 
 def _signed_permutation(gram, order, signs):

@@ -89,7 +89,8 @@ def compress(e: ExpandedGram, target: int) -> tuple[tuple[int, ...], ...]:
     outcome = represent(GramForm.from_doubled(rational, doubled), target)
     if isinstance(outcome, Unsat):
         raise CompressionError(outcome.depth)
-    assert isinstance(outcome, Represented), f"expanded Gram rejected: {outcome}"
+    if not isinstance(outcome, Represented):
+        raise AssertionError(f"expanded Gram rejected: {outcome}")
     rows = []
     for row in outcome.certificate.rows:
         full = [0] * rd
@@ -154,5 +155,6 @@ def descend(problem: DescentProblem, target: int | None = None) -> Certificate:
         if failure := _input_failure(problem):
             raise CertificateInvalidError(failure) from None
         raise
-    assert len(out.rows) <= target
+    if len(out.rows) > target:
+        raise AssertionError(f"{len(out.rows)} rows exceed the target {target}")
     return out

@@ -52,12 +52,16 @@ Every row v of a representation leaves a totally PSD remainder, so
 G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
 row prefixes one column at a time, keeps a prefix only while the leading
 block of G - vv^T stays totally PSD, and multiplies the off-diagonal
-entries of surviving prefixes only.  A unit column c, with G_cc = 1 and
-every other entry of the column 0, is split off first: a value x there has
-sigma(x)^2 <= 1 at every embedding, so x is 0 or +-1 (Kronecker), a row
-with x = +-1 is +-e_c, because the zero diagonal entry it leaves at c zeroes
-the rest of the remainder's column, and the other rows are those of G
-without column c.  So the pool of G (+) <1> costs what G's does.
+entries of surviving prefixes only.
+
+A unit column c, with G_cc = 1 and every other entry of the column 0, is
+split off where the search starts (`represent`, `length_certificate`): a
+value x there has sigma(x)^2 <= 1 at every embedding, so x is 0 or +-1
+(Kronecker), a row with x = +-1 is +-e_c, because the zero diagonal entry it
+leaves at c zeroes the rest of the remainder's column, and the other rows
+are those of G without column c.  So the representations of G (+) <1>^k are
+those of G with the k rows e_c put in, length(G (+) <1>^k) = length(G) + k,
+and the search of G (+) <1> is G's, on G's pool (`_pool` keeps the last one).
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
@@ -508,9 +512,7 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     those with it are screened here.  A screen that cannot decide sends the
     whole block to the exact test.  Rows start with a value positive at the
     identity embedding, so an all-zero prefix continues only with zero or a
-    column record, and other prefixes with zero or either sign of one.  A
-    Gram of rank above 1 with a unit column is first split there
-    (`_with_unit_column`).
+    column record, and other prefixes with zero or either sign of one.
     """
     r = len(columns)
     if r == 1:
@@ -518,10 +520,6 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     d = field.degree
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
-    one = field.one().coords
-    for c in range(r):
-        if icoords[c][c] == one and not any(any(icoords[c][j]) for j in range(r) if j != c):
-            return _with_unit_column(field, icoords, columns, bounds, c)
     zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
     mul = field.mul_coords
     screens = _minor_screens(field, icoords, bounds)
@@ -584,69 +582,6 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
                     )
         prefixes = extended
     return decorated
-
-
-def _with_unit_column(field: Field, icoords, columns, bounds, c: int) -> list[tuple]:
-    """`_fitting_rows` of a Gram G whose column c is a unit column: G_cc = 1
-    and G_cj = 0 for j != c.
-
-    The value x of a row at c has sigma(x)^2 <= 1 at every embedding, so x
-    is 0 or a root of unity in a real field, +-1 (Kronecker).  A row with
-    x = +-1 leaves a zero diagonal entry at c in the totally PSD G - vv^T,
-    so the rest of its column, -x v_j, is zero: the row is e_c up to sign.
-    A row with x = 0 leaves (G' - v'v'^T) (+) <1>, with G' and v' without
-    column c.  So the rows are those of G' with a zero put in at c, and e_c.
-    """
-    r = len(columns)
-    d = field.degree
-    n_emb = len(field.embeddings)
-    zero_entry = (0,) * d
-    keep = [j for j in range(r) if j != c]
-    bound, err = bounds
-    rest = _fitting_rows(
-        field,
-        [[icoords[i][j] for j in keep] for i in keep],
-        [columns[j] for j in keep],
-        ([bound[j] for j in keep], [err[j] for j in keep]),
-    )
-    outer_of = _unit_column_layout(r, c, d)
-    floats_of = _unit_column_layout(r, c, n_emb)
-    cut = c * d
-    rows = [
-        (
-            key,
-            flat[:cut] + zero_entry + flat[cut:],
-            cols[:c] + (zero_entry,) + cols[c:],
-            outer_of(outer + (0,)),
-            floats_of(floats + (0.0,)),
-        )
-        for key, flat, cols, outer, floats in rest
-    ]
-    (unit,) = columns[c]
-    cols = tuple([unit.coords if j == c else zero_entry for j in range(r)])
-    at_c = [i == j == c for i, j in _slot_pairs(r)]
-    outer = [unit.square if at else zero_entry for at in at_c]
-    floats = [unit.square_values if at else (0.0,) * n_emb for at in at_c]
-    chain = itertools.chain.from_iterable
-    rows.append((unit.trace, tuple(chain(cols)), cols, tuple(chain(outer)), tuple(chain(floats))))
-    return rows
-
-
-@lru_cache(maxsize=64)
-def _unit_column_layout(r: int, c: int, width: int):
-    """The getter that lays a flat upper triangle of size r - 1, width
-    entries per slot (`_slot_pairs`), with one zero appended, out as the
-    upper triangle of size r whose row and column c are zero."""
-    rest = {ij: t for t, ij in enumerate(_slot_pairs(r - 1))}
-    pad = len(rest) * width
-    indices = []
-    for i, j in _slot_pairs(r):
-        if c in (i, j):
-            indices += [pad] * width
-        else:
-            t = rest[i - (i > c), j - (j > c)]
-            indices += range(t * width, (t + 1) * width)
-    return _getter(indices)
 
 
 def _slot_pairs(r: int) -> list[tuple[int, int]]:
@@ -850,7 +785,9 @@ class RowPool:
     A unit column c of G, G_cc = 1 and G_cj = 0 for j != c, holds only 0 and
     +-1: sigma(x)^2 <= 1 at every embedding makes a nonzero x a root of
     unity (Kronecker).  So the rows are e_c and those of G without column c
-    with a zero put in (`_with_unit_column`).
+    with a zero put in; the searches split such columns off before they
+    build a pool (`_split_units`), and a pool built here goes through the
+    generic screens.
 
     A pool of more than SUPPORT_MIN_ROWS rows keeps `column_supports`: for
     each column that some rows leave zero and others not, (start, end,
@@ -1048,12 +985,88 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     return dfs(root, root_floats, pool.trace_of(root), budget, 0)
 
 
-def _certificate(pool: RowPool, gram: GramForm, indices: list[int]) -> Certificate:
-    cert = Certificate(gram.field, gram.rank, pool.rows_as_elements(indices))
+@lru_cache(maxsize=1)
+def _pool(gram: GramForm, icoords) -> RowPool:
+    """The pool of gram.  The last one is kept: the length of G (+) <1>
+    searches G's pool, right after the length of G has built it."""
+    return RowPool(gram, icoords)
+
+
+def _split_units(gram: GramForm, icoords) -> tuple[list[int], GramForm | None, tuple | None]:
+    """The unit columns c of gram, G_cc = 1 and G_cj = 0 for j != c, and
+    gram without them with its integral coordinates, None when no column is
+    left; rank 1 is not split.  The rest has no unit column, since removing
+    one changes no other column."""
+    r = gram.rank
+    if r == 1:
+        return [], gram, icoords
+    one = gram.field.one().coords
+    units = [
+        c
+        for c in range(r)
+        if icoords[c][c] == one and not any(any(icoords[c][j]) for j in range(r) if j != c)
+    ]
+    if not units:
+        return units, gram, icoords
+    keep = [j for j in range(r) if j not in units]
+    if not keep:
+        return units, None, None
+    rest = GramForm.from_doubled(gram.field, [[gram.doubled[i][j] for j in keep] for i in keep])
+    return units, rest, tuple(tuple(icoords[i][j] for j in keep) for i in keep)
+
+
+def _certificate(
+    gram: GramForm, units: list[int], pool: RowPool | None, indices: list[int]
+) -> Certificate:
+    """The pool rows at indices with a zero put in at each unit column of
+    gram, and e_c for each unit column c, in pool order (key, then flat,
+    descending), checked exactly against gram."""
+    field = gram.field
+    r = gram.rank
+    rows = [(pool.keys[idx], list(pool.cols[idx])) for idx in indices]
+    if units:
+        zero, one = (0,) * field.degree, field.one().coords
+        for _, cols in rows:
+            for c in units:  # ascending, so each zero lands at its column
+                cols.insert(c, zero)
+        # the key of e_c is trace(1), the degree
+        rows += [(field.degree, [one if j == c else zero for j in range(r)]) for c in units]
+        rows.sort(reverse=True)
+    cert = Certificate(
+        field, r, tuple(tuple(map(field.element_from_coords, cols)) for _, cols in rows)
+    )
     check = verify_certificate(gram, cert)
     if not check.ok:
         raise AssertionError(f"internal soundness failure: {check.reason}")
     return cert
+
+
+def _shortest(gram: GramForm | None, icoords, s_max: int) -> tuple | None:
+    """The pool of a totally PSD gram with integral coordinates icoords
+    (None for rank 0) and the indices of a shortest representation of at
+    most s_max rows, or None when there is none; a zero gram has no pool.
+
+    Budgets are deepened upward from a sound lower bound (matrix rank and
+    the remainder-trace quotient), so the first representation found is of
+    minimal size and all smaller budgets were searched exhaustively.  No
+    representation has more than trace(G) / (smallest row key) rows, so
+    budgets above that are never searched.
+    """
+    if s_max < 0:
+        return None
+    if gram is None or gram.is_zero():
+        return None, []
+    pool = _pool(gram, icoords)
+    if len(pool) == 0:
+        return None
+    tr0 = pool.trace_of(pool.root)
+    lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
+    memo: dict = {}
+    for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
+        indices = _search(pool, s, memo)
+        if indices is not None:
+            return pool, indices
+    return None
 
 
 def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
@@ -1068,19 +1081,26 @@ def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
 
 
 def represent(gram: GramForm, budget: int) -> SearchOutcome:
-    """Decide whether gram is a sum of at most `budget` squares of forms."""
+    """Decide whether gram is a sum of at most `budget` squares of forms.
+    Its unit columns are split off first (`_split_units`): the rest is
+    searched with one row fewer per unit column."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     icoords = gram.integral_coords()
     if icoords is None:
         return NotIntegral()
-    if not totally_psd(gram):
+    units, rest, icoords = _split_units(gram, icoords)
+    if rest is not None and not totally_psd(rest):
         return NotTotallyPsd()
-    pool = RowPool(gram, icoords)
-    indices = _search(pool, budget, {})
-    if indices is None:
+    if budget < len(units):
         return Unsat(budget)
-    return Represented(_certificate(pool, gram, indices))
+    pool, indices = None, []
+    if rest is not None:
+        pool = _pool(rest, icoords)
+        indices = _search(pool, budget - len(units), {})
+        if indices is None:
+            return Unsat(budget)
+    return Represented(_certificate(gram, units, pool, indices))
 
 
 def length_certificate(
@@ -1088,34 +1108,23 @@ def length_certificate(
 ) -> tuple[int, Certificate] | ExceedsBound | NotSoS:
     """Minimal number of squares representing gram plus a witness.
 
-    Budgets are deepened upward from a sound lower bound (matrix rank and
-    the remainder-trace quotient), so the first representation found is of
-    minimal size and all smaller budgets were searched exhaustively.  No
-    representation has more than trace(G) / (smallest row key) rows, so
-    budgets above that are never searched.
+    Unit columns are split off first (`_split_units`): the length is that
+    of the rest plus one per unit column, and only the padded witness is
+    checked.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
     icoords = gram.integral_coords()
     if icoords is None:
         return NotSoS("not-integral")
-    if not totally_psd(gram):
+    units, rest, icoords = _split_units(gram, icoords)
+    if rest is not None and not totally_psd(rest):
         return NotSoS("not-totally-psd")
-    if gram.is_zero():
-        return 0, Certificate(gram.field, gram.rank, ())
-    pool = RowPool(gram, icoords)
-    if len(pool) == 0:
+    found = _shortest(rest, icoords, s_max - len(units))
+    if found is None:
         return ExceedsBound(s_max)
-    tr0 = pool.trace_of(pool.root)
-    lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
-    if lower > s_max:
-        return ExceedsBound(s_max)
-    memo: dict = {}
-    for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
-        indices = _search(pool, s, memo)
-        if indices is not None:
-            return len(indices), _certificate(pool, gram, indices)
-    return ExceedsBound(s_max)
+    pool, indices = found
+    return len(indices) + len(units), _certificate(gram, units, pool, indices)
 
 
 def length(gram: GramForm, s_max: int) -> int | ExceedsBound | NotSoS:

@@ -1,6 +1,10 @@
 """Certificate compression through the rational integers."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,41 @@ class TestDescendContract:
         monkeypatch.setattr(descent, "verify_certificate", counted)
         out = descend(problem_ten_ones())
         assert calls == [out]
+
+
+    def test_internal_checks_survive_optimize(self):
+        # python -O strips assert statements; a rejected expansion and a
+        # result above the target must still raise from descend
+        code = (
+            "from soslen import Certificate, DescentProblem, GramForm, NotTotallyPsd, Shape\n"
+            "from soslen import descend, descent, make_field\n"
+            "Q = make_field(Shape(()))\n"
+            "gram = GramForm.from_element(Q.element_from_coords((3,)))\n"
+            "p = DescentProblem(Q, gram, Certificate(Q, 1, ((Q.one(),),) * 3))\n"
+            "compress = descent.compress\n"
+            "patches = [\n"
+            "    ('represent', lambda gram, budget: NotTotallyPsd()),\n"
+            "    ('compress', lambda e, target: compress(e, 3)),\n"
+            "]\n"
+            "for name, patch in patches:\n"
+            "    original = getattr(descent, name)\n"
+            "    setattr(descent, name, patch)\n"
+            "    try:\n"
+            "        print(descend(p, target=1))\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised', exc)\n"
+            "    setattr(descent, name, original)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "raised expanded Gram rejected: NotTotallyPsd()\n"
+            "raised 3 rows exceed the target 1\n"
+        ), proc.stdout
 
 
 class TestGTable:

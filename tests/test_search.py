@@ -488,9 +488,10 @@ class TestColumnScan:
         # of G (+) <4> leaves G (+) <0>: exact zero minors, which a float
         # screen with a nonzero error band cannot sign, so the exact test
         # must decide them.  Over Q the floats are exact integers, the band
-        # is 0 and the screen decides every minor itself.  A unit column
-        # is split off before any screen (`_with_unit_column`), so G has
-        # none: its diagonal entries are 2x^2, of trace at least 2 degree.
+        # is 0 and the screen decides every minor itself.  G has no unit
+        # column, which the searches split off before any pool is built
+        # (`_split_units`): its diagonal entries are 2x^2, of trace at
+        # least 2 degree.
         field = make_field(shape)
         rng = random.Random(67 + sum(shape.radicands))
         exact_calls = []
@@ -1038,24 +1039,29 @@ def _unit_columns(gram):
 
 
 class TestUnitColumnSplit:
-    """A unit column is split off the pool build (`_with_unit_column`): the
-    rows are those of G without it, with a zero put in, and e_c.  The exact
-    filter of the brute-force product, `reference_pool`, is the reference."""
+    """`represent` and `length_certificate` split unit columns off before
+    they search (`_split_units`): the rows of G are those of G without them,
+    with a zero put in, and e_c, so length(G (+) <1>^k) = length(G) + k.
+    The pools here are built whole, without the split; the exact filter of
+    the brute-force product, `reference_pool`, is their reference, and
+    `_search` over them is the reference for the split answers."""
 
     @staticmethod
-    def pool_and_splits(gram, monkeypatch):
-        """The pool of gram and the columns split off while building it."""
-        split = search._with_unit_column
+    def length_and_splits(gram, monkeypatch, s_max=12):
+        """length_certificate(gram, s_max) and the unit columns each call of
+        `_split_units` found."""
+        split = search._split_units
         splits = []
 
-        def counted(field, icoords, columns, bounds, c):
-            splits.append(c)
-            return split(field, icoords, columns, bounds, c)
+        def counted(gram, icoords):
+            units, rest, rest_coords = split(gram, icoords)
+            splits.append(units)
+            return units, rest, rest_coords
 
         with monkeypatch.context() as m:
-            m.setattr(search, "_with_unit_column", counted)
-            pool = RowPool(gram, gram.integral_coords())
-        return pool, splits
+            m.setattr(search, "_split_units", counted)
+            res = length_certificate(gram, s_max)
+        return res, splits
 
     @staticmethod
     def assert_reference_pool(pool, gram):
@@ -1068,17 +1074,12 @@ class TestUnitColumnSplit:
         assert pool.outers == [t[3] for t in ref]
         assert pool.floats == [t[4] for t in ref]
 
-    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
-    def test_split_pools_match_the_reference(self, radicands, monkeypatch):
-        field = make_field(Shape(radicands))
-        rng = random.Random(97 + sum(radicands))
-        spread = 1 if len(radicands) == 2 else 2
-        zero, one = field.zero(), field.one()
-        identity = GramForm.from_rows(
-            field, [tuple(one if i == j else zero for j in range(3)) for i in range(3)]
-        )
-        grams = [identity]
-        while len(grams) < 13:
+    @staticmethod
+    def unit_grams(field, rng, count, spread, limit=2000):
+        """G (+) <1> of seeded Grams G of rank 1 and 2, with the unit column
+        first, in the middle and last, and G (+) <1> (+) <1>."""
+        grams = []
+        while len(grams) < count:
             rank = 1 + len(grams) % 2
             rows = [
                 tuple(
@@ -1089,24 +1090,113 @@ class TestUnitColumnSplit:
             ]
             x = GramForm.from_rows(field, rows)
             twice = perp_unit(perp_unit(x))
-            # small products keep the reference pool quick
-            if x.is_zero() or TestPrunedPoolDifferential.product_size(twice) > 2000:
+            # small products keep the whole pools quick
+            if x.is_zero() or TestPrunedPoolDifferential.product_size(twice) > limit:
                 continue
-            # the unit column first, in the middle and last, and two of them
             for position in range(rank + 1):
                 order = list(range(rank))
                 order.insert(position, rank)
                 grams.append(_signed_permutation(perp_unit(x), order, [1] * (rank + 1)))
             grams.append(twice)
+        return grams
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_split_pools_match_the_reference(self, radicands, monkeypatch):
+        field = make_field(Shape(radicands))
+        rng = random.Random(97 + sum(radicands))
+        spread = 1 if len(radicands) == 2 else 2
+        one = field.one()
+        identity = perp_unit(perp_unit(GramForm.from_element(one)))
+        grams = [identity] + self.unit_grams(field, rng, 12, spread)
+        zero = (0,) * field.degree
         for gram in grams:
             units = _unit_columns(gram)
             assert units
-            pool, splits = self.pool_and_splits(gram, monkeypatch)
-            # one split per unit column, down to rank 1
-            assert len(splits) == min(len(units), gram.rank - 1)
+            res, splits = self.length_and_splits(gram, monkeypatch)
+            # one pass splits every unit column
+            assert splits == [units]
+            pool = RowPool(gram, gram.integral_coords())
             self.assert_reference_pool(pool, gram)
-            e_unit = tuple(one.coords if j == units[0] else zero.coords for j in range(gram.rank))
-            assert e_unit in pool.cols
+            # the rows are e_c and those of the rest with zeros put in
+            keep = [j for j in range(gram.rank) if j not in units]
+            rest = [c for c in pool.cols if not any(c[j] != zero for j in units)]
+            if keep:
+                doubled = [[gram.doubled[i][j] for j in keep] for i in keep]
+                g = GramForm.from_doubled(field, doubled)
+                rest_pool = RowPool(g, g.integral_coords())
+                assert [tuple(c[j] for j in keep) for c in rest] == rest_pool.cols
+            assert sorted(set(pool.cols) - set(rest)) == [
+                tuple(one.coords if j == c else zero for j in range(gram.rank))
+                for c in reversed(units)
+            ]
+            t, cert = res
+            assert cert.rows == pool.rows_as_elements(_search(pool, t, {}))
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (13, 15)], ids=str)
+    def test_split_answers_match_the_unsplit_search(self, radicands):
+        # at every budget up to the length, Unsat below it and the same
+        # certificate at it as `_search` over the whole pool
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"unit-split:{radicands}")
+        spread = 1 if len(radicands) == 2 else 2
+        one = field.one()
+        grams = [
+            perp_unit(perp_unit(GramForm.from_element(one))),  # the rank-3 identity
+            perp_unit(GramForm.zero(field, 1)),  # <0> (+) <1>
+        ]
+        grams += self.unit_grams(field, rng, 20, spread, limit=1000)
+        if len(radicands) < 2 or radicands == (6, 7):
+            # the first 8 Grams of suite case perp-unit, as it draws them
+            suite_rng = random.Random(f"perp-unit:{field.shape}")
+            for _ in range(8):
+                rank = suite_rng.choice((1, 2))
+                rows = _random_rows(suite_rng, field, rank, 3, 2 if field.degree == 1 else 1)
+                grams.append(perp_unit(GramForm.from_rows(field, rows)))
+        below = 0
+        for gram in grams:
+            k = len(_unit_columns(gram))
+            res = length_certificate(gram, 12)
+            assert isinstance(res, tuple), gram
+            t, cert = res
+            assert k <= t
+            pool = RowPool(gram, gram.integral_coords())
+            for budget in range(t):
+                assert isinstance(represent(gram, budget), Unsat), budget
+                assert _search(pool, budget, {}) is None, budget
+                below += budget < k
+            whole = Certificate(field, gram.rank, pool.rows_as_elements(_search(pool, t, {})))
+            out = represent(gram, t)
+            assert isinstance(out, Represented)
+            assert cert == out.certificate == whole
+        assert below > 0
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_edge_cases(self, radicands):
+        field = make_field(Shape(radicands))
+        one, zero = field.one(), field.zero()
+        identity = perp_unit(perp_unit(GramForm.from_element(one)))
+        rows = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        assert length_certificate(identity, 3) == (3, Certificate(field, 3, rows))
+        assert length_certificate(identity, 2) == ExceedsBound(2)
+        assert represent(identity, 2) == Unsat(2)
+        zero_plus_one = perp_unit(GramForm.zero(field, 1))
+        unit_row = Certificate(field, 2, ((zero, one),))
+        assert length_certificate(zero_plus_one, 5) == (1, unit_row)
+        assert length_certificate(zero_plus_one, 0) == ExceedsBound(0)
+        assert represent(zero_plus_one, 0) == Unsat(0)
+        assert represent(zero_plus_one, 3) == Represented(unit_row)
+        # a rest that is not totally PSD, at every budget
+        g = perp_unit(GramForm.from_doubled(field, [[(-2,) + (0,) * (field.degree - 1)]]))
+        assert length_certificate(g, 0) == NotSoS("not-totally-psd")
+        assert represent(g, 0) == NotTotallyPsd()
+        # e_0 goes before the rows of <2>, whose key, trace(1), it shares
+        two = GramForm.from_doubled(field, [[(4,) + (0,) * (field.degree - 1)]])
+        _, cert = length_certificate(_signed_permutation(perp_unit(two), [1, 0], [1, 1]), 3)
+        assert cert.rows == ((one, zero), (zero, one), (zero, one))
+        # an inner bound is the outer one: <7> (+) <1> over Z has length 5
+        if field.degree == 1:
+            assert length_certificate(perp_unit(zgram((7,))), 4) == ExceedsBound(4)
+            assert length(perp_unit(zgram((7,))), 5) == 5
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
     def test_a_unit_diagonal_with_an_off_diagonal_entry_is_not_split(
@@ -1125,8 +1215,9 @@ class TestUnitColumnSplit:
             made += 1
             gram = GramForm.from_rows(field, [(one, a), (zero, y)])
             assert _unit_columns(gram) == []
-            pool, splits = self.pool_and_splits(gram, monkeypatch)
-            assert splits == []
+            _, splits = self.length_and_splits(gram, monkeypatch)
+            assert splits == [[]]
+            pool = RowPool(gram, gram.integral_coords())
             self.assert_reference_pool(pool, gram)
             assert (one.coords, a.coords) in pool.cols
 
@@ -1134,10 +1225,21 @@ class TestUnitColumnSplit:
         # 3 + 2 sqrt2 = (1 + sqrt2)^2 is a totally positive unit: its column
         # holds +-(1 + sqrt2), not +-1
         gram = GramForm.from_doubled(Q2, [[(6, 4), (0, 0)], [(0, 0), (4, 0)]])
-        pool, splits = self.pool_and_splits(gram, monkeypatch)
-        assert splits == []
+        _, splits = self.length_and_splits(gram, monkeypatch)
+        assert splits == [[]]
+        pool = RowPool(gram, gram.integral_coords())
         self.assert_reference_pool(pool, gram)
         assert ((1, 1), (0, 0)) in pool.cols
+
+    def test_a_rank_one_gram_is_not_split(self, monkeypatch):
+        # rank 1 returns before the ring's one is made
+        def made(self):
+            raise AssertionError("one() called")
+
+        gram = GramForm.from_element(Q2.one())
+        monkeypatch.setattr(type(Q2), "one", made)
+        icoords = gram.integral_coords()
+        assert search._split_units(gram, icoords) == ([], gram, icoords)
 
     def test_a_refused_pool_stays_refused(self, monkeypatch):
         # G (+) <1> with G = diag(10^6, 10^5) over Z: 2001 * 633 * 3 rows
@@ -1151,6 +1253,75 @@ class TestUnitColumnSplit:
         monkeypatch.setattr(search, "_fitting_rows", enumerated)
         with pytest.raises(SearchSpaceError, match="candidate space"):
             RowPool(gram, gram.integral_coords())
+        # the searches split the unit column off first, so G (+) <1> is
+        # refused exactly when G is: here G's box of about 6.3 million points
+        big = zgram((10**13,))
+        for g in (big, perp_unit(big)):
+            for call in (lambda: represent(g, 5), lambda: length_certificate(g, 5)):
+                with pytest.raises(SearchSpaceError, match="coordinate box"):
+                    call()
+
+
+class TestPoolCache:
+    """The searches keep the last pool they built (`search._pool`), so the
+    length of G (+) <1> searches the pool that the length of G built."""
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        builds = []
+        build = search.RowPool
+
+        def counted(gram, icoords):
+            builds.append(gram)
+            return build(gram, icoords)
+
+        monkeypatch.setattr(search, "RowPool", counted)
+        search._pool.cache_clear()
+        return builds
+
+    def test_perp_unit_reuses_the_pool_of_g(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        field = make_field(Shape((6, 7)))
+        gram = GramForm.from_rows(field, _random_rows(random.Random(5), field, 2, 2, 1))
+        t = length(gram, 10)
+        assert length(perp_unit(gram), t + 2) == t + 1
+        assert builds == [gram]
+        assert search._pool.cache_info().maxsize == 1
+        assert search._pool.cache_info().currsize == 1
+
+    def test_keyed_by_field_and_gram(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        q3 = make_field(Shape((3,)))
+        g2 = GramForm.from_doubled(Q2, [[(8, 2)]])
+        g3 = GramForm.from_doubled(q3, [[(8, 2)]])
+        pools = [search._pool(g, g.integral_coords()) for g in (g2, g3, g3)]
+        assert builds == [g2, g3]
+        assert pools[0].field is Q2 and pools[1].field is q3 and pools[2] is pools[1]
+        assert pools[0].cols != pools[1].cols
+        assert search._pool.cache_info().currsize == 1
+
+    def test_a_cached_pool_equals_a_fresh_one(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        field = make_field(Shape((5,)))
+        gram = GramForm.from_rows(field, _random_rows(random.Random(9), field, 2, 3, 1))
+        cached = search._pool(gram, gram.integral_coords())
+        equal = GramForm.from_doubled(field, gram.doubled)
+        again = search._pool(equal, equal.integral_coords())
+        assert again is cached and len(builds) == 1
+        fresh = RowPool(gram, gram.integral_coords())
+        assert cached.cols == fresh.cols
+        assert cached.keys == fresh.keys
+        assert cached.outers == fresh.outers
+        assert cached.floats == fresh.floats
+
+    def test_a_refusal_is_not_cached(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        gram = zgram((10**13,))  # a coordinate box of about 6.3 million points
+        for _ in range(2):
+            with pytest.raises(SearchSpaceError, match="coordinate box"):
+                length_certificate(gram, 5)
+        assert builds == [gram, gram]
+        assert search._pool.cache_info().currsize == 0
 
 
 class TestForcedRows:

@@ -36,8 +36,10 @@ Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
 fitting pair +-x, holding x^2, its trace and the values of x and x^2 at
 every embedding as floats, and keeps the result in a bounded cache.  The scan
-fixes the coordinates c_j of x = sum c_j b_j one at a time and solves each
-one's range on the real slice of the prefix, which holds every member: for
+fixes the coordinates c_j of x = sum c_j b_j one at a time, narrowest box
+first (`_scan_order`; below, b_j is the basis in that order), sorts the
+records back into product order of the basis, and solves each coordinate's
+range on the real slice of the prefix, which holds every member: for
 d - i embeddings E with [sigma_e(b_j)], e in E, j >= i, invertible, the w
 with sum over E of w_e sigma_e(b_j) = [j = i] for j >= i gives
 c_i = sum over E of w_e sigma_e(x) - (a linear form in c_0..c_{i-1}),
@@ -176,12 +178,18 @@ def _float_solve(m: list[list[float]], rhs: list[float]) -> list[float] | None:
     return [row[n] / row[r] for r, row in enumerate(rows)]
 
 
+def _scan_order(field: Field) -> tuple[int, ...]:
+    """The basis indices by increasing box limit, ties in basis order."""
+    return tuple(sorted(range(field.degree), key=field._box_nums.__getitem__))
+
+
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
-    """Per level i, the supports of `_column_values`'s slice bound:
-    (weights, coeffs, errs) for each set E of degree - i embeddings on which
-    B_E = [sigma_e(b_j)], j >= i, is invertible in floats; at the last level
-    each support is one embedding.
+def _slice_supports(field: Field) -> tuple[tuple[int, ...], tuple[tuple[tuple, ...], ...]]:
+    """(order, levels): `_scan_order`, and per level i the supports of
+    `_column_values`'s slice bound over the basis b_j = b_order[j] in scan
+    order: (weights, coeffs, errs) for each set E of degree - i embeddings
+    on which B_E = [sigma_e(b_j)], j >= i, is invertible in floats; at the
+    last level each support is one embedding.
 
     weights holds (e, |W_e|) with W = 2^40 w rounded, for the float solution
     w of B_E^T w = e_i.  The real M_j = sum over E of W_e sigma_e(b_j) is
@@ -191,8 +199,9 @@ def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
     makes the bound tight; the enclosures make it sound.
     """
     deg = field.degree
-    floats = field._emb_floats
-    basis = field._basis_enclosures
+    order = _scan_order(field)
+    floats = [[row[j] for j in order] for row in field._emb_floats]
+    basis = [field._basis_enclosures[j] for j in order]
     levels = []
     for i in range(deg):
         supports = []
@@ -220,7 +229,7 @@ def _slice_supports(field: Field) -> tuple[tuple[tuple, ...], ...]:
                 (tuple([(e, abs(weight)) for e, weight in weights]), tuple(coeffs), tuple(errs))
             )
         levels.append(tuple(supports))
-    return tuple(levels)
+    return order, tuple(levels)
 
 
 def _slice_range(bounds, prefix: tuple[int, ...], limit: int) -> tuple[int, int]:
@@ -248,13 +257,17 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     |sigma(x)| <= sqrt(sigma(diag)), read off the diagonal's integer
     enclosures, so every grid point is already integral.  Membership holds
     for x exactly when it holds for -x, so only the half of the box after 0
-    in product order is scanned, and each hit yields one record for the
-    pair +-x, which share their square, its trace and its square's floats;
-    the values of x at the embeddings come from the same interval tests.
+    in the scan's product order is scanned, and each hit yields one record
+    for the pair +-x, which share their square, its trace and its square's
+    floats; the values of x at the embeddings come from the same interval
+    tests.
     A box of more than POOL_ROW_CAP points raises SearchSpaceError before
     the scan, and a diagonal negative at some embedding has no values.
 
-    Coordinates are fixed one at a time in product order.  With R_e =
+    Coordinates are fixed one at a time in `_scan_order`, narrowest box
+    first, so the scan tree is narrow at the top; b_j and c_j below are in
+    that order.  The records are sorted back into product order of the
+    basis, so the order changes the work, not the records.  With R_e =
     isqrt(2^table bits * the upper end of sigma_e(diag)) + 1, every member
     has |2^table bits sigma_e(x)| <= R_e.  For the coordinate c_i after a
     prefix c_0..c_{i-1}, take a support E of d - i embeddings with B_E =
@@ -286,7 +299,8 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         root = isqrt(max(hi, 0))
         root_sum += root + (root * root < hi)
     box_den = field._box_den
-    limits = [root_sum * num // box_den for num in field._box_nums]
+    order, levels = _slice_supports(field)
+    limits = [root_sum * field._box_nums[j] // box_den for j in order]
     size = 1
     for limit in limits:
         size *= 2 * limit + 1
@@ -304,19 +318,22 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     floors = [lo * shift for lo, _ in diag_ivs]
     # per level, (coeffs, t) for each support
     slices = []
-    for supports in _slice_supports(field):
+    for supports in levels:
         level = []
         for weights, coeffs, errs in supports:
             # |2^96 (2^40 c_i + sum c_j a_j)| <= sum |W_e| R_e + sum |c_j| errs[j]
             top = sum([w * (roots[e] + 1) for e, w in weights]) + sum(map(mul, limits, errs))
             level.append((coeffs, top >> _EMB_BITS))
         slices.append(level)
-    # basis[i][e] is the enclosure of basis element i at embedding e
-    basis = field._basis_enclosures
+    # basis[i][e] is the enclosure at embedding e of the basis element fixed
+    # at level i; records hold coordinates in basis order
+    basis = [field._basis_enclosures[j] for j in order]
+    place = None if order == tuple(range(deg)) else itemgetter(*map(order.index, range(deg)))
     square_of = field.mul_coords
     values: list[_Column] = []
     # (coords, xlo and xhi at each embedding) of every prefix that can fit;
-    # its first nonzero coordinate is positive, which keeps the half box
+    # its first nonzero coordinate in scan order is positive, which keeps
+    # the half box
     prefixes = [((), (0,) * n_emb, (0,) * n_emb)]
     for i in range(deg):
         enclosures = basis[i]
@@ -353,6 +370,8 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
                     if a * a > floor or b * b > floor:
                         exact_needed = True
                     mids.append((a + b) * _MID_SCALE)
+                if place:
+                    coords = place(coords)
                 square = square_of(coords, coords)
                 if exact_needed and not field.coords_totally_nonneg(
                     tuple(map(sub, diag_coords, square))
@@ -366,6 +385,10 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
                 record = _Column(coords, square, trace, tuple([m * m for m in mids]), tuple(mids))
                 values.append(record if positive else record.negated())
         prefixes = extended
+    if place:
+        # product order of the member whose first nonzero coordinate is positive
+        zero = (0,) * deg
+        values.sort(key=lambda v: v.coords if v.coords > zero else tuple(map(neg, v.coords)))
     return tuple(values)
 
 

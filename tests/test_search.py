@@ -615,18 +615,20 @@ class TestColumnScan:
             xs = [_random_element(rng, field, 1) for _ in range(rng.randint(2, 3))]
             diag = _sum_of_squares(field, (0,) * 4, xs)
             assert _column_values.__wrapped__(field, diag) == half_box_scan(field, diag), diag
-        # the counts of the exact slice ranges: a bound that stays sound but
-        # is looser scans more, as a w of the wrong sign does (304, 3274
-        # and 22000 prefixes here)
-        assert created[0] <= 228 and created[1] <= 1184 and created[2] <= 2894, created
+        # the counts of the exact slice ranges, narrowest coordinate first: a
+        # bound that stays sound but is looser scans more, and so does the
+        # basis order (228, 1184 and 2894 prefixes here)
+        assert created[0] <= 47 and created[1] <= 95 and created[2] <= 460, created
         assert created[3] <= 2199, created
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES + [Shape((2, 5))], ids=str)
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(data=st.data())
     def test_slice_ranges_hold_every_live_prefix(self, shape, data):
-        # at every level, the range solved for the prefix of each member of
-        # the half box must contain the member's coordinate
+        # at every level, the range solved for the scan-order prefix of each
+        # member of the half box must contain the member's coordinate; the
+        # scan keeps the member of +-x whose first nonzero coordinate in scan
+        # order is positive
         field = make_field(shape)
         spread = 2 if field.degree < 4 else 1
         coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
@@ -647,12 +649,47 @@ class TestColumnScan:
             records = _column_values.__wrapped__(field, diag)
         expected = half_box_scan(field, diag)
         assert records == expected
-        for x in [v.coords for v in expected]:
+        order = search._scan_order(field)
+        for v in expected:
+            x = tuple(v.coords[j] for j in order)
             if next(c for c in x if c) < 0:
                 x = tuple(-c for c in x)
             for i in range(field.degree):
                 first, last = solved[x[:i]]
-                assert first <= x[i] <= last, (diag, x, i)
+                assert first <= x[i] <= last, (diag, v.coords, i)
+
+    def test_scan_order_is_narrowest_box_first(self):
+        assert search._scan_order(make_field(Shape(()))) == (0,)
+        for shape in SCAN_SHAPES[1:] + [Shape((2, 5))]:
+            field = make_field(shape)
+            order = search._scan_order(field)
+            assert sorted(order) == list(range(field.degree))
+            assert [field._box_nums[j] for j in order] == sorted(field._box_nums), shape
+
+    @pytest.mark.parametrize("radicands", [(5,), (6, 7), (13, 15)], ids=str)
+    def test_records_do_not_depend_on_the_scan_order(self, radicands, monkeypatch):
+        # every order of the coordinates solves its own slice ranges, and
+        # returns the same records in the same order
+        field = make_field(Shape(radicands))
+        rng = random.Random(83 + sum(radicands))
+        diags = []
+        for _ in range(4):
+            xs = [_random_element(rng, field, 1) for _ in range(rng.randint(2, 3))]
+            diags.append(_sum_of_squares(field, (0,) * field.degree, xs))
+        if radicands in SUBFIELD_UNITS:
+            diags.append(_unit_squares(field)[0])
+        expected = [half_box_scan(field, diag) for diag in diags]
+        assert all(expected)
+        search._slice_supports.cache_clear()
+        try:
+            for order in itertools.permutations(range(field.degree)):
+                monkeypatch.setattr(search, "_scan_order", lambda _, order=order: order)
+                search._slice_supports.cache_clear()
+                records = [_column_values.__wrapped__(field, diag) for diag in diags]
+                assert records == expected, order
+        finally:
+            monkeypatch.undo()
+            search._slice_supports.cache_clear()
 
 
 class TestColumnBounds:

@@ -18,19 +18,11 @@ discard provably infeasible branches:
     completion exists;
   * at budget 1 the remainder must equal a candidate outer product, found
     by dictionary lookup;
-  * at budget 2 the remainder is one row's outer product or a pair's, and a
-    pair has a row nonzero in each column where the remainder's diagonal is
-    nonzero.  When such a column's support, the pool rows nonzero there
-    (`RowPool.column_supports`), leaves fewer rows than the key range, each
-    support row is subtracted and the rest looked up, and the pair with the
-    smallest first row, the one the scan would find, is returned;
-  * at budget >= 3 a representation likewise has a row nonzero in each such
-    column, at or after the first row the key range allows.  When a
-    column's support leaves no such row the node is Unsat, and when it
-    leaves one, that row is forced (Knuth's Algorithm X): it is subtracted
-    and the rest searched with one row fewer from the same start.  Putting
-    the forced row into each representation of the rest keeps their order,
-    so the witness is the one the scan would find.
+  * at a budget b with 2 <= b <= r, a remainder V^T V with V of at most b
+    rows (zero rows pad V to b) has det(rem_S) = det(V_S)^2 for every set S
+    of b columns (Cauchy-Binet), so N(det rem_S) is the square of an
+    integer; a node where some S fails that integer test is Unsat
+    (`_square_norms`).
 
 Candidate rows are assembled from column values: for each diagonal entry,
 `_column_values` scans half of its coordinate box, emits one record for each
@@ -90,9 +82,6 @@ from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
 
 POOL_ROW_CAP = 2_000_000
-# pools of at most this many rows keep no column supports: scanning them
-# costs less than building the supports and choosing a column at each node
-SUPPORT_MIN_ROWS = 32
 SEARCH_CACHE_CAP = 1 << 22  # entries in the memo of (remainder, budget)
 
 
@@ -627,6 +616,31 @@ def _screen_indices(r: int, n_emb: int) -> tuple:
     return _minor_levels(r, n_emb), _getter([t * n_emb + e for t in diagonal for e in range(n_emb)])
 
 
+@lru_cache(maxsize=64)
+def _square_indices(r: int, d: int) -> tuple:
+    """(subsets, offsets): subsets[b] holds the b-subsets of range(r), and
+    entry (i, j) of a flat remainder starts at offsets[i][j]."""
+    slot = {ij: t for t, ij in enumerate(_slot_pairs(r))}
+    offsets = tuple(tuple(slot[min(i, j), max(i, j)] * d for j in range(r)) for i in range(r))
+    return tuple(tuple(itertools.combinations(range(r), b)) for b in range(r + 1)), offsets
+
+
+def _square_norms(field: Field, r: int, rem, budget: int) -> bool:
+    """Whether N(det rem_S) is the square of an integer for every set S of
+    `budget` columns of the flat r x r remainder rem, as it is when rem is
+    V^T V for V of at most `budget` rows: det(rem_S) = det(V_S)^2 by
+    Cauchy-Binet, and N(det V_S) is an integer."""
+    d = field.degree
+    subsets, offsets = _square_indices(r, d)
+    m = [[rem[o : o + d] for o in row] for row in offsets]
+    minors: dict = {}
+    for S in subsets[budget]:
+        n = field.norm_of_coords(field.minor(m, S, S, minors))
+        if n < 0 or isqrt(n) ** 2 != n:
+            return False
+    return True
+
+
 def _minor_levels(r: int, n_emb: int) -> tuple:
     """Index programs that evaluate every principal minor of size 2..r of a
     symmetric r x r matrix held as floats, entry by entry in slot order
@@ -811,11 +825,6 @@ class RowPool:
     with a zero put in; the searches split such columns off before they
     build a pool (`_split_units`), and a pool built here goes through the
     generic screens.
-
-    A pool of more than SUPPORT_MIN_ROWS rows keeps `column_supports`: for
-    each column that some rows leave zero and others not, (start, end,
-    indices), where the column's diagonal entry lies in a flat remainder and
-    the ascending indices of the rows nonzero in it.
     """
 
     def __init__(self, gram: GramForm, icoords) -> None:
@@ -858,14 +867,6 @@ class RowPool:
             for i in range(d)
             if traces[i]
         ]
-        self.column_supports = []
-        if r > 1 and len(self) > SUPPORT_MIN_ROWS:
-            zero_entry = (0,) * d
-            for k in range(r):
-                support = [i for i, cols in enumerate(self.cols) if cols[k] != zero_entry]
-                if 0 < len(support) < len(self):
-                    start = _slot_pairs(r).index((k, k)) * d
-                    self.column_supports.append((start, start + d, support))
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -888,10 +889,12 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     A node carries its remainder exactly, as floats and by trace.  A child
     is cut when its diagonal or, once it would be searched further, one of
     its principal minors is proven negative (`_Screen`); the exact leaf
-    tests decide the rest.  One pass over the column supports finds a
-    column left without rows (Unsat), a forced row at budget >= 3, or a
-    cover for a budget-2 node.
+    tests decide the rest.  A node whose budget b is at least 2 and at most
+    the rank is Unsat when a b x b principal minor of its remainder fails
+    the square-norm test (`_square_norms`), and the memo records it.
     """
+    field = pool.field
+    rank = pool.rank
     keys = pool.keys
     neg_keys = pool.neg_keys
     outers = pool.outers
@@ -899,7 +902,6 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     diag_floats = pool.diag_floats
     outer_index = pool.outer_index
     zero = pool.zero_flat
-    supports = pool.column_supports
     screen = pool.screen
     diag_of = screen.diag_of
     root_floats, diag_band, level_bands = screen.start(budget)
@@ -920,64 +922,12 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
             idx = outer_index.get(rem)
             if idx is not None and idx >= start:
                 return [idx]
-        else:
+        elif budget > rank or _square_norms(field, rank, rem, budget):
             # rows are nonincreasing, so a row's key is at most tr and at
             # least tr / budget
             first = bisect_left(neg_keys, -tr, lo=start)
             last = bisect_right(neg_keys, -tr // budget, lo=first)
             caps = list(map(add, diag_of(remf), diag_band))
-            if supports:
-                # a representation of rem has a row nonzero in every column
-                # where rem's diagonal is nonzero, and its rows have keys at
-                # most tr, so they lie at or after first: take the column
-                # with the fewest such rows, if it has none, or one (a forced
-                # row), or, at budget 2, fewer than the scan would visit
-                cover = None
-                fewest = last - first if budget == 2 else 2
-                for lo, hi, support in supports:
-                    if any(rem[lo:hi]):
-                        at = bisect_left(support, first)
-                        if len(support) - at < fewest:
-                            fewest = len(support) - at
-                            cover = support[at:]
-                if cover is not None and budget == 2:
-                    # the pair with the smallest first row, which the scan
-                    # would return; a row of a pair passes its diagonal test
-                    best = None
-                    for u in cover:
-                        if any(map(gt, diag_floats[u], caps)):
-                            continue
-                        rem2 = tuple(map(sub, rem, outers[u]))
-                        if rem2 == zero:
-                            pair = [u]
-                        else:
-                            v = outer_index.get(rem2)
-                            if v is None or v < start:
-                                continue
-                            pair = sorted((u, v))
-                        if best is None or pair < best:
-                            best = pair
-                    if best is not None:
-                        return best
-                    last = first  # no pair: nothing is left to scan
-                elif cover is not None:
-                    # no row left: no representation; one row u: every
-                    # representation holds u and others from start on, and
-                    # inserting u into each keeps their order, so the first
-                    # one is the scan's
-                    last = first
-                    for u in cover:
-                        if any(map(gt, diag_floats[u], caps)):
-                            break
-                        remf2 = list(map(sub, remf, floats[u]))
-                        if rejects is not None and rejects(remf2, level_bands):
-                            break
-                        rem2 = tuple(map(sub, rem, outers[u]))
-                        if rem2 == zero:
-                            return [u]
-                        tail = dfs(rem2, remf2, tr - keys[u], budget - 1, start)
-                        if tail is not None:
-                            return sorted([u] + tail)
             for idx, diagonal in zip(range(first, last), diag_floats[first:last]):
                 if any(map(gt, diagonal, caps)):
                     continue

@@ -8,14 +8,18 @@ independent check of `Unsat`.
 
 `exact_prune_search` is the ordered search as it was before its prunes read
 floats: the same DFS, with the diagonal prune on integer enclosures and an
-exact, cached PSD test of every remainder it descends into.  It forces rows
-by the rule of `_search`, or, with `force=False`, scans every node.
+exact, cached PSD test of every remainder it descends into.  It cuts the
+nodes `_search` cuts by Cauchy-Binet with its own test, `_square_minors`,
+which takes Leibniz determinants in `Radical` arithmetic and norms from the
+characteristic polynomial.
 """
 
 import itertools
 from bisect import bisect_left
+from math import isqrt
 
-from soslen import Certificate, GramForm, Represented, Unsat, verify_certificate
+from soslen import Certificate, GramForm, Radical, Represented, Unsat, verify_certificate
+from soslen.fields import characteristic_polynomial
 from soslen.search import (
     SEARCH_CACHE_CAP,
     _Column,
@@ -72,15 +76,6 @@ class ProductPool:
         self.root = tuple(c for i, j in self.slots for c in icoords[i][j])
         self.screen = _Screen(field, self.root, _column_bounds(field, icoords, columns))
         self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
-        # (start, end, indices) per column that some rows leave zero and
-        # others not: where its diagonal lies in a flat remainder, and the
-        # rows nonzero there
-        self.column_supports = []
-        for j in range(r):
-            support = [i for i, cols in enumerate(self.cols) if any(cols[j])]
-            if 0 < len(support) < len(self):
-                start = self.diag_slots[j] * d
-                self.column_supports.append((start, start + d, support))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -155,27 +150,44 @@ def _remainder_psd(pool, rem) -> bool:
     )
 
 
-def _forced_rows(pool, rem, first: int) -> list[int] | None:
-    """The rule of `_search` at a node of budget >= 3: among the columns of
-    `column_supports` where rem's diagonal is nonzero, their rows at or
-    after first.  [] when some column has none, [u] for the first column
-    with only u, and None otherwise."""
-    d = pool.field.degree
-    left = [
-        [i for i in support if i >= first]
-        for lo, hi, support in pool.column_supports
-        if rem[lo:hi] != (0,) * d
+def _leibniz(m, S) -> Radical:
+    """det m[S, S] by the Leibniz formula, for a matrix m of `Radical`s."""
+    total = Radical.zero(m[0][0].shape)
+    for perm in itertools.permutations(range(len(S))):
+        term = Radical.one(total.shape)
+        for i, p in enumerate(perm):
+            term = term * m[S[i]][S[p]]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _square_minors(pool, rem, budget: int) -> bool:
+    """Whether every principal minor of size `budget` of a flat remainder
+    has a norm that is the square of an integer, as Cauchy-Binet asks of
+    V^T V for V of at most `budget` rows.  The norm is the constant term of
+    the characteristic polynomial times (-1)^degree."""
+    field = pool.field
+    d = field.degree
+    r = pool.rank
+    entry = {ij: rem[t * d : (t + 1) * d] for t, ij in enumerate(_slot_pairs(r))}
+    m = [
+        [field.radical_of_coords(entry[min(i, j), max(i, j)]) for j in range(r)]
+        for i in range(r)
     ]
-    if any(not rows for rows in left):
-        return []
-    return next((rows for rows in left if len(rows) == 1), None)
+    for S in itertools.combinations(range(r), budget):
+        norm = characteristic_polynomial(_leibniz(m, S))[0] * (-1) ** d
+        assert norm.denominator == 1, "the norm of an algebraic integer"
+        if norm < 0 or isqrt(norm.numerator) ** 2 != norm:
+            return False
+    return True
 
 
-def exact_prune_search(pool, rem0, budget: int, memo: dict, force: bool = True):
+def exact_prune_search(pool, rem0, budget: int, memo: dict):
     """Indices of at most `budget` nonincreasing pool rows summing to rem0,
-    by the ordered search with exact prunes; with `force`, a node of budget
-    >= 3 takes a row that some column leaves as its only choice, as
-    `_search` does, and one with no choice left there is Unsat."""
+    by the ordered search with exact prunes; a node whose budget b is at
+    least 2 and at most the rank is Unsat when a b x b principal minor of its
+    remainder fails `_square_minors`, as in `_search`."""
     field = pool.field
     n_emb = len(field.embeddings)
     keys = pool.keys
@@ -215,24 +227,14 @@ def exact_prune_search(pool, rem0, budget: int, memo: dict, force: bool = True):
             idx = outer_index.get(rem)
             if idx is not None and idx >= start:
                 return [idx]
-        else:
+        elif budget > pool.rank or _square_minors(pool, rem, budget):
             first = bisect_left(neg_keys, -tr, lo=start)
             rem_hi = tuple(
                 field.interval_of_coords(x, e)[1]
                 for x in _diagonal(pool, rem)
                 for e in range(n_emb)
             )
-            forced = _forced_rows(pool, rem, first) if force and budget >= 3 else None
-            for u in forced or ():
-                if all(rem_hi[t] >= diag_lo[u][t] for t in range(slots)):
-                    rem2 = tuple(a - b for a, b in zip(rem, outers[u]))
-                    if rem2 == zero:
-                        return [u]
-                    if psd(rem2):
-                        tail = dfs(rem2, budget - 1, start)
-                        if tail is not None:
-                            return sorted([u] + tail)
-            for idx in range(first, n if forced is None else first):
+            for idx in range(first, n):
                 k = keys[idx]
                 if k * budget < tr:
                     break

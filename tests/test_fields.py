@@ -399,3 +399,37 @@ class TestMinors:
             full = tuple(range(n))
             seen["singular"] += leibniz_det(entries, full, full).is_zero()
         assert all(seen.values()), seen
+
+
+class TestNorm:
+    """`Field.norm_of_coords`, the determinant of the trace form of x over
+    the discriminant, against the constant term of the characteristic
+    polynomial in `Radical` arithmetic, which shares no code with it."""
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (13, 15), (10, 65)], ids=str)
+    def test_matches_the_characteristic_polynomial(self, radicands):
+        field = make_field(Shape(radicands))
+        shape = field.shape
+        d = field.degree
+        # the discriminant is the trace-form determinant of 1, as before
+        assert field.discriminant == expected_discriminant(shape)
+        assert field.norm_of_coords(field.one().coords) == 1
+        one = Radical.one(shape)
+        # units (a + b sqrt(r_i)) / c, of norm +-1 in Q(sqrt r_i), as (a, i, b, c)
+        units = {
+            (): [],
+            (5,): [(1, 0, 1, 2)],
+            (6, 7): [(5, 0, 2, 1), (8, 1, 3, 1)],
+            (13, 15): [(3, 0, 1, 2), (4, 1, 1, 1)],
+            (10, 65): [(3, 0, 1, 1), (8, 1, 1, 1)],
+        }[radicands]
+        unit_coords = [field.coords_of(one), field.coords_of(-one)]
+        for a, i, b, c in units:
+            unit = one.scale(a) + Radical.sqrt_generator(shape, i).scale(b)
+            unit_coords.append(field.coords_of(unit.scale(F(1, c))))
+        rng = random.Random(f"norm:{radicands}")
+        seeded = [tuple(rng.randint(-20, 20) for _ in range(d)) for _ in range(30)]
+        for coords in [(0,) * d] + unit_coords + seeded:
+            norm = characteristic_polynomial(field.radical_of_coords(coords))[0] * (-1) ** d
+            assert field.norm_of_coords(coords) == norm, coords
+        assert all(abs(field.norm_of_coords(c)) == 1 for c in unit_coords)

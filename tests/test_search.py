@@ -866,8 +866,9 @@ class TestFloatScreen:
 
     def test_perp_unit_case_instance(self):
         # instance 7 of suite case perp-unit over Q(sqrt 6, sqrt 7): rank 3
-        # with 559 pool rows, whose budget-4 search expands 86 nodes: the
-        # unit row is forced at the root (819 nodes without forcing)
+        # with 559 pool rows, whose budget-4 search expands 85 nodes: no row
+        # is forced, and the square-norm test cuts the budget-3 and budget-2
+        # nodes that cannot finish (819 nodes without it)
         field = make_field(Shape((6, 7)))
         rng = random.Random(f"perp-unit:{field.shape}")
         for _ in range(8):
@@ -876,7 +877,7 @@ class TestFloatScreen:
         found, fast, slow = _searched_like_length(gram, 6)
         assert [len(ours) if ours else None for ours, _ in found] == [None, 4]
         assert all(ours == oracle for ours, oracle in found)
-        assert fast == slow == 86
+        assert fast == slow == 85
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
     @settings(derandomize=True, max_examples=30, deadline=None)
@@ -964,19 +965,6 @@ class TestFloatScreen:
                         assert not (screen.levels and screen.rejects(remf, level_bands))
 
 
-class WatchedSupport(list):
-    """A column support that counts the slices the search reads of it, which
-    it does when the support covers a node: at budget 2, or at budget >= 3
-    when it leaves one row or none."""
-
-    slices = 0
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.slices += 1
-        return super().__getitem__(key)
-
-
 def _element_or_zero(rng, field, spread):
     """A random element, zero one time in three, so that Grams of such rows
     have zero entries off the diagonal."""
@@ -986,14 +974,13 @@ def _element_or_zero(rng, field, spread):
 
 
 class TestColumnSupports:
-    """A budget-2 node resolves its remainder from the support of one of its
-    columns, the rows nonzero there, when that is smaller than the rows the
-    scan would visit; the scan is the reference."""
+    """Grams with zero entries off the diagonal, whose columns are nonzero in
+    some pool rows only: the search that cuts by square norms returns the
+    indices of the scan without that cut, and expands the nodes of the
+    exact-prune oracle."""
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
     def test_same_indices_and_nodes_as_the_scan(self, radicands, monkeypatch):
-        # supports on every pool, also those small enough to go without
-        monkeypatch.setattr(search, "SUPPORT_MIN_ROWS", 0)
         field = make_field(Shape(radicands))
         rng = random.Random(89 + sum(radicands))
         spread = 1 if len(radicands) == 2 else 2
@@ -1009,58 +996,130 @@ class TestColumnSupports:
                 if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
                     continue
                 made += 1
-                grams.append((gram, len(rows) + 1, False))
+                grams.append((gram, len(rows) + 1))
                 if rank < 3:
-                    grams.append((perp_unit(gram), len(rows) + 2, True))
+                    grams.append((perp_unit(gram), len(rows) + 2))
         zero = (0,) * field.degree
         assert any(
-            e == zero for gram, _, _ in grams for row in gram.doubled for e in row
+            e == zero for gram, _ in grams for row in gram.doubled for e in row
         ), "no Gram with a zero entry"
-        taken_on_perp = 0
-        for gram, s_max, perp in grams:
-            icoords = gram.integral_coords()
-            pool = RowPool(gram, icoords)
-            if gram.rank == 1:
-                assert pool.column_supports == []
-            for start, end, support in pool.column_supports:
-                assert start % field.degree == 0 and end - start == field.degree
-                assert support == sorted(support) and 0 < len(support) < len(pool)
-            supports = pool.column_supports
-            watched = [(a, b, WatchedSupport(support)) for a, b, support in supports]
+        test = search._square_norms
+        cuts = []
+
+        def watched(*args):
+            holds = test(*args)
+            cuts.append(not holds)
+            return holds
+
+        nodes = 0
+        for gram, s_max in grams:
+            pool = RowPool(gram, gram.integral_coords())
             for budget in range(1, s_max + 1):
-                pool.column_supports = watched
-                with_supports = CountingMemo()
-                before = sum(support.slices for _, _, support in watched)
-                ours = _search(pool, budget, with_supports)
-                if perp and budget == 2:
-                    # the root is the only node of a budget-2 search
-                    taken_on_perp += sum(support.slices for _, _, support in watched) - before
-                # the oracle forces the rows `_search` forces, and scans
-                # every budget-2 node
-                pool.column_supports = supports
-                scanned = CountingMemo()
-                assert ours == exact_prune_search(pool, pool.root, budget, scanned), budget
-                assert with_supports.lookups == scanned.lookups, budget
-                pool.column_supports = []
+                pruned, exact = CountingMemo(), CountingMemo()
+                monkeypatch.setattr(search, "_square_norms", watched)
+                ours = _search(pool, budget, pruned)
+                assert ours == exact_prune_search(pool, pool.root, budget, exact), budget
+                assert pruned.lookups == exact.lookups, budget
+                nodes += pruned.lookups
+                # the scan: the same search without the square-norm cut
+                monkeypatch.setattr(search, "_square_norms", lambda *args: True)
                 assert ours == _search(pool, budget, {}), budget
-        assert taken_on_perp > 0
+        assert nodes > 100
+        assert any(cuts), "the square-norm test cut no node"
 
 
-    def test_unit_column_of_a_perp_unit_pool(self):
-        # the Gram of `test_perp_unit_case_instance`, with 559 pool rows:
-        # only the unit row is nonzero in the unit column, the last one
-        field = make_field(Shape((6, 7)))
-        rng = random.Random(f"perp-unit:{field.shape}")
-        for _ in range(8):
-            rows = _random_rows(rng, field, rng.choice((1, 2)), 3, 1)
-        gram = perp_unit(GramForm.from_rows(field, rows))
-        pool = RowPool(gram, gram.integral_coords())
-        assert len(pool) > search.SUPPORT_MIN_ROWS
-        r, d = gram.rank, field.degree
-        unit = pool.cols.index(((0,) * d,) * (r - 1) + (field.one().coords,))
-        # the last column's diagonal entry is the last slot of the triangle
-        start = (r * (r + 1) // 2 - 1) * d
-        assert (start, start + d, [unit]) in pool.column_supports
+def _prune_cases(case):
+    """(field, [(gram, s_max)]) for a case of `TestSquareMinorPrune`."""
+    if case == "tail:(13, 15):2:3:1":
+        # the three-row tail instance, 19,337 pool rows, of length 3
+        field = make_field(Shape((13, 15)))
+        rows = [
+            [(0, -1, 1, -1), (1, 0, 1, -1)],
+            [(0, 1, 1, -1), (-1, -1, -1, 1)],
+            [(1, -1, -1, 0), (1, -1, 0, -1)],
+        ]
+        rows = [tuple(map(field.element_from_coords, row)) for row in rows]
+        return field, [(GramForm.from_rows(field, rows), 3)]
+    radicands = (6, 7) if case == "(6, 7)" else (13, 15)
+    field = make_field(Shape(radicands))
+    rng = random.Random(f"forced:{radicands}")
+    grams = []
+    while len(grams) < 4:
+        rows = _random_rows(rng, field, 2, 3, 1)
+        if len(rows) < 2:
+            continue
+        gram = GramForm.from_rows(field, rows)
+        perp = perp_unit(gram)
+        # pools of 33 to 1,500 rows, small enough for a quick unpruned
+        # search; G's pool is perp_unit(G)'s without the unit row
+        if not 32 < len(candidate_rows(perp)) - 1 <= 1500:
+            continue
+        grams += [(gram, len(rows) + 1), (perp, len(rows) + 1)]
+    return field, grams
+
+
+class TestSquareMinorPrune:
+    """A node whose budget b is at least 2 and at most the rank is Unsat when
+    the norm of a b x b principal minor of its remainder is not the square of
+    an integer (Cauchy-Binet, `search._square_norms`)."""
+
+    @pytest.mark.parametrize("case", ["(6, 7)", "(13, 15)", "tail:(13, 15):2:3:1"])
+    def test_same_indices_as_without_the_prune(self, case, monkeypatch):
+        # the oracle without its copy of the test is the reference
+        monkeypatch.setattr(reference_search, "_square_minors", lambda *args: True)
+        test = search._square_norms
+        cuts = []
+
+        def watched(*args):
+            holds = test(*args)
+            cuts.append(not holds)
+            return holds
+
+        monkeypatch.setattr(search, "_square_norms", watched)
+        field, grams = _prune_cases(case)
+        for g, s_max in grams:
+            t, cert = length_certificate(g, s_max)
+            # the pool length_certificate kept, when g has no unit column
+            pool = search._pool(g, g.integral_coords())
+            for budget in range(1, t + 1):
+                ours = _search(pool, budget, {})
+                assert ours == exact_prune_search(pool, pool.root, budget, {}), budget
+                assert (ours is not None) == (budget == t)
+            assert cert == Certificate(field, g.rank, pool.rows_as_elements(ours))
+        assert any(cuts), case
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_minor_of_a_sum_of_squares_passes(self, radicands, data):
+        field = make_field(Shape(radicands))
+        spread = 1 if len(radicands) == 2 else 3
+        r = data.draw(st.integers(1, 4), label="r")
+        budget = data.draw(st.integers(1, r), label="budget")
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        rows = data.draw(
+            st.lists(st.tuples(*[coords] * r), max_size=budget), label="rows"
+        )
+        # V^T V for the rows V, zero rows padding them to `budget`
+        rem = []
+        for i, j in search._slot_pairs(r):
+            entry = (0,) * field.degree
+            for row in rows:
+                entry = tuple(map(add, entry, field.mul_coords(row[i], row[j])))
+            rem += entry
+        assert search._square_norms(field, r, tuple(rem), budget)
+
+    def test_negative_and_non_square_norms_fail(self):
+        # 2 x 2 remainders (0, 1; 1, 0), det -1, and (2, 0; 0, 1), det 2,
+        # over Q, and (phi, 0; 0, 1) over Q(sqrt 5), det phi of norm -1
+        q5 = make_field(Shape((5,)))
+        for field, flat in (
+            (Q, (0, 1, 0)),
+            (Q, (2, 0, 1)),
+            (q5, (0, 1, 0, 0, 1, 0)),
+        ):
+            assert not search._square_norms(field, 2, flat, 2), (field, flat)
+        assert search._square_norms(Q, 2, (4, 0, 1), 2)
 
 
 def _unit_columns(gram):
@@ -1359,51 +1418,6 @@ class TestPoolCache:
                 length_certificate(gram, 5)
         assert builds == [gram, gram]
         assert search._pool.cache_info().currsize == 0
-
-
-class TestForcedRows:
-    """A node of budget >= 3 takes a row that a column leaves as its only
-    choice, and is Unsat when a column leaves none; the ordered search
-    without the rule, `exact_prune_search(..., force=False)`, is the
-    reference."""
-
-    @pytest.mark.parametrize("radicands", [(6, 7), (13, 15)], ids=str)
-    def test_same_indices_and_certificates_as_without_forcing(
-        self, radicands, monkeypatch
-    ):
-        field = make_field(Shape(radicands))
-        rng = random.Random(f"forced:{radicands}")
-        rule = reference_search._forced_rows
-        fired = []
-
-        def watched(pool, rem, first):
-            rows = rule(pool, rem, first)
-            if rows is not None:
-                fired.append(len(rows))
-            return rows
-
-        monkeypatch.setattr(reference_search, "_forced_rows", watched)
-        made = 0
-        while made < 2:
-            rows = _random_rows(rng, field, 2, 3, 1)
-            if len(rows) < 2:
-                continue
-            gram = GramForm.from_rows(field, rows)
-            perp = perp_unit(gram)
-            # pools with supports, and small enough for a quick unforced
-            # search; G's pool is perp_unit(G)'s without the unit row
-            if not search.SUPPORT_MIN_ROWS < len(candidate_rows(perp)) - 1 <= 1500:
-                continue
-            made += 1
-            for g in (gram, perp):
-                pool = RowPool(g, g.integral_coords())
-                t, cert = length_certificate(g, len(rows) + 1)
-                for budget in range(1, t + 1):
-                    ours = _search(pool, budget, {})
-                    assert ours == exact_prune_search(pool, pool.root, budget, {}, force=False)
-                    assert ours == exact_prune_search(pool, pool.root, budget, {})
-                assert cert == Certificate(field, g.rank, pool.rows_as_elements(ours))
-        assert 1 in fired, fired
 
 
 def _signed_permutation(gram, order, signs):

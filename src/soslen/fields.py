@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable
@@ -278,22 +278,22 @@ class Field:
             traces.append(t.numerator)
         self._basis_traces = tuple(traces)
 
-    def _trace_form_determinant(self, x: tuple[int, ...] | None = None) -> int:
-        """det [Tr(x b_i b_j)], x = 1 when None: the discriminant times
-        N(x), since the matrix is B^T diag(sigma(x)) B for B = [sigma_e(b_j)]."""
+    def _trace_form_determinant(self) -> int:
+        """det [Tr(b_i b_j)], the discriminant of the basis."""
         # trace-form entries are rational, written as t * basis[0] = t * 1
         pad = (0,) * (self.degree - 1)
-        x = (1,) + pad if x is None else x  # basis[0] = 1
-        gram = [
-            [(self.trace_of_coords(self.mul_coords(x, prod)),) + pad for prod in row]
-            for row in self._mul_tensor
-        ]
+        gram = [[(self.trace_of_coords(prod),) + pad for prod in row] for row in self._mul_tensor]
         order = tuple(range(self.degree))
         return self.minor(gram, order, order, {})[0]
 
     def norm_of_coords(self, coords: tuple[int, ...]) -> int:
-        """N(x), the product of the embedding values of x."""
-        return self._trace_form_determinant(coords) // self.discriminant
+        """N(x), the product of the embedding values of x: the conjugates of
+        the radical numerators y = 4x flip the signs of y's coordinates, and
+        their product is 4^d N(x), a rational."""
+        shape = self.shape
+        y = [sum(map(mul, coords, col)) for col in self._basis_columns4]
+        conjugates = [tuple(map(mul, shape.embedding_signs(emb), y)) for emb in self.embeddings]
+        return reduce(shape.mul, conjugates)[0] // 4**self.degree
 
     def _prepare_embedding_tables(self) -> None:
         # sigma(b) 2^96 is the sum of y_i s_i sqrt(r_i) 2^96 / 4 for b = y/4;

@@ -46,7 +46,11 @@ Every row v of a representation leaves a totally PSD remainder, so
 G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
 row prefixes one column at a time, keeps a prefix only while the leading
 block of G - vv^T stays totally PSD, and multiplies the off-diagonal
-entries of surviving prefixes only.
+entries of surviving prefixes only.  Symmetric matrices (G, the outer
+products vv^T, the remainders and their floats) are flat upper triangles
+laid out column by column, (0,0), (0,1), (1,1), (0,2), ... (`_slot_pairs`),
+so the outer product of a prefix is the front of that of every row it
+grows into, and a new column appends its entries.
 
 A unit column c, with G_cc = 1 and every other entry of the column 0, is
 split off where the search starts (`represent`, `length_certificate`): a
@@ -237,6 +241,18 @@ def _slice_range(bounds, prefix: tuple[int, ...], limit: int) -> tuple[int, int]
     return first, last
 
 
+def _box_limits(field: Field, diag_ivs) -> list[int]:
+    """Per basis coordinate, the largest |c_j| of an x with sigma(x)^2 <=
+    sigma(diag) at every embedding, from the diagonal's enclosures diag_ivs:
+    sqrt(sigma(diag)) <= ceil(sqrt(hi)) / 2^(table bits / 2) at each
+    embedding."""
+    root_sum = 0
+    for _, hi in diag_ivs:
+        root = isqrt(max(hi, 0))
+        root_sum += root + (root * root < hi)
+    return [root_sum * num // field._box_den for num in field._box_nums]
+
+
 @lru_cache(maxsize=1 << 13)
 def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
@@ -282,14 +298,9 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     n_emb = len(field.embeddings)
     interval = field.interval_of_coords
     diag_ivs = [interval(diag_coords, e) for e in range(n_emb)]
-    # sqrt(sigma(diag)) <= ceil(sqrt(hi)) / 2^(table bits / 2) at each embedding
-    root_sum = 0
-    for _, hi in diag_ivs:
-        root = isqrt(max(hi, 0))
-        root_sum += root + (root * root < hi)
-    box_den = field._box_den
+    box = _box_limits(field, diag_ivs)
     order, levels = _slice_supports(field)
-    limits = [root_sum * field._box_nums[j] // box_den for j in order]
+    limits = [box[j] for j in order]
     size = 1
     for limit in limits:
         size *= 2 * limit + 1
@@ -392,17 +403,20 @@ def _column_bounds(field: Field, icoords, columns) -> tuple[list[list[float]], l
 
     |sigma_e(x)| <= sqrt(sigma_e(G_aa)), read off the upper end of its
     enclosure.  The float is the rounded midpoint of x's enclosure, whose
-    half-width is at most degree * POOL_ROW_CAP times the widest basis
-    enclosure, halved: a column value's coordinates are below POOL_ROW_CAP.
+    half-width is at most the widest basis enclosure times sum |c_j|,
+    halved, and the scan keeps every |c_j| within the box limit of G_aa
+    (`_box_limits`).
     """
     n_emb = len(field.embeddings)
-    absolute = field._table_width * field.degree * POOL_ROW_CAP * _MID_SCALE
+    width = field._table_width
     bound = [[0.0] * n_emb for _ in columns]
     err = [[0.0] * n_emb for _ in columns]
     for a, values in enumerate(columns):
         if values:
-            for e in range(n_emb):
-                hi = field.interval_of_coords(icoords[a][a], e)[1]
+            diag_ivs = [field.interval_of_coords(icoords[a][a], e) for e in range(n_emb)]
+            # raised by 2^-40 of itself for its own rounding
+            absolute = width * sum(_box_limits(field, diag_ivs)) * _MID_SCALE * (1 + 2.0**-40)
+            for e, (_, hi) in enumerate(diag_ivs):
                 bound[a][e] = top = math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40)
                 if absolute:
                     err[a][e] = 2.0**-52 * top + absolute
@@ -488,43 +502,28 @@ def _minor_screens(field: Field, icoords, bounds) -> list[list[tuple]]:
 
 def _remainder_block(icoords, entries, size: int) -> list[list[tuple[int, ...]]]:
     """The leading size x size block of G - vv^T, where entries holds the
-    upper triangle of vv^T in column order, (i, j) at j(j+1)/2 + i."""
+    upper triangle of that block of vv^T in slot order (`_slot_pairs`)."""
     block: list[list] = [[None] * size for _ in range(size)]
-    for j in range(size):
-        for i in range(j + 1):
-            entry = tuple(map(sub, icoords[i][j], entries[j * (j + 1) // 2 + i]))
-            block[i][j] = block[j][i] = entry
+    for (i, j), entry in zip(_slot_pairs(size), entries):
+        block[i][j] = block[j][i] = tuple(map(sub, icoords[i][j], entry))
     return block
-
-
-def _outer_floats(row, pairs) -> tuple[float, ...]:
-    """sigma_e(v_i v_j) as floats for the entries (i, j) in pairs, each at
-    every embedding, from the column records of the row v."""
-    return tuple(
-        itertools.chain.from_iterable(
-            [
-                row[i].square_values if i == j else map(mul, row[i].values, row[j].values)
-                for i, j in pairs
-            ]
-        )
-    )
 
 
 def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     """(key, flat, cols, outer, floats) of every sign-normalized row v whose
-    columns are column values and for which G - vv^T is totally PSD; floats
-    holds vv^T at every embedding, as `_outer_floats` lays it out, and
-    bounds are the columns' (`_column_bounds`).
+    columns are column values and for which G - vv^T is totally PSD; outer
+    and floats hold vv^T in slot order (`_slot_pairs`), exactly and at every
+    embedding, and bounds are the columns' (`_column_bounds`).
 
     Rows grow one column at a time.  A prefix is (its column records, the
-    upper triangle of its outer product in column order, entry (i, j) at
-    j(j+1)/2 + i, whether a column is nonzero yet), and the block of
-    G - vv^T on its columns is totally PSD: its diagonal fits the column
-    boxes, the minors without the newest column were tested before, and
-    those with it are screened here.  A screen that cannot decide sends the
-    whole block to the exact test.  Rows start with a value positive at the
-    identity embedding, so an all-zero prefix continues only with zero or a
-    column record, and other prefixes with zero or either sign of one.
+    entries of its outer product, their floats, whether a column is nonzero
+    yet): a new column x appends the prefix's columns times x, then x^2.
+    The block of G - vv^T on the prefix's columns is totally PSD: its
+    diagonal fits the column boxes, the minors without the newest column
+    were tested before, and those with it are screened here.  A screen that cannot decide sends
+    the whole block to the exact test.  Rows start with a value positive at
+    the identity embedding, so an all-zero prefix continues only with zero
+    or a column record, and other prefixes with zero or either sign of one.
     """
     r = len(columns)
     if r == 1:
@@ -533,12 +532,10 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
     zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
-    mul = field.mul_coords
+    mul_coords = field.mul_coords
     screens = _minor_screens(field, icoords, bounds)
-    slot_order = [j * (j + 1) // 2 + i for i in range(r) for j in range(i, r)]
-    slot_pairs = _slot_pairs(r)
-    prefixes = [((v,), (v.square,), True) for v in columns[0]]
-    prefixes.append(((zero,), (zero_entry,), False))
+    prefixes = [((v,), (v.square,), v.square_values, True) for v in columns[0]]
+    prefixes.append(((zero,), (zero_entry,), zero.square_values, False))
     decorated = []
     for k in range(1, r):
         last = k == r - 1
@@ -546,7 +543,7 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
         signed = (zero,) + leads + tuple([v.negated() for v in leads])
         unstarted = leads if last else (zero,) + leads
         extended = []
-        for row, entries, started in prefixes:
+        for row, entries, floats, started in prefixes:
             tests = []
             for e, D, pairs, cross, akk, band in screens[k]:
                 c0 = D
@@ -571,25 +568,29 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
                         new_entries = entries + (zero_entry,) * (k + 1)
                     else:
                         xc = x.coords
-                        products = tuple([mul(c.coords, xc) for c in row])
+                        products = tuple([mul_coords(c.coords, xc) for c in row])
                         new_entries = entries + products + (x.square,)
                     if exact and not field.coords_psd(
                         _remainder_block(icoords, new_entries, k + 1)
                     ):
                         continue
                     new_row = row + (x,)
+                    new_floats = (
+                        floats
+                        + tuple(itertools.chain.from_iterable([map(mul, c.values, xv) for c in row]))
+                        + x.square_values
+                    )
                     if not last:
-                        extended.append((new_row, new_entries, started or x is not zero))
+                        extended.append((new_row, new_entries, new_floats, started or x is not zero))
                         continue
                     cols = tuple([c.coords for c in new_row])
-                    outer = map(new_entries.__getitem__, slot_order)
                     decorated.append(
                         (
                             sum([c.trace for c in new_row]),
                             tuple(itertools.chain.from_iterable(cols)),
                             cols,
-                            tuple(itertools.chain.from_iterable(outer)),
-                            _outer_floats(new_row, slot_pairs),
+                            tuple(itertools.chain.from_iterable(new_entries)),
+                            new_floats,
                         )
                     )
         prefixes = extended
@@ -597,8 +598,10 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
 
 
 def _slot_pairs(r: int) -> list[tuple[int, int]]:
-    """The entries (i, j), i <= j, of a symmetric r x r matrix in slot order."""
-    return [(i, j) for i in range(r) for j in range(i, r)]
+    """The entries (i, j), i <= j, of a symmetric r x r matrix in slot order:
+    column by column, (0, 0), (0, 1), (1, 1), (0, 2), ..., so (i, j) is slot
+    j(j+1)/2 + i and the first k(k+1)/2 slots are the leading k x k block."""
+    return [(i, j) for j in range(r) for i in range(j + 1)]
 
 
 def _getter(indices):
@@ -708,11 +711,11 @@ class _Screen:
     proven negative at some embedding, read from floats the DFS carries.
 
     The DFS starts from the floats of the pool's root G
-    (`Field.floats_of_coords`) and subtracts a row's floats `_outer_floats`
-    per child.  The minors are evaluated level by level, all embeddings at
-    once (`_minor_levels`), and each level is tested as soon as it is
-    computed; the full minor is built from the smaller ones, so testing
-    those on the way costs nothing.  Bands are fixed once per search of
+    (`Field.floats_of_coords`) and subtracts a row's floats per child.  The
+    minors are evaluated level by level, all embeddings at once
+    (`_minor_levels`), and each level is tested as soon as it is computed;
+    the full minor is built from the smaller ones, so testing those on the
+    way costs nothing.  Bands are fixed once per search of
     budget s, per embedding e:
       * entries: every column value x of the pool has |sigma_e(x)| <= B and
         a float within eps of it, the largest of the column bounds and of
@@ -752,8 +755,8 @@ class _Screen:
         self.levels, self.diag_of = _screen_indices(r, len(field.embeddings))
         self.exact_tables = field._table_width == 0
         self.factorials = [math.factorial(k) for k in range(r + 1)]
-        # the floats of root, laid out as `_outer_floats`, eta0, their largest
-        # error, and per embedding the largest entry plus eta0
+        # the floats of root, slot by slot, eta0, their largest error, and
+        # per embedding the largest entry plus eta0
         values, errs = zip(
             *[field.floats_of_coords(root[t : t + d]) for t in range(0, len(root), d)]
         )
@@ -832,7 +835,6 @@ class RowPool:
         r = gram.rank
         self.field = field
         self.rank = r
-        d = field.degree
         columns = [_column_values(field, icoords[j][j]) for j in range(r)]
         size_estimate = 1
         for vals in columns:
@@ -850,29 +852,19 @@ class RowPool:
         self.outers = [t[3] for t in decorated]
         self.floats = [t[4] for t in decorated]
         # remainders, outer products and pool rows are flat int tuples of
-        # length r(r+1)/2 * d: upper-triangle slots (`_slot_pairs`), d
-        # coordinates per slot; root is G's
-        self.root = tuple(c for i in range(r) for j in range(i, r) for c in icoords[i][j])
+        # length r(r+1)/2 * d: the upper triangle column by column
+        # (`_slot_pairs`), d coordinates per slot; root is G's
+        self.root = tuple(c for i, j in _slot_pairs(r) for c in icoords[i][j])
+        self.trace = sum([field.trace_of_coords(icoords[j][j]) for j in range(r)])
         self.zero_flat = (0,) * len(self.root)
         self.screen = _Screen(field, self.root, bounds)
         diag = self.screen.diag_of
         self.diag_floats = self.floats if r == 1 else [diag(f) for f in self.floats]
         self.neg_keys = [-k for k in self.keys]
         self.outer_index = {o: i for i, o in enumerate(self.outers)}
-        traces = field._basis_traces
-        self.trace_slots = [
-            (t * d + i, traces[i])
-            for t, (a, b) in enumerate(_slot_pairs(r))
-            if a == b
-            for i in range(d)
-            if traces[i]
-        ]
 
     def __len__(self) -> int:
         return len(self.cols)
-
-    def trace_of(self, rem) -> int:
-        return sum(rem[pos] * w for pos, w in self.trace_slots)
 
     def rows_as_elements(self, indices: list[int]) -> tuple[tuple[OElement, ...], ...]:
         field = self.field
@@ -954,8 +946,7 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
                 memo[(rem, budget)] = start
         return None
 
-    root = pool.root
-    return dfs(root, root_floats, pool.trace_of(root), budget, 0)
+    return dfs(pool.root, root_floats, pool.trace, budget, 0)
 
 
 @lru_cache(maxsize=1)
@@ -1032,7 +1023,7 @@ def _shortest(gram: GramForm | None, icoords, s_max: int) -> tuple | None:
     pool = _pool(gram, icoords)
     if len(pool) == 0:
         return None
-    tr0 = pool.trace_of(pool.root)
+    tr0 = pool.trace
     lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
     memo: dict = {}
     for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):

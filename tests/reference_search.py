@@ -25,10 +25,25 @@ from soslen.search import (
     _Column,
     _column_bounds,
     _column_values,
-    _outer_floats,
     _Screen,
-    _slot_pairs,
 )
+
+
+def _slots(r: int) -> list[tuple[int, int]]:
+    """The upper-triangle entries (i, j) of an r x r matrix in the flat
+    order of `RowPool`: column by column."""
+    return [(i, j) for j in range(r) for i in range(j + 1)]
+
+
+def _entries(pool, flat) -> dict:
+    """The entries (i, j), i <= j, of a flat remainder or outer product."""
+    d = pool.field.degree
+    return {ij: flat[t * d : (t + 1) * d] for t, ij in enumerate(_slots(pool.rank))}
+
+
+def _trace(pool, rem) -> int:
+    """The trace of a flat remainder: that of its diagonal entries."""
+    return sum(pool.field.trace_of_coords(x) for x in _diagonal(pool, rem))
 
 
 class ProductPool:
@@ -40,27 +55,25 @@ class ProductPool:
         r = gram.rank
         d = field.degree
         n_emb = len(field.embeddings)
-        self.field, self.rank, self.degree = field, r, d
+        self.field, self.rank = field, r
         zero_entry = (0,) * d
         zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
         # column records hold the member of +-x positive at the identity
         # embedding; `lead` is the index of the row's first nonzero column
         columns = [_column_values(field, icoords[j][j]) for j in range(r)]
         signed = [(zero,) + vals + tuple(v.negated() for v in vals) for vals in columns]
+        slots = _slots(r)
         decorated = []
         for lead in range(r):
             choices = [(zero,)] * lead + [columns[lead]] + signed[lead + 1 :]
             for row in itertools.product(*choices):
                 cols = tuple(v.coords for v in row)
-                outer = tuple(
-                    c
-                    for i in range(r)
-                    for j in range(i, r)
-                    for c in field.mul_coords(cols[i], cols[j])
-                )
+                outer = tuple(c for i, j in slots for c in field.mul_coords(cols[i], cols[j]))
                 key = sum(v.trace for v in row)
                 flat = tuple(itertools.chain(*cols))
-                floats = _outer_floats(row, _slot_pairs(r))
+                floats = tuple(
+                    a * b for i, j in slots for a, b in zip(row[i].values, row[j].values)
+                )
                 decorated.append((key, flat, cols, outer, floats))
         decorated.sort(reverse=True)
         self.keys = [t[0] for t in decorated]
@@ -70,33 +83,16 @@ class ProductPool:
         self.neg_keys = [-k for k in self.keys]
         self.outer_index = {o: i for i, o in enumerate(self.outers)}
         self.zero_flat = (0,) * (r * (r + 1) // 2 * d)
-        self.slots = [(i, j) for i in range(r) for j in range(i, r)]
-        self.diag_slots = [self.slots.index((j, j)) for j in range(r)]
-        self.slot_of = {ij: s for s, ij in enumerate(self.slots)}
-        self.root = tuple(c for i, j in self.slots for c in icoords[i][j])
+        self.root = tuple(c for i, j in slots for c in icoords[i][j])
+        self.trace = _trace(self, self.root)
         self.screen = _Screen(field, self.root, _column_bounds(field, icoords, columns))
         self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def entry(self, rem, slot: int) -> tuple[int, ...]:
-        return rem[slot * self.degree : (slot + 1) * self.degree]
-
-    def trace_of(self, rem) -> int:
-        return sum(self.field.trace_of_coords(self.entry(rem, s)) for s in self.diag_slots)
-
     def subtract(self, rem, outer):
         return tuple(a - b for a, b in zip(rem, outer))
-
-    def remainder_psd(self, rem) -> bool:
-        r = self.rank
-        return self.field.coords_psd(
-            [
-                [self.entry(rem, self.slot_of[min(i, j), max(i, j)]) for j in range(r)]
-                for i in range(r)
-            ]
-        )
 
     def rows_as_elements(self, indices):
         field = self.field
@@ -114,7 +110,7 @@ def reference_search(pool: ProductPool, rem0, budget: int) -> list[int] | None:
             return []
         if budget == 0:
             return None
-        tr = pool.trace_of(rem)
+        tr = _trace(pool, rem)
         if tr <= 0:
             return None
         for idx in range(len(pool.keys)):
@@ -123,7 +119,7 @@ def reference_search(pool: ProductPool, rem0, budget: int) -> list[int] | None:
             rem2 = pool.subtract(rem, pool.outers[idx])
             if rem2 == zero:
                 return [idx]
-            if pool.remainder_psd(rem2):
+            if _remainder_psd(pool, rem2):
                 tail = dfs(rem2, budget - 1)
                 if tail is not None:
                     return [idx] + tail
@@ -134,17 +130,14 @@ def reference_search(pool: ProductPool, rem0, budget: int) -> list[int] | None:
 
 def _diagonal(pool, flat) -> tuple[tuple[int, ...], ...]:
     """The diagonal entries of a flat remainder or outer product."""
-    d = pool.field.degree
-    slots = [t for t, (i, j) in enumerate(_slot_pairs(pool.rank)) if i == j]
-    return tuple(flat[t * d : (t + 1) * d] for t in slots)
+    entry = _entries(pool, flat)
+    return tuple(entry[j, j] for j in range(pool.rank))
 
 
 def _remainder_psd(pool, rem) -> bool:
     """Exact total positive semidefiniteness of a flat remainder."""
-    d = pool.field.degree
     r = pool.rank
-    slot = {ij: t for t, ij in enumerate(_slot_pairs(r))}
-    entry = {ij: rem[t * d : (t + 1) * d] for ij, t in slot.items()}
+    entry = _entries(pool, rem)
     return pool.field.coords_psd(
         [[entry[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
     )
@@ -170,7 +163,7 @@ def _square_minors(pool, rem, budget: int) -> bool:
     field = pool.field
     d = field.degree
     r = pool.rank
-    entry = {ij: rem[t * d : (t + 1) * d] for t, ij in enumerate(_slot_pairs(r))}
+    entry = _entries(pool, rem)
     m = [
         [field.radical_of_coords(entry[min(i, j), max(i, j)]) for j in range(r)]
         for i in range(r)
@@ -217,7 +210,7 @@ def exact_prune_search(pool, rem0, budget: int, memo: dict):
             return []
         if budget == 0:
             return None
-        tr = pool.trace_of(rem)
+        tr = _trace(pool, rem)
         if tr <= 0:
             return None
         cached = memo.get((rem, budget))

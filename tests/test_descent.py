@@ -21,6 +21,7 @@ from soslen import (
     descend,
     expand,
     g_table,
+    length,
     lift,
     make_field,
     verify_certificate,
@@ -290,3 +291,38 @@ class TestGTable:
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             g_table(0)
+
+
+class TestPaperBound:
+    """The bound g_O(r) <= g_Z(rd) on seeded Grams G = sum of vv^T with
+    rd <= 6, where g_Z is exact: the length of G is found within g_Z(rd),
+    and it is at most the size of the certificate that `descend` makes from
+    the input rows, which is at most g_Z(rd)."""
+
+    @pytest.mark.parametrize(
+        "radicands, top_rank", [((), 4), ((5,), 3), ((6,), 2), ((6, 7), 1), ((13, 15), 1)], ids=str
+    )
+    def test_length_within_the_descended_certificate(self, radicands, top_rank):
+        field = make_field(Shape(radicands))
+        d = field.degree
+        rng = random.Random(f"paper-bound:{radicands}")
+        spread = 2 if d == 1 else 1
+        for i in range(15):
+            rank = 1 + i * top_rank // 15
+            bound = g_table(rank * d).value
+            # up to two rows more than the bound, none of them zero
+            count = rng.randint(1, bound + 2)
+            rows = []
+            while len(rows) < count:
+                row = tuple(
+                    field.element_from_coords(tuple(rng.randint(-spread, spread) for _ in range(d)))
+                    for _ in range(rank)
+                )
+                if any(not v.is_zero() for v in row):
+                    rows.append(row)
+            gram = GramForm.from_rows(field, rows)
+            t = length(gram, bound)
+            assert isinstance(t, int), (rows, t)
+            out = descend(DescentProblem(field, gram, Certificate(field, rank, tuple(rows))))
+            assert verify_certificate(gram, out).ok
+            assert t <= len(out.rows) <= bound, (rows, t, len(out.rows))

@@ -1,6 +1,7 @@
 """Integral bases, membership and ring arithmetic of the field layer."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -402,16 +403,18 @@ class TestMinors:
 
 
 class TestNorm:
-    """`Field.norm_of_coords`, the determinant of the trace form of x over
-    the discriminant, against the constant term of the characteristic
-    polynomial in `Radical` arithmetic, which shares no code with it."""
+    """`Field.norm_of_coords`, the product of the conjugates of x's radical
+    numerators, against the constant term of the characteristic polynomial
+    in `Radical` arithmetic, which expands the whole polynomial, and against
+    the product of x's embedding floats, which comes from the embedding
+    tables and not from `Shape.mul`."""
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (13, 15), (10, 65)], ids=str)
     def test_matches_the_characteristic_polynomial(self, radicands):
         field = make_field(Shape(radicands))
         shape = field.shape
         d = field.degree
-        # the discriminant is the trace-form determinant of 1, as before
+        # the discriminant is the trace-form determinant
         assert field.discriminant == expected_discriminant(shape)
         assert field.norm_of_coords(field.one().coords) == 1
         one = Radical.one(shape)
@@ -432,4 +435,6 @@ class TestNorm:
         for coords in [(0,) * d] + unit_coords + seeded:
             norm = characteristic_polynomial(field.radical_of_coords(coords))[0] * (-1) ** d
             assert field.norm_of_coords(coords) == norm, coords
+            values, _ = field.floats_of_coords(coords)
+            assert abs(math.prod(values) - norm) <= 1e-9 * max(1, abs(norm)), coords
         assert all(abs(field.norm_of_coords(c)) == 1 for c in unit_coords)

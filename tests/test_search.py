@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from operator import add, gt, sub
+from operator import add, gt, mul, sub
 from pathlib import Path
 
 import pytest
@@ -334,10 +334,12 @@ def brute_column_values(field, diag):
 def reference_pool(field, icoords, columns):
     """The sorted candidate rows of RowPool: the rows v of the product of
     brute-force columns with G - vv^T totally PSD, by the exact test, each
-    as (key, flat, cols, outer, floats of vv^T)."""
+    as (key, flat, cols, outer, floats of vv^T); outer and floats hold the
+    upper triangle column by column."""
     d = field.degree
     n_emb = len(field.embeddings)
     r = len(columns)
+    slots = [(i, j) for j in range(r) for i in range(j + 1)]
     zero = (0,) * d
     columns = [[zero] + sorted(vals) for vals in columns]
     rows = []
@@ -357,21 +359,14 @@ def reference_pool(field, icoords, columns):
         squares = [field.mul_coords(v, v) for v in cols]
         key = sum(field.trace_of_coords(s) for s in squares)
         flat = tuple(c for v in cols for c in v)
-        outer = tuple(
-            c
-            for i in range(r)
-            for j in range(i, r)
-            for c in field.mul_coords(cols[i], cols[j])
-        )
+        outer = tuple(c for i, j in slots for c in field.mul_coords(cols[i], cols[j]))
         # the entries of vv^T, each at every embedding, from the interval
         # midpoints of the columns
         mids = [
             [sum(field.interval_of_coords(v, e)) * 2.0**-97 for e in range(n_emb)]
             for v in cols
         ]
-        floats = tuple(
-            a * b for i in range(r) for j in range(i, r) for a, b in zip(mids[i], mids[j])
-        )
+        floats = tuple(a * b for i, j in slots for a, b in zip(mids[i], mids[j]))
         rows.append((key, flat, cols, outer, floats))
     rows.sort(key=lambda t: (t[0], t[1]), reverse=True)
     return rows
@@ -749,6 +744,29 @@ class TestColumnBounds:
         assert bound[0] == err[0] == [0.0, 0.0]
         assert all(bound[1]) and all(err[1])
 
+    @pytest.mark.parametrize("radicands", [(5,), (6, 7), (13, 15)], ids=str)
+    def test_bounds_do_not_read_the_pool_cap(self, radicands, monkeypatch):
+        # the error of a column float comes from the diagonal's coordinate
+        # box, not from the cap that refuses oversized boxes and pools
+        field = make_field(Shape(radicands))
+        rng = random.Random(101 + sum(radicands))
+        spread = 2 if field.degree < 4 else 1
+        cases = []
+        for rank in (1, 2, 3):
+            rows = [
+                tuple(
+                    field.element_from_coords(_random_element(rng, field, spread))
+                    for _ in range(rank)
+                )
+                for _ in range(2)
+            ]
+            icoords = GramForm.from_rows(field, rows).integral_coords()
+            cases.append((icoords, [_column_values(field, icoords[j][j]) for j in range(rank)]))
+        before = [_column_bounds(field, icoords, columns) for icoords, columns in cases]
+        assert any(any(map(any, err)) for _, err in before)
+        monkeypatch.setattr(search, "POOL_ROW_CAP", 10**30)
+        assert [_column_bounds(field, icoords, columns) for icoords, columns in cases] == before
+
 
 class TestPrunedPoolDifferential:
     """`RowPool` keeps only rows v with G - vv^T totally PSD; the full
@@ -817,7 +835,7 @@ def _searched_like_length(gram, s_max):
     budgets `length_certificate` tries, up to the first representation."""
     icoords = gram.integral_coords()
     pool = RowPool(gram, icoords)
-    tr0 = pool.trace_of(pool.root)
+    tr0 = pool.trace
     lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
     fast, slow = CountingMemo(), CountingMemo()
     found = []
@@ -1472,6 +1490,60 @@ class TestSignedPermutations:
             moved = _signed_permutation(perp, order, signs)
             assert moved.integral_coords()[position][position] == field.one().coords
             assert length(moved, t) == t, (order, signs)
+
+
+def _conjugate_rows(field, emb, rows):
+    """sigma(rows) for the automorphism sigma that flips the signs of the
+    radical coordinates as the embedding emb does, back in integral-basis
+    coordinates."""
+    signs = field.shape.embedding_signs(emb)
+    out = []
+    for row in rows:
+        images = []
+        for v in row:
+            image = Radical(field.shape, tuple(map(mul, signs, v.to_radical().coords)))
+            coords = field.coords_of(image)
+            assert coords is not None, "O_K is Galois-stable"
+            images.append(field.element_from_coords(coords))
+        out.append(tuple(images))
+    return out
+
+
+class TestGaloisConjugates:
+    """Metamorphic: an automorphism sigma of K maps O_K onto itself, so
+    sigma(G) has the length of G.  The integral basis is not Galois-stable,
+    so sigma(G) has other coordinates, boxes and pools than G."""
+
+    @pytest.mark.parametrize("radicands", [(5,), (6,), (6, 7), (13, 15), (10, 65)], ids=str)
+    def test_conjugate_grams_have_the_same_length(self, radicands):
+        field = make_field(Shape(radicands))
+        d = field.degree
+        rng = random.Random(f"galois:{radicands}")
+        conjugates = 0
+        for rank in (1, 2) * 6:
+            # two rows of rank 2 over a biquadratic ring can reach 10^5 pool rows
+            count = rng.randint(1, 2 if rank == 1 or d < 4 else 1)
+            rows = [
+                tuple(
+                    field.element_from_coords(_random_element(rng, field, 2 if d < 4 else 1))
+                    for _ in range(rank)
+                )
+                for _ in range(count)
+            ]
+            gram = GramForm.from_rows(field, rows)
+            if gram.is_zero():
+                continue
+            t = length(gram, count)
+            assert isinstance(t, int)
+            for emb in field.embeddings[1:]:
+                image = GramForm.from_rows(field, _conjugate_rows(field, emb, rows))
+                signs = field.shape.embedding_signs(emb)
+                assert [[e.coords for e in row] for row in image.entries] == [
+                    [tuple(map(mul, signs, e.coords)) for e in row] for row in gram.entries
+                ]
+                assert length(image, count) == t, (rows, emb)
+                conjugates += 1
+        assert conjugates >= 10 * (len(field.embeddings) - 1)
 
 
 class TestUnimodularChanges:

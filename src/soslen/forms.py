@@ -12,14 +12,17 @@ from .radicals import Radical
 
 def _doubled_outer_sum(field: Field, rank: int, rows) -> list[list[tuple[int, ...]]]:
     """Integral coordinates of twice the sum of row (x) row over rows of
-    OElements."""
+    OElements.  A product with a zero entry is zero and is skipped."""
     zero = (0,) * field.degree
     total = [[zero] * rank for _ in range(rank)]
     for row in rows:
         for i in range(rank):
+            x = row[i].coords
             for j in range(i, rank):
-                p = field.mul_coords(row[i].coords, row[j].coords)
-                total[i][j] = tuple(a + 2 * b for a, b in zip(total[i][j], p))
+                y = row[j].coords
+                if x != zero and y != zero:
+                    p = field.mul_coords(x, y)
+                    total[i][j] = tuple(a + 2 * b for a, b in zip(total[i][j], p))
     for i in range(rank):
         for j in range(i):
             total[i][j] = total[j][i]

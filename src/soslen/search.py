@@ -59,7 +59,8 @@ value x there has sigma(x)^2 <= 1 at every embedding, so x is 0 or +-1
 leaves at c zeroes the rest of the remainder's column, and the other rows
 are those of G without column c.  So the representations of G (+) <1>^k are
 those of G with the k rows e_c put in, length(G (+) <1>^k) = length(G) + k,
-and the search of G (+) <1> is G's, on G's pool (`_pool` keeps the last one).
+and the search of G (+) <1> is G's: `_kept` keeps the last Gram's search
+(PSD verdict, pool, memo, budgets proven Unsat, witness) until the next Gram.
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
@@ -949,11 +950,54 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     return dfs(pool.root, root_floats, pool.trace, budget, 0)
 
 
+class _Kept:
+    """The search of one Gram, kept across calls (`_kept`): its PSD verdict,
+    its pool (built on first use; a refused one is not kept), one memo for
+    every budget and call, the next budget `shortest` has not searched and,
+    once one succeeds, its witness."""
+
+    def __init__(self, gram: GramForm, icoords) -> None:
+        self.gram, self.icoords = gram, icoords
+        self.psd = totally_psd(gram)
+        self.pool: RowPool | None = None
+        self.memo: dict = {}
+        self.next: int | None = None
+        self.found: list[int] | None = None
+
+    def row_pool(self) -> RowPool:
+        if self.pool is None:
+            self.pool = RowPool(self.gram, self.icoords)
+        return self.pool
+
+    def shortest(self, s_max: int) -> list[int] | None:
+        """Pool indices of a shortest representation of the totally PSD gram
+        by at most s_max >= 0 rows, or None.  Budgets are deepened upward from
+        a sound lower bound (matrix rank, remainder-trace quotient), each call
+        from the first one not yet searched, so the first witness is of
+        minimal size and answers every later call.  None has more than
+        trace(G) / (smallest row key) rows, so no larger budget is searched.
+        """
+        if self.gram.is_zero():
+            return []
+        pool = self.row_pool()
+        if len(pool) == 0:
+            return None
+        if self.next is None:
+            self.next = max(1, gram_rank(self.gram), -(-pool.trace // pool.keys[0]))
+        top = min(s_max, pool.trace // pool.keys[-1])
+        while self.found is None and self.next <= top:
+            self.found = _search(pool, self.next, self.memo)
+            self.next += 1
+        if self.found is not None and len(self.found) <= s_max:
+            return self.found
+        return None
+
+
 @lru_cache(maxsize=1)
-def _pool(gram: GramForm, icoords) -> RowPool:
-    """The pool of gram.  The last one is kept: the length of G (+) <1>
-    searches G's pool, right after the length of G has built it."""
-    return RowPool(gram, icoords)
+def _kept(gram: GramForm, icoords) -> _Kept:
+    """The kept search of gram, the last one only: the length of G (+) <1>
+    splits its unit column off and finds G's, right after G's length."""
+    return _Kept(gram, icoords)
 
 
 def _split_units(gram: GramForm, icoords) -> tuple[list[int], GramForm | None, tuple | None]:
@@ -1005,34 +1049,6 @@ def _certificate(
     return cert
 
 
-def _shortest(gram: GramForm | None, icoords, s_max: int) -> tuple | None:
-    """The pool of a totally PSD gram with integral coordinates icoords
-    (None for rank 0) and the indices of a shortest representation of at
-    most s_max rows, or None when there is none; a zero gram has no pool.
-
-    Budgets are deepened upward from a sound lower bound (matrix rank and
-    the remainder-trace quotient), so the first representation found is of
-    minimal size and all smaller budgets were searched exhaustively.  No
-    representation has more than trace(G) / (smallest row key) rows, so
-    budgets above that are never searched.
-    """
-    if s_max < 0:
-        return None
-    if gram is None or gram.is_zero():
-        return None, []
-    pool = _pool(gram, icoords)
-    if len(pool) == 0:
-        return None
-    tr0 = pool.trace
-    lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
-    memo: dict = {}
-    for s in range(lower, min(s_max, tr0 // pool.keys[-1]) + 1):
-        indices = _search(pool, s, memo)
-        if indices is not None:
-            return pool, indices
-    return None
-
-
 def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
     """The ordered candidate rows of a totally PSD Gram G: every sign-normalized
     row v with G - vv^T totally PSD, which includes every row of every
@@ -1047,21 +1063,23 @@ def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
 def represent(gram: GramForm, budget: int) -> SearchOutcome:
     """Decide whether gram is a sum of at most `budget` squares of forms.
     Its unit columns are split off first (`_split_units`): the rest is
-    searched with one row fewer per unit column."""
+    searched with one row fewer per unit column, on its kept pool and memo
+    (`_kept`); a search of this budget finds the certificate, as when cold."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     icoords = gram.integral_coords()
     if icoords is None:
         return NotIntegral()
     units, rest, icoords = _split_units(gram, icoords)
-    if rest is not None and not totally_psd(rest):
+    kept = None if rest is None else _kept(rest, icoords)
+    if kept is not None and not kept.psd:
         return NotTotallyPsd()
     if budget < len(units):
         return Unsat(budget)
     pool, indices = None, []
-    if rest is not None:
-        pool = _pool(rest, icoords)
-        indices = _search(pool, budget - len(units), {})
+    if kept is not None:
+        pool = kept.row_pool()
+        indices = _search(pool, budget - len(units), kept.memo)
         if indices is None:
             return Unsat(budget)
     return Represented(_certificate(gram, units, pool, indices))
@@ -1074,7 +1092,8 @@ def length_certificate(
 
     Unit columns are split off first (`_split_units`): the length is that
     of the rest plus one per unit column, and only the padded witness is
-    checked.
+    checked.  The rest's search is kept (`_kept`), so the length of G (+) <1>
+    after that of G searches nothing.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
@@ -1082,13 +1101,15 @@ def length_certificate(
     if icoords is None:
         return NotSoS("not-integral")
     units, rest, icoords = _split_units(gram, icoords)
-    if rest is not None and not totally_psd(rest):
+    kept = None if rest is None else _kept(rest, icoords)
+    if kept is not None and not kept.psd:
         return NotSoS("not-totally-psd")
-    found = _shortest(rest, icoords, s_max - len(units))
-    if found is None:
+    if s_max < len(units):
         return ExceedsBound(s_max)
-    pool, indices = found
-    return len(indices) + len(units), _certificate(gram, units, pool, indices)
+    indices = [] if kept is None else kept.shortest(s_max - len(units))
+    if indices is None:
+        return ExceedsBound(s_max)
+    return len(indices) + len(units), _certificate(gram, units, kept and kept.pool, indices)
 
 
 def length(gram: GramForm, s_max: int) -> int | ExceedsBound | NotSoS:

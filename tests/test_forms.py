@@ -71,6 +71,24 @@ def fraction_rank(gram):
     return rank // d
 
 
+def random_element(rng, field):
+    """An element with coordinates in {-2, ..., 2}, zero one time in three."""
+    if rng.random() < 1 / 3:
+        return field.zero()
+    return field.element_from_coords(tuple(rng.randint(-2, 2) for _ in range(field.degree)))
+
+
+def full_outer_sum(field, rank, rows):
+    """Coordinates of twice the sum of row (x) row, every product taken."""
+    total = [[(0,) * field.degree] * rank for _ in range(rank)]
+    for row in rows:
+        for i in range(rank):
+            for j in range(rank):
+                p = field.mul_coords(row[i].coords, row[j].coords)
+                total[i][j] = tuple(a + 2 * b for a, b in zip(total[i][j], p))
+    return total
+
+
 class TestGramForm:
     def test_symmetry_required(self):
         sh = Q.shape
@@ -263,6 +281,54 @@ class TestVerifyCertificate:
         cert = Certificate(Q, 2, ((zelt(1), zelt(0)), (zelt(0), zelt(1))))
         res = verify_certificate(g, cert)
         assert not res.ok and res.reason == "gram-mismatch:0,1"
+
+    @pytest.mark.parametrize("field", [Q, Q5, Q67], ids=lambda f: str(f.shape))
+    def test_a_zero_certificate_column_under_a_nonzero_entry(self, field):
+        # products with a zero entry are skipped; the entries they stand
+        # for are still compared
+        rng = random.Random(f"zero-column:{field.shape}")
+        zero, one = field.zero(), field.one()
+        checked = 0
+        while checked < 5:
+            x, y = (random_element(rng, field) for _ in range(2))
+            if x.is_zero() or y.is_zero():
+                continue
+            checked += 1
+            cert = Certificate(field, 2, ((x, zero),))
+            # (x, y)(x, y)^T: entry (0, 1) is xy, where the certificate gives 0
+            res = verify_certificate(GramForm.from_rows(field, [(x, y)]), cert)
+            assert not res.ok and res.reason == "gram-mismatch:0,1"
+            # <x^2> (+) <y^2>: entry (1, 1) is y^2
+            res = verify_certificate(GramForm.from_rows(field, [(x, zero), (zero, y)]), cert)
+            assert not res.ok and res.reason == "gram-mismatch:1,1"
+        # the padded rows of G without the unit row of G (+) <1>
+        g = perp_unit(GramForm.from_element(one))
+        res = verify_certificate(g, Certificate(field, 2, ((one, zero),)))
+        assert not res.ok and res.reason == "gram-mismatch:1,1"
+
+    @pytest.mark.parametrize("field", [Q, Q5, Q67], ids=lambda f: str(f.shape))
+    def test_perp_padded_certificates(self, field):
+        # rows V of G with a zero column put in at c, and e_c, certify G
+        # with <1> put in at c; the sums equal those taken without the skip
+        rng = random.Random(f"perp-padded:{field.shape}")
+        zero, one = field.zero(), field.one()
+        for _ in range(12):
+            r = rng.randint(1, 3)
+            rows = [tuple(random_element(rng, field) for _ in range(r)) for _ in range(3)]
+            rows = [row for row in rows if any(not v.is_zero() for v in row)]
+            if not rows:
+                continue
+            c = rng.randint(0, r)
+            padded = [row[:c] + (zero,) + row[c:] for row in rows]
+            padded.append(tuple(one if j == c else zero for j in range(r + 1)))
+            gram = GramForm.from_rows(field, rows)
+            order = list(range(r))
+            order.insert(c, r)
+            g = perp_unit(gram)
+            g = GramForm.from_doubled(field, [[g.doubled[a][b] for b in order] for a in order])
+            assert g == GramForm.from_doubled(field, full_outer_sum(field, r + 1, padded))
+            assert verify_certificate(g, Certificate(field, r + 1, tuple(padded))).ok
+            assert gram.doubled == tuple(map(tuple, full_outer_sum(field, r, rows)))
 
     def test_zero_rows_rejected_at_construction(self):
         with pytest.raises(ValueError):

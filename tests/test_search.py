@@ -1097,8 +1097,9 @@ class TestSquareMinorPrune:
         field, grams = _prune_cases(case)
         for g, s_max in grams:
             t, cert = length_certificate(g, s_max)
-            # the pool length_certificate kept, when g has no unit column
-            pool = search._pool(g, g.integral_coords())
+            # the pool length_certificate kept, when g has no unit column;
+            # g's whole pool, unit column and all, otherwise
+            pool = search._kept(g, g.integral_coords()).row_pool()
             for budget in range(1, t + 1):
                 ours = _search(pool, budget, {})
                 assert ours == exact_prune_search(pool, pool.root, budget, {}), budget
@@ -1377,50 +1378,73 @@ class TestUnitColumnSplit:
 
 
 class TestPoolCache:
-    """The searches keep the last pool they built (`search._pool`), so the
-    length of G (+) <1> searches the pool that the length of G built."""
+    """The searches keep the search of the last Gram they met (`search._kept`):
+    its PSD verdict, its pool, its memo, the budgets proven Unsat and its
+    witness, so the length of G (+) <1> answers from the search that the
+    length of G made."""
 
     @staticmethod
-    def counted_builds(monkeypatch):
-        builds = []
-        build = search.RowPool
+    def counted(monkeypatch, *names):
+        """Clear the kept search and record the first argument of every call
+        of each search.<name>, in one list per name."""
+        calls = []
+        for name in names:
+            seen = []
+            calls.append(seen)
 
-        def counted(gram, icoords):
-            builds.append(gram)
-            return build(gram, icoords)
+            def wrapped(*args, _call=getattr(search, name), _seen=seen):
+                _seen.append(args[0])
+                return _call(*args)
 
-        monkeypatch.setattr(search, "RowPool", counted)
-        search._pool.cache_clear()
-        return builds
+            monkeypatch.setattr(search, name, wrapped)
+        search._kept.cache_clear()
+        return calls
 
     def test_perp_unit_reuses_the_pool_of_g(self, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
         field = make_field(Shape((6, 7)))
         gram = GramForm.from_rows(field, _random_rows(random.Random(5), field, 2, 2, 1))
-        t = length(gram, 10)
-        assert length(perp_unit(gram), t + 2) == t + 1
-        assert builds == [gram]
-        assert search._pool.cache_info().maxsize == 1
-        assert search._pool.cache_info().currsize == 1
+        assert _unit_columns(gram) == []
+        perp = perp_unit(gram)
+        builds, searches, psd, ranks = self.counted(
+            monkeypatch, "RowPool", "_search", "totally_psd", "gram_rank"
+        )
+        t, _ = length_certificate(gram, 10)
+        assert builds == [gram] and psd == [gram] and ranks == [gram] and searches
+        del builds[:], searches[:], psd[:], ranks[:]
+        warm = length_certificate(perp, t + 2)
+        assert builds == searches == psd == ranks == []
+        assert search._kept.cache_info().maxsize == 1
+        assert search._kept.cache_info().currsize == 1
+        # the certificate of a cold call, which searches G again
+        search._kept.cache_clear()
+        assert warm == length_certificate(perp, t + 2)
+        assert warm[0] == t + 1
+        assert builds == [gram] and searches
 
     def test_keyed_by_field_and_gram(self, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        (builds,) = self.counted(monkeypatch, "RowPool")
         q3 = make_field(Shape((3,)))
         g2 = GramForm.from_doubled(Q2, [[(8, 2)]])
         g3 = GramForm.from_doubled(q3, [[(8, 2)]])
-        pools = [search._pool(g, g.integral_coords()) for g in (g2, g3, g3)]
-        assert builds == [g2, g3]
-        assert pools[0].field is Q2 and pools[1].field is q3 and pools[2] is pools[1]
-        assert pools[0].cols != pools[1].cols
-        assert search._pool.cache_info().currsize == 1
+        other = GramForm.from_doubled(Q2, [[(10, 2)]])
+        kept = []
+        for g in (g2, g3, g3, other, g2):
+            length_certificate(g, 10)
+            kept.append(search._kept(g, g.integral_coords()))
+            assert search._kept.cache_info().currsize == 1
+        # only the last search is kept: g2 is searched again after `other`
+        assert builds == [g2, g3, other, g2]
+        assert kept[0].pool.field is Q2 and kept[1].pool.field is q3 and kept[2] is kept[1]
+        assert kept[0].pool.cols != kept[1].pool.cols != kept[3].pool.cols
+        assert kept[4] is not kept[0] and kept[4].pool.cols == kept[0].pool.cols
 
     def test_a_cached_pool_equals_a_fresh_one(self, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        (builds,) = self.counted(monkeypatch, "RowPool")
         field = make_field(Shape((5,)))
         gram = GramForm.from_rows(field, _random_rows(random.Random(9), field, 2, 3, 1))
-        cached = search._pool(gram, gram.integral_coords())
+        cached = search._kept(gram, gram.integral_coords()).row_pool()
         equal = GramForm.from_doubled(field, gram.doubled)
-        again = search._pool(equal, equal.integral_coords())
+        again = search._kept(equal, equal.integral_coords()).row_pool()
         assert again is cached and len(builds) == 1
         fresh = RowPool(gram, gram.integral_coords())
         assert cached.cols == fresh.cols
@@ -1429,13 +1453,59 @@ class TestPoolCache:
         assert cached.floats == fresh.floats
 
     def test_a_refusal_is_not_cached(self, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        builds, psd = self.counted(monkeypatch, "RowPool", "totally_psd")
         gram = zgram((10**13,))  # a coordinate box of about 6.3 million points
-        for _ in range(2):
+        for call in (lambda: length_certificate(gram, 5), lambda: represent(gram, 5)) * 2:
             with pytest.raises(SearchSpaceError, match="coordinate box"):
-                length_certificate(gram, 5)
-        assert builds == [gram, gram]
-        assert search._pool.cache_info().currsize == 0
+                call()
+        # every call builds again; the PSD verdict is kept
+        assert builds == [gram] * 4
+        assert psd == [gram]
+        assert search._kept(gram, gram.integral_coords()).pool is None
+
+
+class TestKeptSearchDifferential:
+    """Every answer from a kept search is the answer of a cold one: the same
+    verdict, the same `Unsat.depth` and the same certificate, whatever the
+    kept search answered or searched before."""
+
+    @staticmethod
+    def cold(call, *args):
+        search._kept.cache_clear()
+        try:
+            return call(*args)
+        finally:
+            search._kept.cache_clear()
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_warm_answers_equal_cold_ones(self, radicands, monkeypatch):
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"kept-search:{radicands}")
+        spread = 1 if len(radicands) == 2 else 2
+        checked = 0
+        while checked < 8:
+            rank = 1 + checked % 2
+            gram = GramForm.from_rows(field, _random_rows(rng, field, rank, 3, spread))
+            if gram.is_zero() or len(candidate_rows(gram)) > 2000:
+                continue
+            checked += 1
+            t, _ = self.cold(length_certificate, gram, 12)
+            perp = perp_unit(gram)
+            calls = [(length_certificate, gram, t - 1), (length_certificate, gram, t + 1)]
+            calls += [(length_certificate, gram, t - 1), (length_certificate, perp, t + 2)]
+            calls += [(represent, gram, b) for b in range(t + 1)]
+            expected = [self.cold(*call) for call in calls]
+            builds = []
+            build = search.RowPool
+            with monkeypatch.context() as m:
+                m.setattr(search, "RowPool", lambda *args: builds.append(1) or build(*args))
+                warm = [call[0](*call[1:]) for call in calls]
+            assert warm == expected, gram
+            assert expected[0] == ExceedsBound(t - 1) and expected[1][0] == t
+            assert expected[3][0] == t + 1
+            assert [type(res) for res in expected[4:]] == [Unsat] * t + [Represented]
+            # one pool serves every warm call
+            assert len(builds) == 1
 
 
 def _signed_permutation(gram, order, signs):

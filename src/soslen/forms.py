@@ -130,9 +130,13 @@ class GramForm:
     def is_zero(self) -> bool:
         return not any(c for row in self.doubled for e in row for c in e)
 
+    def is_integral(self) -> bool:
+        """Whether every entry is in O: every coordinate of 2G is even."""
+        return not any(c % 2 for row in self.doubled for e in row for c in e)
+
     def integral_coords(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
         """Per-entry integral coordinates, or None if some entry is not in O."""
-        if any(c % 2 for row in self.doubled for e in row for c in e):
+        if not self.is_integral():
             return None
         return tuple(tuple(tuple(c // 2 for c in e) for e in row) for row in self.doubled)
 

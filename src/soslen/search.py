@@ -64,7 +64,7 @@ and the search of G (+) <1> is G's: `_kept` keeps the last Gram's search
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
-and the DFS's `_Screen`, bound vv^T by one `_column_bounds` per pool.
+and the DFS's `_Screen`, bound vv^T by the bounds `_column_values` caches.
 
 Every verdict is exact: a prune fires only on a proof, from integer
 enclosures or from floats with a proven error band, and a representation is
@@ -148,6 +148,15 @@ class _Column(NamedTuple):
             self.square_values,
             tuple([-v for v in self.values]),
         )
+
+
+class _Values(tuple):
+    """The records of `_column_values`, with their `bound` and `err` there."""
+
+    def __new__(cls, records, bound: tuple[float, ...], err: tuple[float, ...]) -> _Values:
+        self = super().__new__(cls, records)
+        self.bound, self.err = bound, err
+        return self
 
 
 _SLICE_BITS = 40  # support weights are 2^40 w, rounded to integers
@@ -255,9 +264,10 @@ def _box_limits(field: Field, diag_ivs) -> list[int]:
 
 
 @lru_cache(maxsize=1 << 13)
-def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column, ...]:
+def _column_values(field: Field, diag_coords: tuple[int, ...]) -> _Values:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
-    as one record for each pair +-x.
+    as one record for each pair +-x, with the bounds that both float
+    screens read.
 
     The integral-basis box is the pull-back of the conjugate bounds
     |sigma(x)| <= sqrt(sigma(diag)), read off the diagonal's integer
@@ -294,12 +304,21 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     On the points visited there, interval tests decide membership and the
     sign at the identity embedding unless they are inconclusive; then exact
     sign tests decide.
+
+    Bounds: every record x has |sigma_e(x)| <= sqrt(sigma_e(diag)) <=
+    bound[e], read off the upper end of the enclosure, and a float within
+    err[e] of it: the rounded midpoint of x's enclosure, whose half-width
+    is at most the widest basis enclosure times sum |c_j| <= the sum of the
+    box limits, halved.  Both are raised by 2^-40 of themselves for their
+    own rounding, both are 0 without records, and err is 0 with exact
+    embedding tables (degree 1).
     """
     deg = field.degree
     n_emb = len(field.embeddings)
     interval = field.interval_of_coords
     diag_ivs = [interval(diag_coords, e) for e in range(n_emb)]
     box = _box_limits(field, diag_ivs)
+    nothing = (0.0,) * n_emb
     order, levels = _slice_supports(field)
     limits = [box[j] for j in order]
     size = 1
@@ -313,7 +332,7 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
     roots = []
     for _, hi in diag_ivs:
         if hi < 0:
-            return ()  # sigma_e(diag) < 0 <= sigma_e(x)^2 for every x
+            return _Values((), nothing, nothing)  # sigma_e(diag) < 0 <= sigma_e(x)^2
         roots.append(isqrt(hi * shift))
     # x^2 <= diag is proven at e once max(xlo^2, xhi^2) <= floors[e]
     floors = [lo * shift for lo, _ in diag_ivs]
@@ -390,43 +409,21 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> tuple[_Column,
         # product order of the member whose first nonzero coordinate is positive
         zero = (0,) * deg
         values.sort(key=lambda v: v.coords if v.coords > zero else tuple(map(neg, v.coords)))
-    return tuple(values)
+    if not values:
+        return _Values((), nothing, nothing)
+    absolute = field._table_width * sum(box) * _MID_SCALE * (1 + 2.0**-40)
+    bound = tuple([math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40) for _, hi in diag_ivs])
+    err = tuple([2.0**-52 * top + absolute if absolute else 0.0 for top in bound])
+    return _Values(values, bound, err)
 
 
 _SCREEN_SLACK = 2.0**-30
 
 
-def _column_bounds(field: Field, icoords, columns) -> tuple[list[list[float]], list[list[float]]]:
-    """(bound, err): every value x of column a has |sigma_e(x)| <=
-    bound[a][e] and a float (`_Column.values`) within err[a][e] of it.  Both
-    are 0 for a column that holds only zero, and err is 0 with exact
-    embedding tables (degree 1).  Both float screens read these.
-
-    |sigma_e(x)| <= sqrt(sigma_e(G_aa)), read off the upper end of its
-    enclosure.  The float is the rounded midpoint of x's enclosure, whose
-    half-width is at most the widest basis enclosure times sum |c_j|,
-    halved, and the scan keeps every |c_j| within the box limit of G_aa
-    (`_box_limits`).
-    """
-    n_emb = len(field.embeddings)
-    width = field._table_width
-    bound = [[0.0] * n_emb for _ in columns]
-    err = [[0.0] * n_emb for _ in columns]
-    for a, values in enumerate(columns):
-        if values:
-            diag_ivs = [field.interval_of_coords(icoords[a][a], e) for e in range(n_emb)]
-            # raised by 2^-40 of itself for its own rounding
-            absolute = width * sum(_box_limits(field, diag_ivs)) * _MID_SCALE * (1 + 2.0**-40)
-            for e, (_, hi) in enumerate(diag_ivs):
-                bound[a][e] = top = math.sqrt(hi * 2.0**-_EMB_BITS) * (1 + 2.0**-40)
-                if absolute:
-                    err[a][e] = 2.0**-52 * top + absolute
-    return bound, err
-
-
-def _minor_screens(field: Field, icoords, bounds) -> list[list[tuple]]:
+def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
     """Float tests for the principal minors of G - vv^T, per new column k,
-    for rows whose column values obey bounds (`_column_bounds`).
+    for rows whose column values are the records of columns, within their
+    bounds (`_column_values`).
 
     For S = T + {k} with T a nonempty subset of the earlier columns,
     det(G_S - v_S v_S^T) = det(G_S) - v_S^T adj(G_S) v_S.  The determinant
@@ -451,7 +448,7 @@ def _minor_screens(field: Field, icoords, bounds) -> list[list[tuple]]:
     r = len(icoords)
     n_emb = len(field.embeddings)
     width = field._table_width
-    bound, err = bounds
+    bound, err = [v.bound for v in columns], [v.err for v in columns]
     minors: dict = {}  # shared by all screens
     screens: list[list[tuple]] = [[] for _ in range(r)]
     for k in range(1, r):
@@ -510,11 +507,11 @@ def _remainder_block(icoords, entries, size: int) -> list[list[tuple[int, ...]]]
     return block
 
 
-def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
-    """(key, flat, cols, outer, floats) of every sign-normalized row v whose
-    columns are column values and for which G - vv^T is totally PSD; outer
-    and floats hold vv^T in slot order (`_slot_pairs`), exactly and at every
-    embedding, and bounds are the columns' (`_column_bounds`).
+def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
+    """(key, cols, outer, floats) of every sign-normalized row v whose
+    columns are column values (`_column_values`) and for which G - vv^T is
+    totally PSD; outer and floats hold vv^T in slot order (`_slot_pairs`),
+    exactly and at every embedding.
 
     Rows grow one column at a time.  A prefix is (its column records, the
     entries of its outer product, their floats, whether a column is nonzero
@@ -528,13 +525,13 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
     """
     r = len(columns)
     if r == 1:
-        return [(v.trace, v.coords, (v.coords,), v.square, v.square_values) for v in columns[0]]
+        return [(v.trace, (v.coords,), v.square, v.square_values) for v in columns[0]]
     d = field.degree
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
     zero = _Column(zero_entry, zero_entry, 0, (0.0,) * n_emb, (0.0,) * n_emb)
     mul_coords = field.mul_coords
-    screens = _minor_screens(field, icoords, bounds)
+    screens = _minor_screens(field, icoords, columns)
     prefixes = [((v,), (v.square,), v.square_values, True) for v in columns[0]]
     prefixes.append(((zero,), (zero_entry,), zero.square_values, False))
     decorated = []
@@ -585,15 +582,8 @@ def _fitting_rows(field: Field, icoords, columns, bounds) -> list[tuple]:
                         extended.append((new_row, new_entries, new_floats, started or x is not zero))
                         continue
                     cols = tuple([c.coords for c in new_row])
-                    decorated.append(
-                        (
-                            sum([c.trace for c in new_row]),
-                            tuple(itertools.chain.from_iterable(cols)),
-                            cols,
-                            tuple(itertools.chain.from_iterable(new_entries)),
-                            new_floats,
-                        )
-                    )
+                    outer = tuple(itertools.chain.from_iterable(new_entries))
+                    decorated.append((sum([c.trace for c in new_row]), cols, outer, new_floats))
         prefixes = extended
     return decorated
 
@@ -720,7 +710,7 @@ class _Screen:
     budget s, per embedding e:
       * entries: every column value x of the pool has |sigma_e(x)| <= B and
         a float within eps of it, the largest of the column bounds and of
-        their errors (`_column_bounds`).  With B' = B + eps an entry of vv^T
+        their errors (`_column_values`).  With B' = B + eps an entry of vv^T
         and its float, one rounded product, are at most B'^2, and the float
         is within delta = 2 eps B' + 2^-53 B'^2;
       * remainders: a path subtracts at most s rows from G, whose entries
@@ -746,11 +736,10 @@ class _Screen:
     verdict: the leaf tests are exact.
     """
 
-    def __init__(self, field: Field, root, bounds) -> None:
-        """For a pool whose flat Gram is root and whose column values obey
-        bounds (`_column_bounds`)."""
-        bound, err = bounds
-        r = len(bound)
+    def __init__(self, field: Field, root, columns) -> None:
+        """For a pool whose flat Gram is root and whose column values are
+        columns, with their bounds (`_column_values`)."""
+        r = len(columns)
         d = field.degree
         self.rank = r
         self.levels, self.diag_of = _screen_indices(r, len(field.embeddings))
@@ -767,7 +756,7 @@ class _Screen:
         # entry[e] >= |sigma_e(v_i v_j)| and its float, delta[e] >= its error
         self.entry: list[float] = []
         self.delta: list[float] = []
-        for tops, epss in zip(zip(*bound), zip(*err)):
+        for tops, epss in zip(zip(*[v.bound for v in columns]), zip(*[v.err for v in columns])):
             eps = max(epss)
             big = max(tops) + eps
             entry = big * big * (1 + 2.0**-50)
@@ -818,10 +807,12 @@ class RowPool:
     These are the only rows that can occur in a representation of G, since
     every remainder of the search is totally PSD and at most G.  Rows are
     normalized so that their first nonzero column is positive at the
-    identity embedding, and sorted by (key, flat) descending, where the key
-    is trace(v . v) and flat the concatenated coordinates.  Each row keeps
-    its outer product exactly and as floats at every embedding, with its
-    diagonal floats apart, for `_search` and its `_Screen`.
+    identity embedding, and sorted by (key, cols) descending, where the key
+    is trace(v . v) and cols the column coordinates, compared as their
+    concatenation.  Each row keeps its outer product exactly and as floats
+    at every embedding, with its diagonal floats apart, for `_search` and
+    its `_Screen`.  The pool reads G's integral coordinates once, and a G
+    with an entry outside O raises ValueError.
 
     A unit column c of G, G_cc = 1 and G_cj = 0 for j != c, holds only 0 and
     +-1: sigma(x)^2 <= 1 at every embedding makes a nonzero x a root of
@@ -831,7 +822,10 @@ class RowPool:
     generic screens.
     """
 
-    def __init__(self, gram: GramForm, icoords) -> None:
+    def __init__(self, gram: GramForm) -> None:
+        icoords = gram.integral_coords()
+        if icoords is None:
+            raise ValueError("gram matrix is not integral")
         field = gram.field
         r = gram.rank
         self.field = field
@@ -844,21 +838,20 @@ class RowPool:
             raise SearchSpaceError(
                 f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
-        bounds = _column_bounds(field, icoords, columns)
-        decorated = _fitting_rows(field, icoords, columns, bounds)
-        # by (key, flat); flat is unique, so later fields are never compared
+        decorated = _fitting_rows(field, icoords, columns)
+        # by (key, cols); cols is unique, so later fields are never compared
         decorated.sort(reverse=True)
-        self.cols = [t[2] for t in decorated]
         self.keys = [t[0] for t in decorated]
-        self.outers = [t[3] for t in decorated]
-        self.floats = [t[4] for t in decorated]
+        self.cols = [t[1] for t in decorated]
+        self.outers = [t[2] for t in decorated]
+        self.floats = [t[3] for t in decorated]
         # remainders, outer products and pool rows are flat int tuples of
         # length r(r+1)/2 * d: the upper triangle column by column
         # (`_slot_pairs`), d coordinates per slot; root is G's
         self.root = tuple(c for i, j in _slot_pairs(r) for c in icoords[i][j])
         self.trace = sum([field.trace_of_coords(icoords[j][j]) for j in range(r)])
         self.zero_flat = (0,) * len(self.root)
-        self.screen = _Screen(field, self.root, bounds)
+        self.screen = _Screen(field, self.root, columns)
         diag = self.screen.diag_of
         self.diag_floats = self.floats if r == 1 else [diag(f) for f in self.floats]
         self.neg_keys = [-k for k in self.keys]
@@ -951,13 +944,14 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
 
 
 class _Kept:
-    """The search of one Gram, kept across calls (`_kept`): its PSD verdict,
-    its pool (built on first use; a refused one is not kept), one memo for
-    every budget and call, the next budget `shortest` has not searched and,
-    once one succeeds, its witness."""
+    """The search of one Gram, kept across calls by `_kept`, which keeps the
+    last one only, so the length of G (+) <1> right after G's finds G's: its
+    PSD verdict, its pool (built on first use; a refused one is not kept),
+    one memo for every budget and call, the next budget `shortest` has not
+    searched and, once one succeeds, its witness."""
 
-    def __init__(self, gram: GramForm, icoords) -> None:
-        self.gram, self.icoords = gram, icoords
+    def __init__(self, gram: GramForm) -> None:
+        self.gram = gram
         self.psd = totally_psd(gram)
         self.pool: RowPool | None = None
         self.memo: dict = {}
@@ -966,7 +960,7 @@ class _Kept:
 
     def row_pool(self) -> RowPool:
         if self.pool is None:
-            self.pool = RowPool(self.gram, self.icoords)
+            self.pool = RowPool(self.gram)
         return self.pool
 
     def shortest(self, s_max: int) -> list[int] | None:
@@ -993,41 +987,50 @@ class _Kept:
         return None
 
 
-@lru_cache(maxsize=1)
-def _kept(gram: GramForm, icoords) -> _Kept:
-    """The kept search of gram, the last one only: the length of G (+) <1>
-    splits its unit column off and finds G's, right after G's length."""
-    return _Kept(gram, icoords)
+_kept = lru_cache(maxsize=1)(_Kept)
 
 
-def _split_units(gram: GramForm, icoords) -> tuple[list[int], GramForm | None, tuple | None]:
-    """The unit columns c of gram, G_cc = 1 and G_cj = 0 for j != c, and
-    gram without them with its integral coordinates, None when no column is
-    left; rank 1 is not split.  The rest has no unit column, since removing
-    one changes no other column."""
+def _split_units(gram: GramForm) -> tuple[list[int], GramForm | None]:
+    """The unit columns c of gram, G_cc = 1 and G_cj = 0 for j != c, read
+    off 2G as 2G_cc = 2 and 2G_cj = 0, and gram without them, None when no
+    column is left; rank 1 is not split.  The rest has no unit column, since
+    removing one changes no other column."""
     r = gram.rank
     if r == 1:
-        return [], gram, icoords
-    one = gram.field.one().coords
+        return [], gram
+    doubled = gram.doubled
+    two = tuple([2 * c for c in gram.field.one().coords])
     units = [
         c
         for c in range(r)
-        if icoords[c][c] == one and not any(any(icoords[c][j]) for j in range(r) if j != c)
+        if doubled[c][c] == two and not any(any(doubled[c][j]) for j in range(r) if j != c)
     ]
     if not units:
-        return units, gram, icoords
+        return units, gram
     keep = [j for j in range(r) if j not in units]
     if not keep:
-        return units, None, None
-    rest = GramForm.from_doubled(gram.field, [[gram.doubled[i][j] for j in keep] for i in keep])
-    return units, rest, tuple(tuple(icoords[i][j] for j in keep) for i in keep)
+        return units, None
+    return units, GramForm.from_doubled(gram.field, [[doubled[i][j] for j in keep] for i in keep])
+
+
+def _start(gram: GramForm) -> tuple[list[int], _Kept | None] | NotSoS:
+    """(unit columns, kept search of the rest or None) of an integral gram
+    (`_split_units`, `_kept`), or why it is not a sum of squares; entries
+    are tested on the whole of gram, the PSD verdict on the rest."""
+    if not gram.is_integral():
+        return NotSoS("not-integral")
+    units, rest = _split_units(gram)
+    kept = None if rest is None else _kept(rest)
+    if kept is not None and not kept.psd:
+        return NotSoS("not-totally-psd")
+    return units, kept
 
 
 def _certificate(
     gram: GramForm, units: list[int], pool: RowPool | None, indices: list[int]
 ) -> Certificate:
     """The pool rows at indices with a zero put in at each unit column of
-    gram, and e_c for each unit column c, in pool order (key, then flat,
+    gram, and e_c for each unit column c, in pool order (key, then cols,
     descending), checked exactly against gram."""
     field = gram.field
     r = gram.rank
@@ -1052,28 +1055,22 @@ def _certificate(
 def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
     """The ordered candidate rows of a totally PSD Gram G: every sign-normalized
     row v with G - vv^T totally PSD, which includes every row of every
-    representation."""
-    icoords = gram.integral_coords()
-    if icoords is None:
-        raise ValueError("gram matrix is not integral")
-    pool = RowPool(gram, icoords)
+    representation; ValueError if an entry of G is not in O."""
+    pool = RowPool(gram)
     return pool.rows_as_elements(list(range(len(pool))))
 
 
 def represent(gram: GramForm, budget: int) -> SearchOutcome:
     """Decide whether gram is a sum of at most `budget` squares of forms.
-    Its unit columns are split off first (`_split_units`): the rest is
-    searched with one row fewer per unit column, on its kept pool and memo
-    (`_kept`); a search of this budget finds the certificate, as when cold."""
+    Its unit columns are split off first (`_start`): the rest is searched
+    with one row fewer per unit column, on its kept pool and memo (`_kept`);
+    a search of this budget finds the certificate, as when cold."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    icoords = gram.integral_coords()
-    if icoords is None:
-        return NotIntegral()
-    units, rest, icoords = _split_units(gram, icoords)
-    kept = None if rest is None else _kept(rest, icoords)
-    if kept is not None and not kept.psd:
-        return NotTotallyPsd()
+    start = _start(gram)
+    if isinstance(start, NotSoS):
+        return NotIntegral() if start.reason == "not-integral" else NotTotallyPsd()
+    units, kept = start
     if budget < len(units):
         return Unsat(budget)
     pool, indices = None, []
@@ -1090,20 +1087,17 @@ def length_certificate(
 ) -> tuple[int, Certificate] | ExceedsBound | NotSoS:
     """Minimal number of squares representing gram plus a witness.
 
-    Unit columns are split off first (`_split_units`): the length is that
-    of the rest plus one per unit column, and only the padded witness is
-    checked.  The rest's search is kept (`_kept`), so the length of G (+) <1>
-    after that of G searches nothing.
+    Unit columns are split off first (`_start`): the length is that of the
+    rest plus one per unit column, and only the padded witness is checked.
+    The rest's search is kept (`_kept`), so the length of G (+) <1> after
+    that of G searches nothing.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    icoords = gram.integral_coords()
-    if icoords is None:
-        return NotSoS("not-integral")
-    units, rest, icoords = _split_units(gram, icoords)
-    kept = None if rest is None else _kept(rest, icoords)
-    if kept is not None and not kept.psd:
-        return NotSoS("not-totally-psd")
+    start = _start(gram)
+    if isinstance(start, NotSoS):
+        return start
+    units, kept = start
     if s_max < len(units):
         return ExceedsBound(s_max)
     indices = [] if kept is None else kept.shortest(s_max - len(units))

@@ -23,7 +23,6 @@ from soslen.fields import characteristic_polynomial
 from soslen.search import (
     SEARCH_CACHE_CAP,
     _Column,
-    _column_bounds,
     _column_values,
     _Screen,
 )
@@ -50,7 +49,8 @@ class ProductPool:
     """Every sign-normalized row whose columns fit the diagonal boxes, in
     `RowPool` order, with the attributes and helpers `_search` reads."""
 
-    def __init__(self, gram: GramForm, icoords) -> None:
+    def __init__(self, gram: GramForm) -> None:
+        icoords = gram.integral_coords()
         field = gram.field
         r = gram.rank
         d = field.degree
@@ -85,7 +85,7 @@ class ProductPool:
         self.zero_flat = (0,) * (r * (r + 1) // 2 * d)
         self.root = tuple(c for i, j in slots for c in icoords[i][j])
         self.trace = _trace(self, self.root)
-        self.screen = _Screen(field, self.root, _column_bounds(field, icoords, columns))
+        self.screen = _Screen(field, self.root, columns)
         self.diag_floats = [self.screen.diag_of(f) for f in self.floats]
 
     def __len__(self) -> int:
@@ -261,9 +261,8 @@ def exact_prune_search(pool, rem0, budget: int, memo: dict):
 
 def reference_represent(gram: GramForm, budget: int) -> Represented | Unsat:
     """`represent` for an integral, totally PSD Gram, by the reference search."""
-    icoords = gram.integral_coords()
-    assert icoords is not None, "the reference search takes integral Grams"
-    pool = ProductPool(gram, icoords)
+    assert gram.is_integral(), "the reference search takes integral Grams"
+    pool = ProductPool(gram)
     indices = reference_search(pool, pool.root, budget)
     if indices is None:
         return Unsat(budget)

@@ -110,6 +110,15 @@ class TestFormCommands:
         )
         assert code == 1 and "not totally positive semidefinite" in out
 
+    def test_form_not_integral(self, capsys):
+        # 1/2 off the diagonal: 2G is integral, G is not
+        code, out, _ = run(capsys, "form", "length", "Q", "--gram", "1;1/2;1")
+        assert code == 1 and "not a sum of squares (not-integral)" in out
+        code, out, _ = run(
+            capsys, "form", "represent", "Q", "--gram", "1;1/2;1", "--squares", "3"
+        )
+        assert code == 1 and "gram matrix has entries outside the ring of integers" in out
+
     def test_oversized_search_is_undecided(self, capsys):
         # exit 1 would claim a verified negative; the cap decides nothing
         for argv in (

@@ -41,7 +41,6 @@ from soslen import search
 from soslen.search import (
     RowPool,
     SearchSpaceError,
-    _column_bounds,
     _column_values,
     _search,
 )
@@ -142,11 +141,18 @@ class TestRepresent:
         assert isinstance(represent(g, 5), NotTotallyPsd)
 
     def test_not_integral(self):
+        # 2G is integral and G is not; integrality is decided on the whole
+        # Gram, before the unit column of G (+) <1> is split off
         sh = Q.shape
         half = Radical(sh, (F(1, 2),))
         one = Radical.one(sh)
         g = GramForm(Q, ((one, half), (half, one)))
-        assert isinstance(represent(g, 5), NotIntegral)
+        for gram in (g, perp_unit(g)):
+            assert isinstance(represent(gram, 5), NotIntegral)
+            assert length_certificate(gram, 5) == NotSoS("not-integral")
+            assert length(gram, 5) == NotSoS("not-integral")
+            with pytest.raises(ValueError, match="gram matrix is not integral"):
+                candidate_rows(gram)
 
     def test_zero_form(self):
         out = represent(zgram((0,)), 0)
@@ -470,7 +476,7 @@ class TestColumnScan:
                 if math.prod(len(vals) + 1 for vals in columns) > 4000:
                     continue  # keeps the pure-Python reference pool quick
                 made += 1
-                pool = RowPool(gram, icoords)
+                pool = RowPool(gram)
                 ref = reference_pool(field, icoords, columns)
                 assert pool.cols == [t[2] for t in ref], diagonals
                 assert pool.keys == [t[0] for t in ref]
@@ -512,7 +518,7 @@ class TestColumnScan:
             for gram in grams:
                 icoords = gram.integral_coords()
                 exact_calls.clear()
-                pool = RowPool(gram, icoords)
+                pool = RowPool(gram)
                 assert bool(exact_calls) == (field.degree > 1)
                 columns = [brute_column_values(field, icoords[j][j]) for j in range(gram.rank)]
                 ref = reference_pool(field, icoords, columns)
@@ -521,9 +527,7 @@ class TestColumnScan:
                 assert pool.outers == [t[3] for t in ref]
                 assert pool.floats == [t[4] for t in ref]
             sign = 1 if row[0].sign_at_index(0) > 0 else -1
-            assert tuple(tuple(sign * c for c in v.coords) for v in row) in RowPool(
-                single, single.integral_coords()
-            ).cols
+            assert tuple(tuple(sign * c for c in v.coords) for v in row) in RowPool(single).cols
 
     def test_oversized_box_raises_before_scan(self):
         field = make_field(Shape((6, 7)))
@@ -688,8 +692,9 @@ class TestColumnScan:
 
 
 class TestColumnBounds:
-    """`_column_bounds`, which both float screens read, holds every column
-    record, checked against the records' exact integer enclosures."""
+    """The bounds `_column_values` keeps with its records, which both float
+    screens read, hold every record, checked against the records' exact
+    integer enclosures."""
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
     def test_bounds_hold_every_column_record(self, shape):
@@ -715,43 +720,42 @@ class TestColumnBounds:
                 ]
                 icoords = GramForm.from_rows(field, rows).integral_coords()
                 columns = [_column_values(field, icoords[j][j]) for j in range(rank)]
-                bound, err = _column_bounds(field, icoords, columns)
-                for a, values in enumerate(columns):
+                for values in columns:
+                    bound, err = values.bound, values.err
                     if not values:
                         zero_columns += 1
-                        assert bound[a] == err[a] == [0.0] * n_emb
+                        assert bound == err == (0.0,) * n_emb
                     for v in values:
                         records += 1
                         for e in range(n_emb):
                             lo, hi = field.interval_of_coords(v.coords, e)
                             # sigma_e(x) lies in [lo, hi] / 2^96
-                            assert max(abs(lo), abs(hi)) <= F(bound[a][e]) * scale, (v, e)
+                            assert max(abs(lo), abs(hi)) <= F(bound[e]) * scale, (v, e)
                             value = F(v.values[e]) * scale
                             distance = max(abs(value - lo), abs(value - hi))
-                            assert distance <= F(err[a][e]) * scale, (v, e)
-                if d == 1:
-                    assert not any(map(any, err))
+                            assert distance <= F(err[e]) * scale, (v, e)
+                    if d == 1:
+                        assert not any(err)
         assert zero_columns and records > 30, (zero_columns, records)
 
     def test_a_nonzero_diagonal_without_values_gets_zero(self):
         # 2 - sqrt2 is totally positive, and no nonzero x in Z[sqrt2] has
         # x^2 <= 2 - sqrt2 at both embeddings
-        diag = (2, -1)
-        assert _column_values(Q2, diag) == ()
-        icoords = [[diag, (1, 0)], [(1, 0), (2, 0)]]
-        columns = [_column_values(Q2, diag), _column_values(Q2, (2, 0))]
-        bound, err = _column_bounds(Q2, icoords, columns)
-        assert bound[0] == err[0] == [0.0, 0.0]
-        assert all(bound[1]) and all(err[1])
+        empty = _column_values(Q2, (2, -1))
+        assert empty == ()
+        assert empty.bound == empty.err == (0.0, 0.0)
+        full = _column_values(Q2, (2, 0))
+        assert all(full.bound) and all(full.err)
 
     @pytest.mark.parametrize("radicands", [(5,), (6, 7), (13, 15)], ids=str)
     def test_bounds_do_not_read_the_pool_cap(self, radicands, monkeypatch):
         # the error of a column float comes from the diagonal's coordinate
-        # box, not from the cap that refuses oversized boxes and pools
+        # box, not from the cap that refuses oversized boxes and pools; the
+        # uncached scan computes the bounds again under the patched cap
         field = make_field(Shape(radicands))
         rng = random.Random(101 + sum(radicands))
         spread = 2 if field.degree < 4 else 1
-        cases = []
+        diagonals = []
         for rank in (1, 2, 3):
             rows = [
                 tuple(
@@ -761,11 +765,16 @@ class TestColumnBounds:
                 for _ in range(2)
             ]
             icoords = GramForm.from_rows(field, rows).integral_coords()
-            cases.append((icoords, [_column_values(field, icoords[j][j]) for j in range(rank)]))
-        before = [_column_bounds(field, icoords, columns) for icoords, columns in cases]
-        assert any(any(map(any, err)) for _, err in before)
+            diagonals += [icoords[j][j] for j in range(rank)]
+
+        def bounds():
+            scans = [_column_values.__wrapped__(field, diag) for diag in diagonals]
+            return [(values.bound, values.err) for values in scans]
+
+        before = bounds()
+        assert any(any(err) for _, err in before)
         monkeypatch.setattr(search, "POOL_ROW_CAP", 10**30)
-        assert [_column_bounds(field, icoords, columns) for icoords, columns in cases] == before
+        assert bounds() == before
 
 
 class TestPrunedPoolDifferential:
@@ -804,9 +813,8 @@ class TestPrunedPoolDifferential:
                 if rank == 2:
                     grams.append((perp_unit(gram), len(rows) + 1))
         for gram, s_max in grams:
-            icoords = gram.integral_coords()
-            full = ProductPool(gram, icoords)
-            assert len(RowPool(gram, icoords)) <= len(full)
+            full = ProductPool(gram)
+            assert len(RowPool(gram)) <= len(full)
             t, cert = length_certificate(gram, s_max)
             for budget in range(t + 1):
                 fast = represent(gram, budget)
@@ -833,8 +841,7 @@ class CountingMemo(dict):
 def _searched_like_length(gram, s_max):
     """(indices, nodes) of `_search` and of the exact-prune oracle over the
     budgets `length_certificate` tries, up to the first representation."""
-    icoords = gram.integral_coords()
-    pool = RowPool(gram, icoords)
+    pool = RowPool(gram)
     tr0 = pool.trace
     lower = max(1, gram_rank(gram), -(-tr0 // pool.keys[0]))
     fast, slow = CountingMemo(), CountingMemo()
@@ -921,8 +928,7 @@ class TestFloatScreen:
             rows = [row + (zero,) for row in rows] + [(zero,) * rank + (field.one().coords,)]
         if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
             return
-        icoords = gram.integral_coords()
-        pool = RowPool(gram, icoords)
+        pool = RowPool(gram)
         index = {cols: idx for idx, cols in enumerate(pool.cols)}
         own = []
         for row in rows:
@@ -968,8 +974,7 @@ class TestFloatScreen:
                 if single.is_zero():
                     continue
                 for gram in (single, perp_unit(single)):
-                    icoords = gram.integral_coords()
-                    pool = RowPool(gram, icoords)
+                    pool = RowPool(gram)
                     screen = pool.screen
                     rem0 = pool.root
                     root, diag_band, level_bands = screen.start(3)
@@ -1031,7 +1036,7 @@ class TestColumnSupports:
 
         nodes = 0
         for gram, s_max in grams:
-            pool = RowPool(gram, gram.integral_coords())
+            pool = RowPool(gram)
             for budget in range(1, s_max + 1):
                 pruned, exact = CountingMemo(), CountingMemo()
                 monkeypatch.setattr(search, "_square_norms", watched)
@@ -1099,7 +1104,7 @@ class TestSquareMinorPrune:
             t, cert = length_certificate(g, s_max)
             # the pool length_certificate kept, when g has no unit column;
             # g's whole pool, unit column and all, otherwise
-            pool = search._kept(g, g.integral_coords()).row_pool()
+            pool = search._kept(g).row_pool()
             for budget in range(1, t + 1):
                 ours = _search(pool, budget, {})
                 assert ours == exact_prune_search(pool, pool.root, budget, {}), budget
@@ -1168,10 +1173,10 @@ class TestUnitColumnSplit:
         split = search._split_units
         splits = []
 
-        def counted(gram, icoords):
-            units, rest, rest_coords = split(gram, icoords)
+        def counted(gram):
+            units, rest = split(gram)
             splits.append(units)
-            return units, rest, rest_coords
+            return units, rest
 
         with monkeypatch.context() as m:
             m.setattr(search, "_split_units", counted)
@@ -1230,7 +1235,7 @@ class TestUnitColumnSplit:
             res, splits = self.length_and_splits(gram, monkeypatch)
             # one pass splits every unit column
             assert splits == [units]
-            pool = RowPool(gram, gram.integral_coords())
+            pool = RowPool(gram)
             self.assert_reference_pool(pool, gram)
             # the rows are e_c and those of the rest with zeros put in
             keep = [j for j in range(gram.rank) if j not in units]
@@ -1238,7 +1243,7 @@ class TestUnitColumnSplit:
             if keep:
                 doubled = [[gram.doubled[i][j] for j in keep] for i in keep]
                 g = GramForm.from_doubled(field, doubled)
-                rest_pool = RowPool(g, g.integral_coords())
+                rest_pool = RowPool(g)
                 assert [tuple(c[j] for j in keep) for c in rest] == rest_pool.cols
             assert sorted(set(pool.cols) - set(rest)) == [
                 tuple(one.coords if j == c else zero for j in range(gram.rank))
@@ -1274,7 +1279,7 @@ class TestUnitColumnSplit:
             assert isinstance(res, tuple), gram
             t, cert = res
             assert k <= t
-            pool = RowPool(gram, gram.integral_coords())
+            pool = RowPool(gram)
             for budget in range(t):
                 assert isinstance(represent(gram, budget), Unsat), budget
                 assert _search(pool, budget, {}) is None, budget
@@ -1332,7 +1337,7 @@ class TestUnitColumnSplit:
             assert _unit_columns(gram) == []
             _, splits = self.length_and_splits(gram, monkeypatch)
             assert splits == [[]]
-            pool = RowPool(gram, gram.integral_coords())
+            pool = RowPool(gram)
             self.assert_reference_pool(pool, gram)
             assert (one.coords, a.coords) in pool.cols
 
@@ -1342,7 +1347,7 @@ class TestUnitColumnSplit:
         gram = GramForm.from_doubled(Q2, [[(6, 4), (0, 0)], [(0, 0), (4, 0)]])
         _, splits = self.length_and_splits(gram, monkeypatch)
         assert splits == [[]]
-        pool = RowPool(gram, gram.integral_coords())
+        pool = RowPool(gram)
         self.assert_reference_pool(pool, gram)
         assert ((1, 1), (0, 0)) in pool.cols
 
@@ -1353,8 +1358,7 @@ class TestUnitColumnSplit:
 
         gram = GramForm.from_element(Q2.one())
         monkeypatch.setattr(type(Q2), "one", made)
-        icoords = gram.integral_coords()
-        assert search._split_units(gram, icoords) == ([], gram, icoords)
+        assert search._split_units(gram) == ([], gram)
 
     def test_a_refused_pool_stays_refused(self, monkeypatch):
         # G (+) <1> with G = diag(10^6, 10^5) over Z: 2001 * 633 * 3 rows
@@ -1367,7 +1371,7 @@ class TestUnitColumnSplit:
 
         monkeypatch.setattr(search, "_fitting_rows", enumerated)
         with pytest.raises(SearchSpaceError, match="candidate space"):
-            RowPool(gram, gram.integral_coords())
+            RowPool(gram)
         # the searches split the unit column off first, so G (+) <1> is
         # refused exactly when G is: here G's box of about 6.3 million points
         big = zgram((10**13,))
@@ -1421,6 +1425,27 @@ class TestPoolCache:
         assert warm[0] == t + 1
         assert builds == [gram] and searches
 
+    def test_perp_unit_reads_no_integral_coordinates(self, monkeypatch):
+        # the warm call splits the unit column off 2G and finds G's kept
+        # search: no integral coordinates are derived and no pool is built
+        field = make_field(Shape((5,)))
+        gram = GramForm.from_rows(field, _random_rows(random.Random(11), field, 2, 2, 2))
+        perp = perp_unit(gram)
+        (builds,) = self.counted(monkeypatch, "RowPool")
+        derived = []
+        integral_coords = GramForm.integral_coords
+
+        def watched(g):
+            derived.append(g)
+            return integral_coords(g)
+
+        monkeypatch.setattr(GramForm, "integral_coords", watched)
+        t, _ = length_certificate(gram, 10)
+        assert builds == [gram] and derived == [gram]
+        del builds[:], derived[:]
+        assert length_certificate(perp, t + 2)[0] == t + 1
+        assert builds == derived == []
+
     def test_keyed_by_field_and_gram(self, monkeypatch):
         (builds,) = self.counted(monkeypatch, "RowPool")
         q3 = make_field(Shape((3,)))
@@ -1430,7 +1455,7 @@ class TestPoolCache:
         kept = []
         for g in (g2, g3, g3, other, g2):
             length_certificate(g, 10)
-            kept.append(search._kept(g, g.integral_coords()))
+            kept.append(search._kept(g))
             assert search._kept.cache_info().currsize == 1
         # only the last search is kept: g2 is searched again after `other`
         assert builds == [g2, g3, other, g2]
@@ -1442,11 +1467,11 @@ class TestPoolCache:
         (builds,) = self.counted(monkeypatch, "RowPool")
         field = make_field(Shape((5,)))
         gram = GramForm.from_rows(field, _random_rows(random.Random(9), field, 2, 3, 1))
-        cached = search._kept(gram, gram.integral_coords()).row_pool()
+        cached = search._kept(gram).row_pool()
         equal = GramForm.from_doubled(field, gram.doubled)
-        again = search._kept(equal, equal.integral_coords()).row_pool()
+        again = search._kept(equal).row_pool()
         assert again is cached and len(builds) == 1
-        fresh = RowPool(gram, gram.integral_coords())
+        fresh = RowPool(gram)
         assert cached.cols == fresh.cols
         assert cached.keys == fresh.keys
         assert cached.outers == fresh.outers
@@ -1461,7 +1486,7 @@ class TestPoolCache:
         # every call builds again; the PSD verdict is kept
         assert builds == [gram] * 4
         assert psd == [gram]
-        assert search._kept(gram, gram.integral_coords()).pool is None
+        assert search._kept(gram).pool is None
 
 
 class TestKeptSearchDifferential:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -59,6 +60,7 @@ class IntegrityError(ValueError):
     """The document parses but its rows do not certify its Gram matrix."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CertificateDocument:
     """A field, a Gram form and certificate rows, as a file records them.
 
@@ -67,7 +69,9 @@ class CertificateDocument:
     each access.
     """
 
-    __slots__ = ("field", "gram", "_entries")
+    field: Field
+    gram: GramForm
+    _entries: tuple[tuple[OElement | Radical, ...], ...]
 
     def __init__(self, field: Field, gram: GramForm, rows) -> None:
         if gram.field != field:
@@ -94,27 +98,12 @@ class CertificateDocument:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_entries", entries)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CertificateDocument values are immutable")
-
     @property
     def rows(self) -> tuple[tuple[Radical, ...], ...]:
         return tuple(
             tuple(v if isinstance(v, Radical) else v.to_radical() for v in row)
             for row in self._entries
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CertificateDocument):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.gram == other.gram
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.gram, self._entries))
 
     def __repr__(self) -> str:
         return (

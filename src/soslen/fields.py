@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 from operator import add, mul, sub
@@ -96,13 +97,6 @@ def _is_integral_numerator(shape: Shape, y: tuple[int, ...], k: int) -> bool:
     has X^i-coefficient p_i / k^(d-i), where p is that of y."""
     d = shape.degree
     return all(p % k ** (d - i) == 0 for i, p in enumerate(_integer_charpoly(shape, y)))
-
-
-def characteristic_polynomial(x: Radical) -> list[Rat]:
-    """Coefficients of prod over embeddings of (X - sigma(x)), constant first."""
-    k, y = _clear_denominators(x)
-    d = x.shape.degree
-    return [Rat(p, k ** (d - i)) for i, p in enumerate(_integer_charpoly(x.shape, y))]
 
 
 def is_algebraic_integer(x: Radical) -> bool:
@@ -500,19 +494,18 @@ def field_from_descriptor(text: str) -> Field:
     return make_field(parse_descriptor(text))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class OElement:
     """An algebraic integer as integer coordinates over the integral basis."""
 
-    __slots__ = ("field", "coords")
+    field: Field
+    coords: tuple[int, ...]
 
     def __init__(self, field: Field, coords: tuple[int, ...]) -> None:
         if len(coords) != field.degree:
             raise ValueError("coordinate count must equal the field degree")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("OElement values are immutable")
 
     def _check(self, other: OElement) -> None:
         if self.field != other.field:
@@ -544,14 +537,6 @@ class OElement:
 
     def sign_at_index(self, emb_index: int) -> int:
         return self.field.sign_of_coords(self.coords, emb_index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OElement):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.field.shape.radicands, self.coords))
 
     def __str__(self) -> str:
         return str(self.to_radical())

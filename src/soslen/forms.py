@@ -29,6 +29,7 @@ def _doubled_outer_sum(field: Field, rank: int, rows) -> list[list[tuple[int, ..
     return total
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GramForm:
     """A symmetric Gram matrix over a field's ring of integers.
 
@@ -40,7 +41,9 @@ class GramForm:
     reads; `entries` derives the matrix itself from them.
     """
 
-    __slots__ = ("field", "rank", "doubled")
+    field: Field
+    rank: int
+    doubled: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __init__(self, field: Field, entries: tuple[tuple[Radical, ...], ...]) -> None:
         r = len(entries)
@@ -55,9 +58,6 @@ class GramForm:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rank", len(doubled))
         object.__setattr__(self, "doubled", tuple(tuple(row) for row in doubled))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GramForm values are immutable")
 
     @property
     def entries(self) -> tuple[tuple[Radical, ...], ...]:
@@ -140,14 +140,6 @@ class GramForm:
             return None
         return tuple(tuple(tuple(c // 2 for c in e) for e in row) for row in self.doubled)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GramForm):
-            return NotImplemented
-        return self.field == other.field and self.doubled == other.doubled
-
-    def __hash__(self) -> int:
-        return hash((self.field.shape.radicands, self.doubled))
-
     def __repr__(self) -> str:
         return f"GramForm({self.field.shape}, rank={self.rank})"
 
@@ -184,10 +176,13 @@ def gram_rank(gram: GramForm) -> int:
     return 0
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Certificate:
     """A sums-of-squares witness: rows V with sum row^T row equal to a Gram."""
 
-    __slots__ = ("field", "rank", "rows")
+    field: Field
+    rank: int
+    rows: tuple[tuple[OElement, ...], ...]
 
     def __init__(
         self, field: Field, rank: int, rows: tuple[tuple[OElement, ...], ...]
@@ -204,20 +199,8 @@ class Certificate:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Certificate values are immutable")
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rank == other.rank
-            and self.rows == other.rows
-        )
 
     def __repr__(self) -> str:
         return f"Certificate({self.field.shape}, rank={self.rank}, rows={len(self.rows)})"

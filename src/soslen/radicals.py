@@ -164,19 +164,18 @@ def _clear_denominators(x: Radical) -> tuple[int, tuple[int, ...]]:
     return k, tuple(q.numerator * (k // q.denominator) for q in x.coords)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Radical:
     """An exact element q0 + q1 sqrt(m) + q2 sqrt(n) + q3 sqrt(c) of a shape."""
 
-    __slots__ = ("shape", "coords")
+    shape: Shape
+    coords: tuple[Rat, ...]
 
     def __init__(self, shape: Shape, coords: tuple[Rat, ...]) -> None:
         if len(coords) != shape.degree:
             raise ValueError("coordinate count must equal the shape degree")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coords", tuple(Rat(q) for q in coords))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Radical values are immutable")
 
     @classmethod
     def from_rational(cls, shape: Shape, q: Rat | int) -> Radical:
@@ -200,14 +199,6 @@ class Radical:
 
     def is_zero(self) -> bool:
         return all(q == 0 for q in self.coords)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Radical):
-            return NotImplemented
-        return self.shape == other.shape and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.shape.radicands, self.coords))
 
     def _check_shape(self, other: Radical) -> None:
         if self.shape != other.shape:

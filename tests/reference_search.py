@@ -16,16 +16,25 @@ characteristic polynomial.
 
 import itertools
 from bisect import bisect_left
+from fractions import Fraction
 from math import isqrt
 
 from soslen import Certificate, GramForm, Radical, Represented, Unsat, verify_certificate
-from soslen.fields import characteristic_polynomial
+from soslen.fields import _integer_charpoly
+from soslen.radicals import _clear_denominators
 from soslen.search import (
     SEARCH_CACHE_CAP,
     _Column,
     _column_values,
     _Screen,
 )
+
+
+def characteristic_polynomial(x: Radical) -> list[Fraction]:
+    """Coefficients of prod over embeddings of (X - sigma(x)), constant first."""
+    k, y = _clear_denominators(x)
+    d = x.shape.degree
+    return [Fraction(p, k ** (d - i)) for i, p in enumerate(_integer_charpoly(x.shape, y))]
 
 
 def _slots(r: int) -> list[tuple[int, int]]:

@@ -46,9 +46,8 @@ from soslen import (
     verify_certificate,
     verify_document,
 )
-from soslen.fields import characteristic_polynomial
 from soslen.suite import binary_form_witness
-from reference_search import reference_represent
+from reference_search import characteristic_polynomial, reference_represent
 
 
 def announce(name: str, ok: bool, t0: float, detail: str = "") -> None:

@@ -22,8 +22,8 @@ from soslen import (
     parse_descriptor,
     render_radical,
 )
-from soslen.fields import characteristic_polynomial
 from reference_mul import tensor_mul
+from reference_search import characteristic_polynomial
 from test_search import SCAN_SHAPES
 
 

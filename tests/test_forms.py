@@ -1,5 +1,7 @@
 """Gram forms, total positive semidefiniteness and certificate checking."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -7,14 +9,20 @@ import pytest
 
 from soslen import (
     Certificate,
+    CertificateDocument,
     GramForm,
     NotIntegralError,
+    OElement,
     Radical,
     Shape,
+    document_from_certificate,
+    emit_certificate,
     from_literal_coords,
     gram_rank,
     make_field,
+    parse_certificate,
     perp_unit,
+    to_certificate,
     totally_psd,
     verify_certificate,
 )
@@ -396,3 +404,60 @@ class TestVerifyCertificate:
             pgram = GramForm(field, pentries)
             pcert = Certificate(field, r, prows)
             assert verify_certificate(pgram, pcert).ok
+
+
+def _value_pairs():
+    """Each value class with one value of it built two ways over Q(sqrt 5):
+    from its exact entries and from integral coordinates, or through a
+    certificate file."""
+    sh = Q5.shape
+    w = Radical(sh, (F(1, 2), F(1, 2)))  # (1 + sqrt5)/2, the basis element (0, 1)
+    omega = Q5.element_from_coords((0, 1))
+    two, three = Radical.from_rational(sh, 2), Radical.from_rational(sh, 3)
+    rows = ((Q5.one(), omega), (Q5.one(), Q5.zero()))
+    cert = Certificate(Q5, 2, rows)
+    doc = document_from_certificate(GramForm.from_rows(Q5, rows), cert)
+    return {
+        Radical: (w, omega.to_radical()),
+        OElement: (Q5.element(w), omega),
+        GramForm: (
+            GramForm(Q5, ((two, w), (w, three))),
+            GramForm.from_doubled(Q5, (((4, 0), (0, 2)), ((0, 2), (6, 0)))),
+        ),
+        Certificate: (cert, to_certificate(parse_certificate(emit_certificate(doc)))[1]),
+        CertificateDocument: (doc, parse_certificate(emit_certificate(doc))),
+    }
+
+
+VALUE_PAIRS = _value_pairs()
+
+
+@pytest.mark.parametrize("cls", list(VALUE_PAIRS), ids=lambda c: c.__name__)
+class TestValueContract:
+    def test_fields_cannot_be_assigned(self, cls):
+        value, _ = VALUE_PAIRS[cls]
+        for f in dataclasses.fields(value):
+            before = getattr(value, f.name)
+            with pytest.raises(AttributeError):
+                setattr(value, f.name, before)
+            assert getattr(value, f.name) is before
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copies_are_equal_values(self, cls, copier):
+        value, _ = VALUE_PAIRS[cls]
+        dup = copier(value)
+        assert type(dup) is cls
+        assert dup == value and hash(dup) == hash(value)
+
+    def test_built_two_ways_is_one_value(self, cls):
+        a, b = VALUE_PAIRS[cls]
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_an_element_never_equals_its_radical():
+    for field in (Q, Q5, Q67):
+        alpha = field.element_from_coords(tuple(range(1, field.degree + 1)))
+        x = alpha.to_radical()
+        assert alpha != x and x != alpha
+        assert field.element(x) == alpha and len({alpha, x}) == 2

@@ -188,6 +188,14 @@ def _multiplier(tensor) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[in
     return namespace["mul_coords"]
 
 
+def _parity_mask(coords: tuple[int, ...]) -> int:
+    """The coordinates mod 2 as a bit mask, coordinate i at bit i."""
+    mask = 0
+    for c in reversed(coords):
+        mask = mask << 1 | c & 1
+    return mask
+
+
 class Field:
     """A ring of integers with its integral basis and real embeddings."""
 
@@ -265,6 +273,15 @@ class Field:
             tensor.append(row)
         self._mul_tensor = tuple(tuple(r) for r in tensor)
         self.mul_coords = _multiplier(self._mul_tensor)
+        # x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O, since c_i^2 - c_i
+        # and the cross terms are even, so every sum of squares has its
+        # coordinate parities in the F_2-span of those of the b_i^2: all of
+        # that span, as parity bit masks (`_parity_mask`)
+        span = {0}
+        for i in range(d):
+            square = _parity_mask(tensor[i][i])
+            span |= {m ^ square for m in span}
+        self._square_span = frozenset(span)
         traces = []
         for b in self.integral_basis:
             t = b.trace()
@@ -447,6 +464,11 @@ class Field:
             return -1
         return self.radical_of_coords(coords).sign_at(self.embeddings[emb_index])
 
+    def coords_in_square_span(self, coords: tuple[int, ...]) -> bool:
+        """Whether the integral element is congruent mod 2O to a sum of
+        squares, as every sum of squares is."""
+        return _parity_mask(coords) in self._square_span
+
     def coords_totally_nonneg(self, coords: tuple[int, ...]) -> bool:
         return all(
             self.sign_of_coords(coords, e) >= 0 for e in range(len(self.embeddings))
@@ -480,6 +502,10 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(self.shape)
+
+    def __reduce__(self):
+        # rebuilt from its shape: `mul_coords` is generated and cannot be pickled
+        return make_field, (self.shape,)
 
     def __repr__(self) -> str:
         return f"Field({self.shape})"

@@ -8,6 +8,12 @@ sum-of-squares lattice; exhaustiveness comes from complete candidate
 enumeration inside conjugate-bound coordinate boxes plus prunes that only
 discard provably infeasible branches:
 
+  * a Gram is not searched at all when a diagonal entry lies outside the
+    span of the squares: x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O,
+    so every sum of squares, each diagonal entry of a representation
+    among them, has its coordinate parities in the F_2-span of those of
+    the b_i^2 (`Field.coords_in_square_span`); `_Kept` tests it once per
+    Gram, before any pool is built;
   * a branch dies when a principal minor of its remainder is proven
     negative at some embedding: the DFS carries the remainder's embedding
     values as floats, starting from those of G (`RowPool.root`), and cuts
@@ -66,6 +72,10 @@ Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
 and the DFS's `_Screen`, bound vv^T by the bounds `_column_values` caches.
 
+Deepening stops at g_Z(r d) for a Gram of r columns over a ring of degree
+d where `gtable` is exact: by the paper's theorem, which `descent` runs on
+one certificate, every representation compresses to at most that many rows.
+
 Every verdict is exact: a prune fires only on a proof, from integer
 enclosures or from floats with a proven error band, and a representation is
 found only by exact lookups.
@@ -85,6 +95,7 @@ from typing import NamedTuple
 from .fields import _MID_SCALE, FIELD_CACHE_SIZE, Field, OElement
 from .fields import EMBEDDING_TABLE_BITS as _EMB_BITS
 from .forms import Certificate, GramForm, gram_rank, totally_psd, verify_certificate
+from .gtable import Exact, g_table
 
 POOL_ROW_CAP = 2_000_000
 SEARCH_CACHE_CAP = 1 << 22  # entries in the memo of (remainder, budget)
@@ -946,13 +957,20 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
 class _Kept:
     """The search of one Gram, kept across calls by `_kept`, which keeps the
     last one only, so the length of G (+) <1> right after G's finds G's: its
-    PSD verdict, its pool (built on first use; a refused one is not kept),
-    one memo for every budget and call, the next budget `shortest` has not
-    searched and, once one succeeds, its witness."""
+    PSD verdict, whether its diagonal lies in the span of the squares, its
+    pool (built on first use; a refused one is not kept), one memo for every
+    budget and call, the next budget `shortest` has not searched and, once
+    one succeeds, its witness."""
 
     def __init__(self, gram: GramForm) -> None:
         self.gram = gram
         self.psd = totally_psd(gram)
+        # each G_jj of a representation is a sum of squares; 2G_jj is even
+        field = gram.field
+        self.in_span = all(
+            field.coords_in_square_span([c >> 1 for c in gram.doubled[j][j]])
+            for j in range(gram.rank)
+        )
         self.pool: RowPool | None = None
         self.memo: dict = {}
         self.next: int | None = None
@@ -969,16 +987,24 @@ class _Kept:
         a sound lower bound (matrix rank, remainder-trace quotient), each call
         from the first one not yet searched, so the first witness is of
         minimal size and answers every later call.  None has more than
-        trace(G) / (smallest row key) rows, so no larger budget is searched.
+        trace(G) / (smallest row key) rows, nor more than g_Z(r d) for a
+        Gram of r columns over a ring of degree d (the paper's bound, where
+        `g_table` is exact), so no larger budget is searched.  A Gram whose
+        diagonal lies outside the span of the squares has none at all.
         """
         if self.gram.is_zero():
             return []
+        if not self.in_span:
+            return None
         pool = self.row_pool()
         if len(pool) == 0:
             return None
         if self.next is None:
             self.next = max(1, gram_rank(self.gram), -(-pool.trace // pool.keys[0]))
         top = min(s_max, pool.trace // pool.keys[-1])
+        cap = g_table(self.gram.rank * self.gram.field.degree)
+        if isinstance(cap, Exact):
+            top = min(top, cap.value)
         while self.found is None and self.next <= top:
             self.found = _search(pool, self.next, self.memo)
             self.next += 1
@@ -1063,8 +1089,10 @@ def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
 def represent(gram: GramForm, budget: int) -> SearchOutcome:
     """Decide whether gram is a sum of at most `budget` squares of forms.
     Its unit columns are split off first (`_start`): the rest is searched
-    with one row fewer per unit column, on its kept pool and memo (`_kept`);
-    a search of this budget finds the certificate, as when cold."""
+    with one row fewer per unit column, on its kept pool and memo (`_kept`),
+    unless a diagonal entry of the rest lies outside the span of the
+    squares, which makes it Unsat at every budget; a search of this budget
+    finds the certificate, as when cold."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     start = _start(gram)
@@ -1075,6 +1103,8 @@ def represent(gram: GramForm, budget: int) -> SearchOutcome:
         return Unsat(budget)
     pool, indices = None, []
     if kept is not None:
+        if not kept.in_span:
+            return Unsat(budget)
         pool = kept.row_pool()
         indices = _search(pool, budget - len(units), kept.memo)
         if indices is None:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -448,6 +449,16 @@ class TestValueContract:
         dup = copier(value)
         assert type(dup) is cls
         assert dup == value and hash(dup) == hash(value)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_to_an_equal_value(self, cls, protocol):
+        # a Field pickles as its shape and comes back as make_field's field
+        value, _ = VALUE_PAIRS[cls]
+        dup = pickle.loads(pickle.dumps(value, protocol))
+        assert type(dup) is cls
+        assert dup == value and hash(dup) == hash(value)
+        if hasattr(value, "field"):
+            assert dup.field is value.field
 
     def test_built_two_ways_is_one_value(self, cls):
         a, b = VALUE_PAIRS[cls]

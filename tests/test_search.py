@@ -38,13 +38,15 @@ from soslen import (
     verify_certificate,
 )
 from soslen import search
+from soslen.fields import Field
+from soslen.gtable import g_table
 from soslen.search import (
     RowPool,
     SearchSpaceError,
     _column_values,
     _search,
 )
-from soslen.suite import _random_rows
+from soslen.suite import _random_rows, totally_positive_elements
 import reference_search
 from reference_scan import half_box_scan
 from reference_search import (
@@ -1449,9 +1451,11 @@ class TestPoolCache:
     def test_keyed_by_field_and_gram(self, monkeypatch):
         (builds,) = self.counted(monkeypatch, "RowPool")
         q3 = make_field(Shape((3,)))
-        g2 = GramForm.from_doubled(Q2, [[(8, 2)]])
-        g3 = GramForm.from_doubled(q3, [[(8, 2)]])
-        other = GramForm.from_doubled(Q2, [[(10, 2)]])
+        # 4 + 2 sqrt2, 4 + 2 sqrt3 and 5 + 2 sqrt2: an odd sqrt coefficient
+        # lies outside the span of the squares, which builds no pool
+        g2 = GramForm.from_doubled(Q2, [[(8, 4)]])
+        g3 = GramForm.from_doubled(q3, [[(8, 4)]])
+        other = GramForm.from_doubled(Q2, [[(10, 4)]])
         kept = []
         for g in (g2, g3, g3, other, g2):
             length_certificate(g, 10)
@@ -1532,6 +1536,127 @@ class TestKeptSearchDifferential:
             # one pool serves every warm call
             assert len(builds) == 1
 
+
+def _parities(coords):
+    """The coordinates mod 2 as a bit mask, coordinate i at bit i."""
+    return sum((c & 1) << i for i, c in enumerate(coords))
+
+
+SPAN_SHAPES = [(), (2,), (3,), (5,), (6,), (13,), (2, 5), (6, 7), (13, 15), (10, 65)]
+
+
+class TestSquareSpan:
+    """x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O, so every sum of
+    squares lies in the F_2-span of the b_i^2 mod 2O
+    (`Field.coords_in_square_span`); a Gram with a diagonal entry outside it
+    is answered without a pool."""
+
+    @pytest.mark.parametrize("radicands", [(), (2,), (5,), (6, 7), (13, 15)], ids=str)
+    def test_every_diagonal_of_a_sum_of_squares_is_in_the_span(self, radicands):
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"square-span:{radicands}")
+        spread = 3 if field.degree == 1 else 2
+        for i in range(40):
+            gram = GramForm.from_rows(field, _random_rows(rng, field, 1 + i % 3, 6, spread))
+            icoords = gram.integral_coords()
+            for j in range(gram.rank):
+                assert field.coords_in_square_span(icoords[j][j]), (gram, j)
+            assert search._Kept(gram).in_span
+
+    @pytest.mark.parametrize("radicands", SPAN_SHAPES, ids=str)
+    def test_the_span_of_the_squares_of_zero_one_vectors(self, radicands):
+        field = make_field(Shape(radicands))
+        d = field.degree
+        span = {0}
+        for x in itertools.product((0, 1), repeat=d):
+            square = _parities(field.mul_coords(x, x))
+            span |= {m ^ square for m in span}
+        rng = random.Random(f"square-span-brute:{radicands}")
+        for y in itertools.product((0, 1), repeat=d):
+            want = _parities(y) in span
+            assert field.coords_in_square_span(y) == want, y
+            # only the parities count
+            shifted = tuple(c + 2 * rng.randint(-50, 50) for c in y)
+            assert field.coords_in_square_span(shifted) == want, shifted
+
+    @pytest.mark.parametrize("radicands", [(), (5,)], ids=str)
+    def test_the_span_is_all_of_o_where_siegel_says_so(self, radicands):
+        # Q and Q(sqrt 5) are the fields where every totally positive integer
+        # is a sum of squares, so no parity can be excluded there
+        field = make_field(Shape(radicands))
+        for y in itertools.product((0, 1), repeat=field.degree):
+            assert field.coords_in_square_span(y)
+
+    def test_answers_equal_those_without_the_test(self, monkeypatch):
+        elements = []
+        for radicands in ((6,), (7,), (10,), (13,)):
+            elements += totally_positive_elements(make_field(Shape(radicands)), 80)
+        assert len(elements) == 2708
+
+        def answers():
+            search._kept.cache_clear()
+            return [element_length(alpha, 10**9) for alpha in elements]
+
+        with_test = answers()
+        with monkeypatch.context() as m:
+            m.setattr(Field, "coords_in_square_span", lambda self, coords: True)
+            without = answers()
+        search._kept.cache_clear()
+        assert with_test == without
+        outside = [a for a in elements if not a.field.coords_in_square_span(a.coords)]
+        assert sum(isinstance(res, ExceedsBound) for res in with_test) == 936
+        assert len(outside) == 902
+        assert all(element_length(a, 10**9) == ExceedsBound(10**9) for a in outside)
+
+    def test_outside_the_span_no_pool_is_built(self, monkeypatch):
+        builds = []
+        build = search.RowPool
+        monkeypatch.setattr(search, "RowPool", lambda *args: builds.append(args) or build(*args))
+        search._kept.cache_clear()
+        one, zero = (2, 0), (0, 0)
+        alpha = GramForm.from_doubled(Q2, [[(8, 2)]])  # 4 + sqrt2
+        # the unit column is split off first, and the rest is 4 + sqrt2
+        unit = GramForm.from_doubled(Q2, [[one, zero], [zero, (8, 2)]])
+        for gram in (alpha, unit):
+            for budget in range(7):
+                assert represent(gram, budget) == Unsat(budget)
+            assert length_certificate(gram, 10**9) == ExceedsBound(10**9)
+        assert builds == []
+        assert search._kept(GramForm.from_doubled(Q2, [[(8, 2)]])).pool is None
+        # a Gram that is not totally PSD says so, wherever its diagonal lies
+        negative = GramForm.from_doubled(Q2, [[(-2, 2)]])  # -1 + sqrt2
+        assert represent(negative, 3) == NotTotallyPsd()
+        assert length_certificate(negative, 3) == NotSoS("not-totally-psd")
+        assert builds == []
+
+
+class TestPaperCap:
+    """Deepening stops at g_Z(r d), the paper's bound, where `gtable` is
+    exact: a Gram of r columns over a ring of degree d that is a sum of
+    squares is one of at most that many."""
+
+    def test_an_element_in_the_span_stops_at_g_z_of_d(self, monkeypatch):
+        field = make_field(Shape((13,)))
+        alpha = field.element_from_coords((38, 29))  # 38 + 29 (1 + sqrt13)/2
+        assert field.coords_in_square_span(alpha.coords)
+        budgets = []
+        run = search._search
+        monkeypatch.setattr(
+            search, "_search", lambda pool, budget, memo: budgets.append(budget) or run(pool, budget, memo)
+        )
+        search._kept.cache_clear()
+        assert element_length(alpha, 10**9) == ExceedsBound(10**9)
+        pool = search._kept(GramForm.from_element(alpha)).pool
+        assert pool.trace // pool.keys[-1] > g_table(2).value
+        assert max(budgets) == g_table(2).value == 5
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_bound_is_attained_over_z(self, n):
+        # I_(n-1) (+) <7> has length n + 3 = g_Z(n): the unit columns are
+        # split off, and 7 needs g_Z(1) = 4 squares
+        search._kept.cache_clear()
+        gram = zgram(*[[7 if i == j == n - 1 else int(i == j) for j in range(n)] for i in range(n)])
+        assert length(gram, 10**9) == n + 3 == g_table(n).value
 
 def _signed_permutation(gram, order, signs):
     """P^T G P for the signed permutation P whose column i is signs[i] times

@@ -13,41 +13,25 @@ Element strings use the rendering "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)"
 with exact "p/q" rationals.  Parsing returns the embedded data even when the
 rows fail to reproduce the Gram matrix; verification is a separate step.
 
-Documents are read and written on integers.  Each term "p", "p/q",
-"p*sqrt(k)" or "p/q*sqrt(k)" (q nonzero, spaces anywhere) is read into
-integers; an entry becomes integer radical coordinates over one common
-denominator, and the field's integer inverse basis matrix
-(`Field.coords_of_numerators`) turns that into integral-basis coordinates,
-or reports that the entry is not integral.  The Gram matrix is kept as the
-coordinates of 2G (`GramForm.from_doubled`) and each row entry as an
-OElement; only an entry outside the ring of integers is kept as the Radical
-it denotes.  Emission renders coordinates back through the integral basis
-with integer gcds, exactly as `render_radical` would.
+Entries are read and written on integer numerators by `soslen.radicals`
+(`read_numerators`, `render_numerators`), and `Field.coords_of_numerators`
+turns an entry into integral-basis coordinates, or reports that it is not
+integral.  The Gram matrix is kept as the coordinates of 2G and each row
+entry as an OElement, or, outside the ring of integers, as the Radical it
+denotes.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import isqrt
 
-from .fields import (
-    FIELD_CACHE_SIZE,
-    Field,
-    OElement,
-    field_from_descriptor,
-    format_descriptor,
-)
+from .fields import Field, OElement, field_from_descriptor, format_descriptor
 from .forms import Certificate, GramForm, VerifyResult, verify_certificate
-from .radicals import Radical, render_radical
+from .radicals import Radical, Shape, read_numerators, render_numerators, value_type
 
 FORMAT_VERSION = 1
-
-_TERM_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?")
 
 
 class SchemaError(ValueError):
@@ -60,7 +44,7 @@ class IntegrityError(ValueError):
     """The document parses but its rows do not certify its Gram matrix."""
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type
 class CertificateDocument:
     """A field, a Gram form and certificate rows, as a file records them.
 
@@ -112,90 +96,35 @@ class CertificateDocument:
         )
 
 
-@lru_cache(maxsize=FIELD_CACHE_SIZE)
-def _layout(field: Field):
-    """How a field's entries are written: per term, its written radicand,
-    the text after the coefficient, the factor from the written coefficient
-    to the stored radical coordinate (gcd(m, n) on sqrt(mn), else 1), and
-    the basis column giving 4 times that coordinate."""
-    rads = field.shape.radicands
-    if len(rads) == 2:
-        m, n = rads
-        written, factors = (1, m, n, m * n), (1, 1, 1, gcd(m, n))
-    else:
-        written, factors = (1,) + rads, (1,) * field.degree
-    suffixes = tuple(f"*sqrt({w})" if w > 1 else "" for w in written)
-    return written, suffixes, factors, field._basis_columns4
-
-
 def document_from_certificate(gram: GramForm, cert: Certificate) -> CertificateDocument:
     if cert.field != gram.field or cert.rank != gram.rank:
         raise ValueError("certificate field and rank must match the gram matrix")
     return CertificateDocument._of_entries(gram.field, gram, cert.rows)
 
 
-def _render(layout, coords: tuple[int, ...], den: int) -> str:
-    """The entry with integral-basis coordinates coords / den."""
-    _, suffixes, factors, columns = layout
-    terms = []
-    for suffix, factor, col in zip(suffixes, factors, columns):
-        p = sum(map(mul, coords, col))
-        q = 4 * den * factor
-        g = gcd(p, q)
-        terms.append(f"{p // g}{suffix}" if g == q else f"{p // g}/{q // g}{suffix}")
-    return " + ".join(terms)
-
-
 def emit_certificate(doc: CertificateDocument) -> str:
-    layout = _layout(doc.field)
+    field = doc.field
     payload = {
         "format_version": FORMAT_VERSION,
-        "field": format_descriptor(doc.field.shape),
-        "gram": [_render(layout, c, 2) for row in doc.gram.doubled for c in row],
-        "rows": [
-            [render_radical(v) if isinstance(v, Radical) else _render(layout, v.coords, 1) for v in row]
-            for row in doc._entries
+        "field": format_descriptor(field.shape),
+        "gram": [
+            render_numerators(field.shape, field.numerators_of_coords(c), 8)
+            for row in doc.gram.doubled
+            for c in row
         ],
+        "rows": [[str(v) for v in row] for row in doc._entries],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _read_entry(layout, cell: object, location: str) -> tuple[tuple[int, ...], int]:
-    """(u, den) with the entry equal to u / den over the radical basis,
-    den > 0 and u integers."""
+def _read_entry(shape: Shape, cell: object, location: str) -> tuple[tuple[int, ...], int]:
+    """`read_numerators` of a cell, its faults raised as SchemaErrors."""
     if not isinstance(cell, str):
         raise SchemaError(location, "must be a string")
-    written, _, factors, _ = layout
-    parts = cell.replace(" ", "").split("+")
-    if len(parts) != len(written):
-        raise SchemaError(location, f"expected {len(written)} terms, got {len(parts)}")
-    nums = []
-    dens = []
     try:
-        for part, want, factor in zip(parts, written, factors):
-            part = part.strip()
-            m = _TERM_RE.fullmatch(part)
-            if m is None:
-                raise ValueError(f"malformed term {part!r}")
-            num, den, rad = m.groups()
-            rad = int(rad) if rad else 1
-            if rad != want:
-                raise ValueError(f"term {part!r} has radicand {rad}, expected {want}")
-            den = int(den) if den else 1
-            if not den:
-                raise ValueError(f"term {part!r} has a zero denominator")
-            nums.append(int(num) * factor)
-            dens.append(den)
+        return read_numerators(shape, cell)
     except ValueError as exc:  # also int()'s limit on digit count
         raise SchemaError(location, str(exc)) from None
-    common = lcm(*dens)
-    if common == 1:
-        return tuple(nums), 1
-    return tuple(p * (common // q) for p, q in zip(nums, dens)), common
-
-
-def _radical(field: Field, u: tuple[int, ...], den: int) -> Radical:
-    return Radical(field.shape, tuple(Fraction(p, den) for p in u))
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -218,14 +147,13 @@ def parse_certificate(text: str) -> CertificateDocument:
         field = field_from_descriptor(payload["field"])
     except ValueError as exc:
         raise SchemaError("$.field", str(exc)) from None
-    layout = _layout(field)
     gram_list = payload["gram"]
     if not isinstance(gram_list, list) or not gram_list:
         raise SchemaError("$.gram", "must be a nonempty array")
     r = isqrt(len(gram_list))
     if r * r != len(gram_list):
         raise SchemaError("$.gram", f"length {len(gram_list)} is not a perfect square")
-    cells = [_read_entry(layout, cell, f"$.gram[{k}]") for k, cell in enumerate(gram_list)]
+    cells = [_read_entry(field.shape, cell, f"$.gram[{k}]") for k, cell in enumerate(gram_list)]
     try:
         gram = GramForm.from_numerators(field, [cells[i * r : (i + 1) * r] for i in range(r)])
     except ValueError as exc:
@@ -238,9 +166,12 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise SchemaError(f"$.rows[{k}]", f"must be an array of {r} entries")
         out = []
         for j, cell in enumerate(row):
-            u, den = _read_entry(layout, cell, f"$.rows[{k}][{j}]")
+            u, den = _read_entry(field.shape, cell, f"$.rows[{k}][{j}]")
             coords = field.coords_of_numerators(u, den)
-            out.append(_radical(field, u, den) if coords is None else OElement(field, coords))
+            if coords is None:
+                out.append(Radical(field.shape, tuple(Fraction(p, den) for p in u)))
+            else:
+                out.append(OElement(field, coords))
         entries.append(tuple(out))
     return CertificateDocument._of_entries(field, gram, tuple(entries))
 

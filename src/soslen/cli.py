@@ -25,7 +25,7 @@ from .descent import CompressionError, DescentProblem, descend
 from .fields import Field, NotIntegralError, field_from_descriptor
 from .forms import GramForm
 from .gtable import Exact, UpperBound, g_table
-from .radicals import InvalidRadicandError, Radical, parse_coords, render_radical
+from .radicals import InvalidRadicandError, Radical, parse_coords
 from .search import (
     ExceedsBound,
     NotIntegral,
@@ -55,15 +55,12 @@ def _parse_gram(f: Field, text: str) -> GramForm:
         raise ValueError(
             f"{k} entries do not fill an upper triangle (expected r*(r+1)/2)"
         )
-    parsed = [parse_coords(f.shape, e) for e in entries]
+    parsed = iter([parse_coords(f.shape, e) for e in entries])
     matrix: list[list[Radical]] = [[None] * r for _ in range(r)]  # type: ignore[list-item]
-    pos = 0
     for i in range(r):
         for j in range(i, r):
-            matrix[i][j] = parsed[pos]
-            matrix[j][i] = parsed[pos]
-            pos += 1
-    return GramForm(f, tuple(tuple(row) for row in matrix))
+            matrix[i][j] = matrix[j][i] = next(parsed)
+    return GramForm(f, tuple(map(tuple, matrix)))
 
 
 def _check_output_path(path: str) -> None:
@@ -86,7 +83,7 @@ def _cmd_field_info(args) -> int:
     print(f"degree: {f.degree}")
     print(f"discriminant: {f.discriminant}")
     for i, b in enumerate(f.integral_basis):
-        print(f"basis[{i}]: {render_radical(b)}")
+        print(f"basis[{i}]: {b}")
     return EXIT_OK
 
 
@@ -110,8 +107,7 @@ def _report_length(gram: GramForm, s_max: int, cert_out: str | None) -> int:
 
 def _cmd_elem_length(args) -> int:
     f = field_from_descriptor(args.descriptor)
-    x = parse_coords(f.shape, args.coords)
-    alpha = f.element(x)
+    alpha = f.element(parse_coords(f.shape, args.coords))
     return _report_length(GramForm.from_element(alpha), args.max_squares, args.cert_out)
 
 
@@ -128,7 +124,7 @@ def _cmd_form_represent(args) -> int:
     if isinstance(outcome, Represented):
         print(f"represented with {len(outcome.certificate.rows)} squares")
         for row in outcome.certificate.rows:
-            print("  " + " | ".join(render_radical(v.to_radical()) for v in row))
+            print("  " + " | ".join(map(str, row)))
         return EXIT_OK
     if isinstance(outcome, Unsat):
         print(f"no representation with at most {outcome.depth} squares")

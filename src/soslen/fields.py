@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 from operator import add, mul, sub
@@ -27,6 +26,8 @@ from .radicals import (
     Rat,
     Shape,
     _clear_denominators,
+    render_numerators,
+    value_type,
 )
 
 EMBEDDING_TABLE_BITS = 96
@@ -221,7 +222,7 @@ class Field:
         """The canonical basis of the maximal order, on integer rows y = 4x:
         the radical basis (rows 4 e_i) and every nonzero residue y mod 4
         with y/4 integral (the halves are 2y/4), brought to echelon form.
-        Keeps the rows' columns for radical_of_coords."""
+        Keeps the rows' columns for numerators_of_coords."""
         shape = self.shape
         d = self.degree
         rows = [[4 * (i == j) for j in range(d)] for i in range(d)]
@@ -302,7 +303,7 @@ class Field:
         the radical numerators y = 4x flip the signs of y's coordinates, and
         their product is 4^d N(x), a rational."""
         shape = self.shape
-        y = [sum(map(mul, coords, col)) for col in self._basis_columns4]
+        y = self.numerators_of_coords(coords)
         conjugates = [tuple(map(mul, shape.embedding_signs(emb), y)) for emb in self.embeddings]
         return reduce(shape.mul, conjugates)[0] // 4**self.degree
 
@@ -380,11 +381,13 @@ class Field:
     def element_from_coords(self, coords: tuple[int, ...]) -> OElement:
         return OElement(self, tuple(int(c) for c in coords))
 
+    def numerators_of_coords(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """The integer radical coordinates y of 4x, for x with the given
+        integral-basis coordinates."""
+        return tuple([sum(map(mul, coords, col)) for col in self._basis_columns4])
+
     def radical_of_coords(self, coords: tuple[int, ...]) -> Radical:
-        return Radical(
-            self.shape,
-            tuple(Rat(sum(map(mul, coords, col)), 4) for col in self._basis_columns4),
-        )
+        return Radical(self.shape, tuple(Rat(y, 4) for y in self.numerators_of_coords(coords)))
 
     def zero(self) -> OElement:
         return OElement(self, (0,) * self.degree)
@@ -520,7 +523,7 @@ def field_from_descriptor(text: str) -> Field:
     return make_field(parse_descriptor(text))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type
 class OElement:
     """An algebraic integer as integer coordinates over the integral basis."""
 
@@ -565,7 +568,8 @@ class OElement:
         return self.field.sign_of_coords(self.coords, emb_index)
 
     def __str__(self) -> str:
-        return str(self.to_radical())
+        field = self.field
+        return render_numerators(field.shape, field.numerators_of_coords(self.coords), 4)
 
     def __repr__(self) -> str:
         return f"OElement({self.field.shape}, {self.coords})"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, NotIntegralError, OElement, _clear_denominators
-from .radicals import Radical
+from .radicals import Radical, render_numerators, value_type
 
 
 def _doubled_outer_sum(field: Field, rank: int, rows) -> list[list[tuple[int, ...]]]:
@@ -29,7 +29,7 @@ def _doubled_outer_sum(field: Field, rank: int, rows) -> list[list[tuple[int, ..
     return total
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type
 class GramForm:
     """A symmetric Gram matrix over a field's ring of integers.
 
@@ -81,7 +81,7 @@ class GramForm:
                 if c != doubled[j][i]:
                     raise ValueError("gram matrix must be symmetric")
                 if i == j and any(v % 2 for v in c):
-                    e = field.radical_of_coords(c).scale(Fraction(1, 2))
+                    e = render_numerators(field.shape, field.numerators_of_coords(c), 8)
                     raise NotIntegralError(f"diagonal entry {e} is not integral")
         gram = cls.__new__(cls)
         gram._set(field, doubled)
@@ -105,7 +105,7 @@ class GramForm:
                 c = field.coords_of_numerators(tuple(2 * a for a in u), den)
                 # an entry is integral iff every coordinate of its double is even
                 if c is None or (i == j and any(v % 2 for v in c)):
-                    e = Radical(field.shape, tuple(Fraction(a, den) for a in u))
+                    e = render_numerators(field.shape, u, den)
                     what = "diagonal entry" if i == j else "doubled off-diagonal"
                     raise NotIntegralError(f"{what} {e} is not integral")
                 doubled[i][j] = doubled[j][i] = c
@@ -176,7 +176,7 @@ def gram_rank(gram: GramForm) -> int:
     return 0
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type
 class Certificate:
     """A sums-of-squares witness: rows V with sum row^T row equal to a Gram."""
 

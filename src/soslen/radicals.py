@@ -9,12 +9,16 @@ Real-embedding signs are decided exactly, with no approximation, in the
 tower Q < Q(sqrt m) < Q(sqrt m, sqrt n) on integer numerators: the sign of
 a + b sqrt(r) is that of a when a and b agree, and otherwise that of a times
 the sign of a^2 - b^2 r, which is one level down and is not 0.
+
+The text of an element, "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)", is
+written and read here alone, on integer numerators: certificate files, the
+command line and `str(x)` all use `render_numerators` and `read_numerators`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -32,6 +36,20 @@ MAX_RADICAND = 10**9
 
 class InvalidRadicandError(ValueError):
     """Radicands must be squarefree, distinct integers > 1."""
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def value_type(cls):
+    """The package's value idiom: a frozen slotted dataclass with its own
+    constructor and repr, which sets its fields with object.__setattr__.
+    Setting or deleting any name raises FrozenInstanceError (dataclass's own
+    check raises TypeError for a name that is not a field)."""
+    cls = dataclass(frozen=True, slots=True, init=False, repr=False)(cls)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
 
 
 def is_squarefree(n: int) -> bool:
@@ -82,6 +100,18 @@ class Shape:
         return (1, m, n, (m // g) * (n // g))
 
     @cached_property
+    def written(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple[int, ...]]:
+        """How elements are written: per term, its radicand (1, m, n, mn),
+        the text after its coefficient, and the factor from the written
+        coefficient to the stored one (g on sqrt(mn) = g sqrt(c), else 1)."""
+        if len(self.radicands) == 2:
+            m, n = self.radicands
+            written, factors = (1, m, n, m * n), (1, 1, 1, gcd(m, n))
+        else:
+            written, factors = (1,) + self.radicands, (1,) * self.degree
+        return written, tuple(f"*sqrt({w})" if w > 1 else "" for w in written), factors
+
+    @cached_property
     def embeddings(self) -> tuple[Embedding, ...]:
         """All real embeddings, identity first."""
         if not self.radicands:
@@ -108,9 +138,8 @@ class Shape:
         if d == 2:
             n = self.radicands[0]
             return (((0, 1), (1, 1)), ((1, 1), (0, n)))
-        m, n = self.radicands
+        _, m, n, c = self.basis_radicands
         g = gcd(m, n)
-        c = (m // g) * (n // g)
         # sqrt(m) sqrt(n) = g sqrt(c); sqrt(m) sqrt(c) = (m/g) sqrt(n); etc.
         return (
             ((0, 1), (1, 1), (2, 1), (3, 1)),
@@ -164,7 +193,7 @@ def _clear_denominators(x: Radical) -> tuple[int, tuple[int, ...]]:
     return k, tuple(q.numerator * (k // q.denominator) for q in x.coords)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@value_type
 class Radical:
     """An exact element q0 + q1 sqrt(m) + q2 sqrt(n) + q3 sqrt(c) of a shape."""
 
@@ -179,8 +208,7 @@ class Radical:
 
     @classmethod
     def from_rational(cls, shape: Shape, q: Rat | int) -> Radical:
-        coords = [Rat(q)] + [Rat(0)] * (shape.degree - 1)
-        return cls(shape, tuple(coords))
+        return cls(shape, (q,) + (0,) * (shape.degree - 1))
 
     @classmethod
     def zero(cls, shape: Shape) -> Radical:
@@ -193,9 +221,7 @@ class Radical:
     @classmethod
     def sqrt_generator(cls, shape: Shape, index: int) -> Radical:
         """sqrt(m) for index 0, sqrt(n) for index 1."""
-        coords = [Rat(0)] * shape.degree
-        coords[index + 1] = Rat(1)
-        return cls(shape, tuple(coords))
+        return cls(shape, tuple(int(k == index + 1) for k in range(shape.degree)))
 
     def is_zero(self) -> bool:
         return all(q == 0 for q in self.coords)
@@ -258,91 +284,94 @@ class Radical:
         return f"Radical({self.shape}, {self.coords})"
 
 
+_TERM_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?")
+
+
+def render_numerators(shape: Shape, u: tuple[int, ...], den: int) -> str:
+    """The canonical rendering "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)"
+    of u / den, for integer radical coordinates u and den > 0: each
+    coefficient "p" or "p/q" in lowest terms, against the literal radicands
+    m, n and mn (`Shape.written`)."""
+    _, suffixes, factors = shape.written
+    terms = []
+    for p, suffix, factor in zip(u, suffixes, factors):
+        q = den * factor
+        g = gcd(p, q)
+        terms.append(f"{p // g}{suffix}" if g == q else f"{p // g}/{q // g}{suffix}")
+    return " + ".join(terms)
+
+
+def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
+    """(u, den) with the element written in text equal to u / den over the
+    radical basis, den > 0 and u integers.  Each term is "p", "p/q",
+    "p*sqrt(k)" or "p/q*sqrt(k)" (q nonzero, spaces anywhere), k the written
+    radicand of its place; anything else, or a coefficient beyond int()'s
+    digit limit, raises ValueError."""
+    written, _, factors = shape.written
+    parts = text.replace(" ", "").split("+")
+    if len(parts) != len(written):
+        raise ValueError(f"expected {len(written)} terms, got {len(parts)}")
+    nums = []
+    dens = []
+    for part, want, factor in zip(parts, written, factors):
+        part = part.strip()
+        m = _TERM_RE.fullmatch(part)
+        if m is None:
+            raise ValueError(f"malformed term {part!r}")
+        num, den, rad = m.groups()
+        rad = int(rad) if rad else 1
+        if rad != want:
+            raise ValueError(f"term {part!r} has radicand {rad}, expected {want}")
+        den = int(den) if den else 1
+        if not den:
+            raise ValueError(f"term {part!r} has a zero denominator")
+        nums.append(int(num) * factor)
+        dens.append(den)
+    common = lcm(*dens)
+    if common == 1:
+        return tuple(nums), 1
+    return tuple(p * (common // q) for p, q in zip(nums, dens)), common
+
+
 def render_radical(x: Radical) -> str:
-    """Canonical rendering "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)".
-
-    Coefficients are printed against the literal radicands m, n and mn; for
-    shapes with gcd(m, n) = g > 1 the stored sqrt(c) coordinate is rescaled
-    by 1/g exactly.
-    """
-    shape = x.shape
-    if not shape.radicands:
-        return str(x.coords[0])
-    if len(shape.radicands) == 1:
-        n = shape.radicands[0]
-        return f"{x.coords[0]} + {x.coords[1]}*sqrt({n})"
-    m, n = shape.radicands
-    g = gcd(m, n)
-    q3 = x.coords[3] / g
-    return (
-        f"{x.coords[0]} + {x.coords[1]}*sqrt({m})"
-        f" + {x.coords[2]}*sqrt({n}) + {q3}*sqrt({m * n})"
-    )
-
-
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
+    """The canonical rendering of x (`render_numerators`)."""
+    den, u = _clear_denominators(x)
+    return render_numerators(x.shape, u, den)
 
 
 def parse_radical(shape: Shape, text: str) -> Radical:
     """Parse the canonical rendering back into a value of the given shape."""
-    parts = [p.strip() for p in text.replace(" ", "").split("+")]
-    expected = _rendered_radicands(shape)
-    if len(parts) != len(expected):
-        raise ValueError(f"expected {len(expected)} terms, got {len(parts)}")
-    coords: list[Rat] = []
-    for part, want in zip(parts, expected):
-        m = _TERM_RE.match(part)
-        if not m:
-            raise ValueError(f"malformed term {part!r}")
-        rad = int(m.group(2)) if m.group(2) else 1
-        if rad != want:
-            raise ValueError(f"term {part!r} has radicand {rad}, expected {want}")
-        try:
-            coords.append(Rat(m.group(1)))
-        except ZeroDivisionError:
-            raise ValueError(f"term {part!r} has a zero denominator") from None
-    return from_literal_coords(shape, tuple(coords))
-
-
-def _rendered_radicands(shape: Shape) -> tuple[int, ...]:
-    if not shape.radicands:
-        return (1,)
-    if len(shape.radicands) == 1:
-        return (1, shape.radicands[0])
-    m, n = shape.radicands
-    return (1, m, n, m * n)
+    u, den = read_numerators(shape, text)
+    return Radical(shape, tuple(Rat(p, den) for p in u))
 
 
 def from_literal_coords(shape: Shape, coords: tuple[Rat, ...]) -> Radical:
     """Build a value from coordinates over (1, sqrt m, sqrt n, sqrt(mn)),
     the way elements are written down, rescaling sqrt(mn) onto sqrt(c)."""
     if len(coords) != shape.degree:
-        raise ValueError(
-            f"shape {shape} needs {shape.degree} coordinates, got {len(coords)}"
-        )
-    coords = tuple(Rat(q) for q in coords)
-    if len(shape.radicands) == 2:
-        m, n = shape.radicands
-        g = gcd(m, n)
-        coords = coords[:3] + (coords[3] * g,)
-    return Radical(shape, coords)
+        raise ValueError(f"shape {shape} needs {shape.degree} coordinates, got {len(coords)}")
+    _, _, factors = shape.written
+    return Radical(shape, tuple(Rat(q) * f for q, f in zip(coords, factors)))
 
 
 def to_literal_coords(x: Radical) -> tuple[Rat, ...]:
     """Coordinates over (1, sqrt m, sqrt n, sqrt(mn)); inverse of the above."""
-    if len(x.shape.radicands) == 2:
-        m, n = x.shape.radicands
-        g = gcd(m, n)
-        return x.coords[:3] + (x.coords[3] / g,)
-    return x.coords
+    _, _, factors = x.shape.written
+    return tuple(q / f for q, f in zip(x.coords, factors))
 
 
 def parse_coords(shape: Shape, text: str) -> Radical:
-    """Parse the comma grammar "q0,q1[,q2,q3]" of literal coordinates."""
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        coords = tuple(Rat(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate list {text!r}: {exc}") from None
-    return from_literal_coords(shape, coords)
-
+    """Parse the comma grammar "q0,q1[,q2,q3]" of literal coordinates, each
+    "p" or "p/q" like a term's coefficient (no exponent, whose expansion
+    could take minutes, and no decimal point)."""
+    coords = []
+    for part in text.split(","):
+        part = part.strip()
+        m = _TERM_RE.fullmatch(part)
+        try:
+            if m is None or m[3] is not None:
+                raise ValueError(f"malformed coordinate {part!r}")
+            coords.append(Rat(int(m[1]), int(m[2] or 1)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coordinate list {text!r}: {exc}") from None
+    return from_literal_coords(shape, tuple(coords))

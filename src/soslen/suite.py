@@ -21,7 +21,7 @@ from .certfile import document_from_certificate, emit_certificate
 from .fields import Field, OElement, make_field
 from .forms import Certificate, GramForm, perp_unit, verify_certificate
 from .gtable import Exact, g_table
-from .radicals import Radical, Shape, from_literal_coords, is_squarefree, render_radical
+from .radicals import Radical, Shape, from_literal_coords, is_squarefree
 from .search import (
     ExceedsBound,
     element_length,
@@ -213,7 +213,7 @@ def _length_report(
 
 
 def _element_subject(f: Field, alpha: OElement) -> tuple[Field, str, GramForm]:
-    return f, render_radical(alpha.to_radical()), GramForm.from_element(alpha)
+    return f, str(alpha), GramForm.from_element(alpha)
 
 
 def _case_lemma52(params: SuiteParams) -> list[SuiteReport]:
@@ -227,7 +227,7 @@ def _case_lemma52(params: SuiteParams) -> list[SuiteReport]:
 
 def _form_subject(f: Field, gram: GramForm) -> tuple[Field, str, GramForm]:
     g = gram.entries
-    return f, "; ".join(render_radical(e) for e in (g[0][0], g[0][1], g[1][1])), gram
+    return f, "; ".join(map(str, (g[0][0], g[0][1], g[1][1]))), gram
 
 
 def _length_case(case: str, default_ns, build, expected, notes=None):
@@ -283,7 +283,7 @@ def _witness_report(n: int, target: int) -> SuiteReport:
             witness = alpha
             break
     if witness is not None:
-        computed = f"length {target} at {render_radical(witness.to_radical())}"
+        computed = f"length {target} at {witness}"
     else:
         computed = f"no length-{target} element with trace <= {bound}"
     return _report(

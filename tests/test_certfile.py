@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,14 @@ from soslen import (
     make_field,
     parse_certificate,
     parse_radical,
-    render_radical,
     to_certificate,
     to_literal_coords,
     verify_certificate,
     verify_document,
 )
 from soslen.certfile import IntegrityError
+
+import reference_text
 
 Q = make_field(Shape(()))
 Q2 = make_field(Shape((2,)))
@@ -226,13 +228,15 @@ def write_entry(data, x):
 
 
 def reference_parse(text):
-    """The document read through Radicals: parse_radical per cell, and the
-    Gram checked for symmetry and integrality entry by entry on them."""
+    """The document read through Radicals: the Fraction reader of
+    reference_text per cell, and the Gram checked for symmetry and
+    integrality entry by entry on them."""
     payload = json.loads(text)
     field = field_from_descriptor(payload["field"])
     cells = payload["gram"]
     r = isqrt(len(cells))
-    entries = [[parse_radical(field.shape, cells[i * r + j]) for j in range(r)] for i in range(r)]
+    read = reference_text.parse_radical
+    entries = [[read(field.shape, cells[i * r + j]) for j in range(r)] for i in range(r)]
     doubled = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
@@ -245,7 +249,7 @@ def reference_parse(text):
             if c is None:
                 raise ValueError(f"doubled off-diagonal {e} is not integral")
             doubled[i][j] = doubled[j][i] = c
-    rows = tuple(tuple(parse_radical(field.shape, c) for c in row) for row in payload["rows"])
+    rows = tuple(tuple(read(field.shape, c) for c in row) for row in payload["rows"])
     return field, GramForm.from_doubled(field, doubled), rows
 
 
@@ -262,6 +266,7 @@ def reference_verify(field, gram, rows):
 
 
 def reference_emit(field, gram, rows):
+    render_radical = reference_text.render_radical
     payload = {
         "format_version": 1,
         "field": str(field.shape),
@@ -272,8 +277,8 @@ def reference_emit(field, gram, rows):
 
 
 class TestIntegerPathDifferential:
-    """The integer reader and writer against the Radical path they replace,
-    on documents with half-integral off-diagonal Gram entries, non-integral
+    """The integer reader and writer against the Fraction text of
+    reference_text.py, which shares no code with them, on documents with half-integral off-diagonal Gram entries, non-integral
     and zero rows, and terms written non-canonically."""
 
     @pytest.mark.parametrize("shape", DIFF_SHAPES, ids=str)
@@ -339,3 +344,25 @@ class TestIntegerPathDifferential:
             gram_out, cert = to_certificate(doc)
             assert gram_out == ref_gram
             assert cert.rows == tuple(tuple(f.element(v) for v in row) for row in ref_rows)
+
+
+SUITE_CERTS = sorted((Path(__file__).parent / "data" / "suite-certs").glob("*.json"))
+
+
+class TestGoldenSuiteCertificates:
+    """The certificates `soslen suite run --cert-dir` writes, kept byte for
+    byte: each verifies and is emitted again unchanged, by the library and
+    by the Fraction text of reference_text.py."""
+
+    def test_all_are_present(self):
+        assert len(SUITE_CERTS) == 21
+
+    @pytest.mark.parametrize("path", SUITE_CERTS, ids=lambda p: p.stem)
+    def test_verifies_and_emits_the_same_bytes(self, path):
+        text = path.read_text()
+        doc = parse_certificate(text)
+        assert verify_document(doc).ok
+        assert emit_certificate(doc) == text
+        gram, cert = to_certificate(doc)
+        assert emit_certificate(document_from_certificate(gram, cert)) == text
+        assert reference_emit(*reference_parse(text)) == text

@@ -51,6 +51,19 @@ class TestElemLength:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("coords", ["1e3000000", "1e1000000000"])
+    def test_exponent_is_an_input_error_at_once(self, capsys, coords):
+        # Fraction("1e3000000") would expand the power before failing
+        for argv in (
+            ("elem", "length", "Q", "--coords", coords),
+            ("form", "length", "Q", "--gram", f"1;0;{coords}"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1, argv
+            assert code == 2 and out == "", argv
+            assert err == f"input error: bad coordinate list {coords!r}: malformed coordinate {coords!r}\n"
+
     def test_not_sos(self, capsys):
         code, out, _ = run(
             capsys, "elem", "length", "Q(sqrt 6)", "--coords", "1,1"

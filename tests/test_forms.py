@@ -442,6 +442,19 @@ class TestValueContract:
             with pytest.raises(AttributeError):
                 setattr(value, f.name, before)
             assert getattr(value, f.name) is before
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, f.name)
+            assert getattr(value, f.name) is before
+
+    def test_other_names_cannot_be_set_or_deleted(self, cls):
+        # FrozenInstanceError is an AttributeError, not the TypeError that
+        # dataclass's frozen check raises on a slotted class
+        value, _ = VALUE_PAIRS[cls]
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(AttributeError):
+            del value.extra
+        assert not hasattr(value, "extra")
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
     def test_copies_are_equal_values(self, cls, copier):

@@ -1,8 +1,10 @@
 """Exact radical arithmetic, embeddings and sign determination."""
 
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from soslen import (
     to_literal_coords,
 )
 from soslen.fields import EMBEDDING_TABLE_BITS
+from soslen.radicals import read_numerators, render_numerators
+
+import reference_text
 
 Q = Shape(())
 Q6 = Shape((6,))
@@ -284,6 +289,64 @@ class TestTextForms:
         assert parse_coords(Q17, "11/2,1/2") == Radical(Q17, (F(11, 2), F(1, 2)))
         with pytest.raises(ValueError):
             parse_coords(Q17, "1,2,3")
+
+    @pytest.mark.parametrize("text", ["1e3", "1e3000000", "1e1000000000", "0.5", "1/2e5", "+1", "1*sqrt(6)"])
+    def test_coords_are_integers_or_fractions_only(self, text):
+        # Fraction would accept the exponents, and take minutes to expand them
+        with pytest.raises(ValueError, match="malformed coordinate"):
+            parse_coords(Q6, f"{text},0")
+
+    def test_coords_zero_denominator_and_digit_limit(self):
+        with pytest.raises(ValueError, match="bad coordinate list"):
+            parse_coords(Q6, "1/0,1")
+        with pytest.raises(ValueError, match="bad coordinate list"):
+            parse_coords(Q6, "7" * 5000 + ",1")
+
+    @pytest.mark.parametrize("radicands", [(10, 65), (6, 15)])
+    def test_numerators_with_shared_factors(self, radicands):
+        # g = gcd(m, n) > 1: the written sqrt(mn) coefficient is the stored
+        # sqrt(c) coordinate over g
+        s = Shape(radicands)
+        m, n = radicands
+        text = f"1/2 + 0*sqrt({m}) + -3*sqrt({n}) + 1*sqrt({m * n})"
+        u, den = read_numerators(s, text)
+        assert den == 2 and u == (1, 0, -6, 2 * gcd(m, n))
+        assert render_numerators(s, u, den) == text
+        assert parse_radical(s, text) == reference_text.parse_radical(s, text)
+        rng = random.Random(radicands[1])
+        for _ in range(100):
+            x = Radical(s, tuple(F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4)))
+            text = reference_text.render_radical(x)
+            assert render_radical(x) == text
+            u, den = read_numerators(s, text)
+            assert Radical(s, tuple(F(p, den) for p in u)) == x
+
+    def test_read_keeps_the_common_denominator_and_render_reduces(self):
+        s = Shape((5,))
+        assert read_numerators(s, "2/4 + -0*sqrt(5)") == ((2, 0), 4)
+        assert render_numerators(s, (2, 0), 4) == "1/2 + 0*sqrt(5)"
+        assert read_numerators(s, " 3 + 1 * sqrt( 5 ) ") == ((3, 1), 1)
+
+    @pytest.mark.parametrize(
+        "shape, text, message",
+        [
+            (Q6, "1", "expected 2 terms, got 1"),
+            (Q6, "1/2 + 1/0*sqrt(6)", "term '1/0*sqrt(6)' has a zero denominator"),
+            (Q6, "1 + 2*sqrt(7)", "term '2*sqrt(7)' has radicand 7, expected 6"),
+            (Q6, "1 + 2*sqrt(6) + 3", "expected 2 terms, got 3"),
+            (Q6, "1 + 2.5*sqrt(6)", "malformed term '2.5*sqrt(6)'"),
+            (Q, "1e3", "malformed term '1e3'"),
+        ],
+    )
+    def test_read_errors(self, shape, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_numerators(shape, text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reference_text.parse_radical(shape, text)
+
+    def test_read_refuses_a_coefficient_beyond_the_digit_limit(self):
+        with pytest.raises(ValueError):
+            read_numerators(Q6, "1 + " + "7" * 5000 + "*sqrt(6)")
 
     def test_literal_coords_roundtrip_shared_factor(self):
         s = Shape((10, 65))

@@ -35,12 +35,9 @@ from .forms import (
 )
 from .search import (
     ExceedsBound,
-    NotIntegral,
     NotSoS,
-    NotTotallyPsd,
     Represented,
     SearchSpaceError,
-    Unsat,
     candidate_rows,
     element_length,
     length,

@@ -28,12 +28,9 @@ from .gtable import Exact, UpperBound, g_table
 from .radicals import InvalidRadicandError, Radical, parse_coords
 from .search import (
     ExceedsBound,
-    NotIntegral,
     NotSoS,
-    NotTotallyPsd,
     Represented,
     SearchSpaceError,
-    Unsat,
     length_certificate,
     represent,
 )
@@ -126,12 +123,14 @@ def _cmd_form_represent(args) -> int:
         for row in outcome.certificate.rows:
             print("  " + " | ".join(map(str, row)))
         return EXIT_OK
-    if isinstance(outcome, Unsat):
-        print(f"no representation with at most {outcome.depth} squares")
-    elif isinstance(outcome, NotTotallyPsd):
-        print("not totally positive semidefinite")
-    elif isinstance(outcome, NotIntegral):
-        print("gram matrix has entries outside the ring of integers")
+    if isinstance(outcome, ExceedsBound):
+        print(f"no representation with at most {outcome.bound} squares")
+    else:
+        messages = {
+            "not-totally-psd": "not totally positive semidefinite",
+            "not-integral": "gram matrix has entries outside the ring of integers",
+        }
+        print(messages[outcome.reason])
     return EXIT_NEGATIVE
 
 

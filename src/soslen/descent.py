@@ -23,7 +23,7 @@ from .forms import Certificate, GramForm, verify_certificate
 from .gtable import Exact, g_table
 from .radicals import RATIONAL_SHAPE
 from . import fields
-from .search import Represented, Unsat, represent
+from .search import ExceedsBound, Represented, represent
 
 
 class CertificateInvalidError(ValueError):
@@ -87,8 +87,8 @@ def compress(e: ExpandedGram, target: int) -> tuple[tuple[int, ...], ...]:
     rational = fields.make_field(RATIONAL_SHAPE)
     doubled = tuple(tuple((2 * e.zgram[p][q],) for q in support) for p in support)
     outcome = represent(GramForm.from_doubled(rational, doubled), target)
-    if isinstance(outcome, Unsat):
-        raise CompressionError(outcome.depth)
+    if isinstance(outcome, ExceedsBound):
+        raise CompressionError(outcome.bound)
     if not isinstance(outcome, Represented):
         raise AssertionError(f"expanded Gram rejected: {outcome}")
     rows = []

@@ -44,14 +44,15 @@ class NotIntegralError(ValueError):
 
 
 def parse_descriptor(text: str) -> Shape:
-    """Parse "Q", "Q(sqrt N)" or "Q(sqrt M, sqrt N)"; whitespace is free."""
+    """Parse "Q", "Q(sqrt N)" or "Q(sqrt M, sqrt N)", M and N in ASCII
+    digits; whitespace is free."""
     compact = re.sub(r"\s+", "", text)
     if compact == "Q":
         return Shape(())
-    m = re.fullmatch(r"Q\(sqrt(\d+)\)", compact)
+    m = re.fullmatch(r"Q\(sqrt([0-9]+)\)", compact)
     if m:
         return Shape((int(m.group(1)),))
-    m = re.fullmatch(r"Q\(sqrt(\d+),sqrt(\d+)\)", compact)
+    m = re.fullmatch(r"Q\(sqrt([0-9]+),sqrt([0-9]+)\)", compact)
     if m:
         return Shape((int(m.group(1)), int(m.group(2))))
     raise InvalidRadicandError(f"cannot parse field descriptor {text!r}")

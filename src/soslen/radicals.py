@@ -284,7 +284,7 @@ class Radical:
         return f"Radical({self.shape}, {self.coords})"
 
 
-_TERM_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?")
+_TERM_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?")
 
 
 def render_numerators(shape: Shape, u: tuple[int, ...], den: int) -> str:
@@ -303,10 +303,10 @@ def render_numerators(shape: Shape, u: tuple[int, ...], den: int) -> str:
 
 def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     """(u, den) with the element written in text equal to u / den over the
-    radical basis, den > 0 and u integers.  Each term is "p", "p/q",
-    "p*sqrt(k)" or "p/q*sqrt(k)" (q nonzero, spaces anywhere), k the written
-    radicand of its place; anything else, or a coefficient beyond int()'s
-    digit limit, raises ValueError."""
+    radical basis, den > 0 and u integers.  The first term is "p" or "p/q",
+    each later one "p*sqrt(k)" or "p/q*sqrt(k)" (ASCII digits, q nonzero,
+    spaces anywhere), k the written radicand of its place; anything else,
+    or a coefficient beyond int()'s digit limit, raises ValueError."""
     written, _, factors = shape.written
     parts = text.replace(" ", "").split("+")
     if len(parts) != len(written):
@@ -316,7 +316,7 @@ def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     for part, want, factor in zip(parts, written, factors):
         part = part.strip()
         m = _TERM_RE.fullmatch(part)
-        if m is None:
+        if m is None or (want == 1 and m[3] is not None):
             raise ValueError(f"malformed term {part!r}")
         num, den, rad = m.groups()
         rad = int(rad) if rad else 1

@@ -27,7 +27,7 @@ discard provably infeasible branches:
   * at a budget b with 2 <= b <= r, a remainder V^T V with V of at most b
     rows (zero rows pad V to b) has det(rem_S) = det(V_S)^2 for every set S
     of b columns (Cauchy-Binet), so N(det rem_S) is the square of an
-    integer; a node where some S fails that integer test is Unsat
+    integer; a node where some S fails that integer test has no completion
     (`_square_norms`).
 
 Candidate rows are assembled from column values: for each diagonal entry,
@@ -59,14 +59,14 @@ so the outer product of a prefix is the front of that of every row it
 grows into, and a new column appends its entries.
 
 A unit column c, with G_cc = 1 and every other entry of the column 0, is
-split off where the search starts (`represent`, `length_certificate`): a
+split off where the search starts (`_answer`, for both entry points): a
 value x there has sigma(x)^2 <= 1 at every embedding, so x is 0 or +-1
 (Kronecker), a row with x = +-1 is +-e_c, because the zero diagonal entry it
 leaves at c zeroes the rest of the remainder's column, and the other rows
 are those of G without column c.  So the representations of G (+) <1>^k are
 those of G with the k rows e_c put in, length(G (+) <1>^k) = length(G) + k,
 and the search of G (+) <1> is G's: `_kept` keeps the last Gram's search
-(PSD verdict, pool, memo, budgets proven Unsat, witness) until the next Gram.
+(PSD verdict, pool, memo, next budget, witness) until the next Gram.
 
 Every minor is exact before it is read as a float: one memoized expansion,
 `Field.minor`, gives them all.  Both float screens, the pool's minor screens
@@ -111,30 +111,16 @@ class Represented:
 
 
 @dataclass(frozen=True)
-class Unsat:
-    depth: int
-
-
-@dataclass(frozen=True)
-class NotTotallyPsd:
-    pass
-
-
-@dataclass(frozen=True)
-class NotIntegral:
-    pass
-
-
-SearchOutcome = Represented | Unsat | NotTotallyPsd | NotIntegral
-
-
-@dataclass(frozen=True)
 class ExceedsBound:
+    """No representation by at most `bound` squares."""
+
     bound: int
 
 
 @dataclass(frozen=True)
 class NotSoS:
+    """Not a sum of squares at all: "not-integral" or "not-totally-psd"."""
+
     reason: str
 
 
@@ -887,8 +873,9 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
     is cut when its diagonal or, once it would be searched further, one of
     its principal minors is proven negative (`_Screen`); the exact leaf
     tests decide the rest.  A node whose budget b is at least 2 and at most
-    the rank is Unsat when a b x b principal minor of its remainder fails
-    the square-norm test (`_square_norms`), and the memo records it.
+    the rank has no completion when a b x b principal minor of its
+    remainder fails the square-norm test (`_square_norms`), and the memo
+    records it.
     """
     field = pool.field
     rank = pool.rank
@@ -960,7 +947,8 @@ class _Kept:
     PSD verdict, whether its diagonal lies in the span of the squares, its
     pool (built on first use; a refused one is not kept), one memo for every
     budget and call, the next budget `shortest` has not searched and, once
-    one succeeds, its witness."""
+    one succeeds, its witness; `search` and `shortest` are the queries of
+    `_answer`."""
 
     def __init__(self, gram: GramForm) -> None:
         self.gram = gram
@@ -980,6 +968,18 @@ class _Kept:
         if self.pool is None:
             self.pool = RowPool(self.gram)
         return self.pool
+
+    def search(self, budget: int) -> list[int] | None:
+        """Pool indices of a representation of the totally PSD gram by at
+        most `budget` rows, or None: a search of this budget alone, on the
+        kept pool and memo, so it finds the certificate a cold search
+        finds.  A Gram whose diagonal lies outside the span of the squares
+        has none at all."""
+        if self.gram.is_zero():
+            return []
+        if not self.in_span:
+            return None
+        return _search(self.row_pool(), budget, self.memo)
 
     def shortest(self, s_max: int) -> list[int] | None:
         """Pool indices of a shortest representation of the totally PSD gram
@@ -1039,19 +1039,6 @@ def _split_units(gram: GramForm) -> tuple[list[int], GramForm | None]:
     return units, GramForm.from_doubled(gram.field, [[doubled[i][j] for j in keep] for i in keep])
 
 
-def _start(gram: GramForm) -> tuple[list[int], _Kept | None] | NotSoS:
-    """(unit columns, kept search of the rest or None) of an integral gram
-    (`_split_units`, `_kept`), or why it is not a sum of squares; entries
-    are tested on the whole of gram, the PSD verdict on the rest."""
-    if not gram.is_integral():
-        return NotSoS("not-integral")
-    units, rest = _split_units(gram)
-    kept = None if rest is None else _kept(rest)
-    if kept is not None and not kept.psd:
-        return NotSoS("not-totally-psd")
-    return units, kept
-
-
 def _certificate(
     gram: GramForm, units: list[int], pool: RowPool | None, indices: list[int]
 ) -> Certificate:
@@ -1086,54 +1073,47 @@ def candidate_rows(gram: GramForm) -> tuple[tuple[OElement, ...], ...]:
     return pool.rows_as_elements(list(range(len(pool))))
 
 
-def represent(gram: GramForm, budget: int) -> SearchOutcome:
-    """Decide whether gram is a sum of at most `budget` squares of forms.
-    Its unit columns are split off first (`_start`): the rest is searched
-    with one row fewer per unit column, on its kept pool and memo (`_kept`),
-    unless a diagonal entry of the rest lies outside the span of the
-    squares, which makes it Unsat at every budget; a search of this budget
-    finds the certificate, as when cold."""
+def _answer(gram: GramForm, bound: int, query) -> Certificate | ExceedsBound | NotSoS:
+    """The one path to a search answer: a checked certificate of gram by at
+    most `bound` squares, or why there is none.  Integrality is read on all
+    of gram, then its unit columns are split off; query(kept, budget) gives
+    pool indices of the totally PSD rest (`_kept`) by at most bound - (unit
+    columns) rows, or None, and `_certificate` pads them with the unit rows."""
+    if not gram.is_integral():
+        return NotSoS("not-integral")
+    units, rest = _split_units(gram)
+    kept = None if rest is None else _kept(rest)
+    if kept is not None and not kept.psd:
+        return NotSoS("not-totally-psd")
+    budget = bound - len(units)
+    if budget < 0:
+        return ExceedsBound(bound)
+    indices = [] if kept is None else query(kept, budget)
+    if indices is None:
+        return ExceedsBound(bound)
+    return _certificate(gram, units, kept and kept.pool, indices)
+
+
+def represent(gram: GramForm, budget: int) -> Represented | ExceedsBound | NotSoS:
+    """Decide whether gram is a sum of at most `budget` squares of forms
+    (`_answer` with `_Kept.search`, one search of that budget)."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    start = _start(gram)
-    if isinstance(start, NotSoS):
-        return NotIntegral() if start.reason == "not-integral" else NotTotallyPsd()
-    units, kept = start
-    if budget < len(units):
-        return Unsat(budget)
-    pool, indices = None, []
-    if kept is not None:
-        if not kept.in_span:
-            return Unsat(budget)
-        pool = kept.row_pool()
-        indices = _search(pool, budget - len(units), kept.memo)
-        if indices is None:
-            return Unsat(budget)
-    return Represented(_certificate(gram, units, pool, indices))
+    answer = _answer(gram, budget, _Kept.search)
+    return Represented(answer) if isinstance(answer, Certificate) else answer
 
 
 def length_certificate(
     gram: GramForm, s_max: int
 ) -> tuple[int, Certificate] | ExceedsBound | NotSoS:
-    """Minimal number of squares representing gram plus a witness.
-
-    Unit columns are split off first (`_start`): the length is that of the
-    rest plus one per unit column, and only the padded witness is checked.
-    The rest's search is kept (`_kept`), so the length of G (+) <1> after
-    that of G searches nothing.
-    """
+    """Minimal number of squares representing gram plus a witness
+    (`_answer` with `_Kept.shortest`): that of the rest after the unit split
+    plus one per unit column, so the length of G (+) <1> after that of G
+    searches nothing."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    start = _start(gram)
-    if isinstance(start, NotSoS):
-        return start
-    units, kept = start
-    if s_max < len(units):
-        return ExceedsBound(s_max)
-    indices = [] if kept is None else kept.shortest(s_max - len(units))
-    if indices is None:
-        return ExceedsBound(s_max)
-    return len(indices) + len(units), _certificate(gram, units, kept and kept.pool, indices)
+    answer = _answer(gram, s_max, _Kept.shortest)
+    return (len(answer.rows), answer) if isinstance(answer, Certificate) else answer
 
 
 def length(gram: GramForm, s_max: int) -> int | ExceedsBound | NotSoS:

@@ -4,7 +4,7 @@
 slower than `soslen.search._search`.  It runs over `ProductPool`, the full
 product of the column values, built here without `RowPool` and its PSD
 screen, and never uses the canonical-order prunes, which makes it an
-independent check of `Unsat`.
+independent check of `ExceedsBound`.
 
 `exact_prune_search` is the ordered search as it was before its prunes read
 floats: the same DFS, with the diagonal prune on integer enclosures and an
@@ -19,7 +19,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
-from soslen import Certificate, GramForm, Radical, Represented, Unsat, verify_certificate
+from soslen import Certificate, ExceedsBound, GramForm, Radical, Represented, verify_certificate
 from soslen.fields import _integer_charpoly
 from soslen.radicals import _clear_denominators
 from soslen.search import (
@@ -188,8 +188,8 @@ def _square_minors(pool, rem, budget: int) -> bool:
 def exact_prune_search(pool, rem0, budget: int, memo: dict):
     """Indices of at most `budget` nonincreasing pool rows summing to rem0,
     by the ordered search with exact prunes; a node whose budget b is at
-    least 2 and at most the rank is Unsat when a b x b principal minor of its
-    remainder fails `_square_minors`, as in `_search`."""
+    least 2 and at most the rank has no completion when a b x b principal
+    minor of its remainder fails `_square_minors`, as in `_search`."""
     field = pool.field
     n_emb = len(field.embeddings)
     keys = pool.keys
@@ -268,13 +268,13 @@ def exact_prune_search(pool, rem0, budget: int, memo: dict):
     return dfs(rem0, budget, 0)
 
 
-def reference_represent(gram: GramForm, budget: int) -> Represented | Unsat:
+def reference_represent(gram: GramForm, budget: int) -> Represented | ExceedsBound:
     """`represent` for an integral, totally PSD Gram, by the reference search."""
     assert gram.is_integral(), "the reference search takes integral Grams"
     pool = ProductPool(gram)
     indices = reference_search(pool, pool.root, budget)
     if indices is None:
-        return Unsat(budget)
+        return ExceedsBound(budget)
     cert = Certificate(gram.field, gram.rank, pool.rows_as_elements(indices))
     assert verify_certificate(gram, cert).ok
     return Represented(cert)

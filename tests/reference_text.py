@@ -13,7 +13,7 @@ from math import gcd
 
 from soslen import Radical, Shape
 
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*sqrt\((\d+)\))?$")
+_TERM_RE = re.compile(r"^(-?[0-9]+(?:/[0-9]+)?)(?:\*sqrt\(([0-9]+)\))?$")
 
 
 def render_radical(x: Radical) -> str:
@@ -48,7 +48,7 @@ def parse_radical(shape: Shape, text: str) -> Radical:
     coords = []
     for part, want in zip(parts, expected):
         m = _TERM_RE.match(part)
-        if not m:
+        if not m or (want == 1 and m.group(2)):
             raise ValueError(f"malformed term {part!r}")
         rad = int(m.group(2)) if m.group(2) else 1
         if rad != want:

@@ -8,7 +8,7 @@ Criteria 1, 2, 3 and 4 run the length cases of `soslen.suite` and hold each
 report's field, input and computed length to the tables below, not to the
 suite's own expectations.  Each length comes from `length_certificate`,
 which searches every budget from a sound lower bound upward, so a reported
-length is an exhaustive Unsat below it plus an exactly verified witness at
+length is an exhaustive `ExceedsBound` below it plus an exactly verified witness at
 it.
 
 Criterion 3 corrects one tabulated value.  Over Q(sqrt 10, sqrt 65) the
@@ -17,7 +17,7 @@ sqrt(26) = sqrt(650)/5 is an algebraic integer outside the customary module
 (1, sqrt 10, (1+sqrt 65)/2, sqrt 10 (1+sqrt 65)/2), an index-5 suborder.
 Over the verified maximal order the element has length 3.  The test asserts
 3 and carries the proof: a pinned 3-square witness checked by exact
-arithmetic, and an Unsat at budget 2 from both the ordered and the
+arithmetic, and `ExceedsBound` at budget 2 from both the ordered and the
 unordered reference search.
 """
 
@@ -30,11 +30,11 @@ import pytest
 
 from soslen import (
     Certificate,
+    ExceedsBound,
     GramForm,
     Radical,
     Represented,
     Shape,
-    Unsat,
     document_from_certificate,
     emit_certificate,
     extended_direct_ns,
@@ -156,7 +156,7 @@ def check_alpha_10_65_has_length_three() -> None:
     gram = GramForm.from_element(alpha)
     assert verify_certificate(gram, Certificate(f, 1, tuple(rows))).ok
     below = reference_represent(gram, 2)
-    assert isinstance(below, Unsat), f"reference search found {below}"
+    assert below == ExceedsBound(2), f"reference search found {below}"
 
 
 def test_criterion_3_biquadratic_witness_lengths():

@@ -35,6 +35,17 @@ class TestFieldInfo:
             assert code == 2, text
             assert "input error" in err, text
 
+    def test_digits_in_other_scripts_are_input_errors(self, capsys):
+        # int() reads \u0666 as 6 and \u0663 as 3; the grammar is ASCII digits
+        for argv in (
+            ("field", "info", "Q(sqrt \u0666)"),
+            ("elem", "length", "Q(sqrt 6)", "--coords", "\u0663,1"),
+            ("form", "length", "Q", "--gram", "\u0663"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("input error: "), argv
+
 
 class TestElemLength:
     def test_quartic_witness(self, capsys):
@@ -115,13 +126,13 @@ class TestFormCommands:
         code, out, _ = run(
             capsys, "form", "represent", "Q", "--gram", "7", "--squares", "3"
         )
-        assert code == 1 and "no representation" in out
+        assert code == 1 and out == "no representation with at most 3 squares\n"
 
     def test_form_not_psd(self, capsys):
         code, out, _ = run(
             capsys, "form", "represent", "Q", "--gram", "1;2;1", "--squares", "4"
         )
-        assert code == 1 and "not totally positive semidefinite" in out
+        assert code == 1 and out == "not totally positive semidefinite\n"
 
     def test_form_not_integral(self, capsys):
         # 1/2 off the diagonal: 2G is integral, G is not
@@ -130,7 +141,7 @@ class TestFormCommands:
         code, out, _ = run(
             capsys, "form", "represent", "Q", "--gram", "1;1/2;1", "--squares", "3"
         )
-        assert code == 1 and "gram matrix has entries outside the ring of integers" in out
+        assert code == 1 and out == "gram matrix has entries outside the ring of integers\n"
 
     def test_oversized_search_is_undecided(self, capsys):
         # exit 1 would claim a verified negative; the cap decides nothing
@@ -252,6 +263,11 @@ class TestDescendVerify:
             ('{"field":"Q","format_version":1,"gram":[1],"rows":[]}', "$.gram[0]"),
             ('{"field":"Q","format_version":1,"gram":["1"],"rows":[[1]]}', "$.rows[0][0]"),
             ('{"field":7,"format_version":1,"gram":["1"],"rows":[]}', "$.field"),
+            # digits in other scripts, which int() would read as 5 and 1
+            ('{"field":"Q(sqrt \u0665)","format_version":1,"gram":["1 + 0*sqrt(5)"],"rows":[]}', "$.field"),
+            ('{"field":"Q","format_version":1,"gram":["\u0661"],"rows":[]}', "$.gram[0]"),
+            ('{"field":"Q","format_version":1,"gram":["1"],"rows":[["\u0661"]]}', "$.rows[0][0]"),
+            ('{"field":"Q","format_version":1,"gram":["1*sqrt(1)"],"rows":[]}', "$.gram[0]"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "descend"])

@@ -243,14 +243,14 @@ class TestDescendContract:
         # python -O strips assert statements; a rejected expansion and a
         # result above the target must still raise from descend
         code = (
-            "from soslen import Certificate, DescentProblem, GramForm, NotTotallyPsd, Shape\n"
+            "from soslen import Certificate, DescentProblem, GramForm, NotSoS, Shape\n"
             "from soslen import descend, descent, make_field\n"
             "Q = make_field(Shape(()))\n"
             "gram = GramForm.from_element(Q.element_from_coords((3,)))\n"
             "p = DescentProblem(Q, gram, Certificate(Q, 1, ((Q.one(),),) * 3))\n"
             "compress = descent.compress\n"
             "patches = [\n"
-            "    ('represent', lambda gram, budget: NotTotallyPsd()),\n"
+            "    ('represent', lambda gram, budget: NotSoS('not-totally-psd')),\n"
             "    ('compress', lambda e, target: compress(e, 3)),\n"
             "]\n"
             "for name, patch in patches:\n"
@@ -269,7 +269,7 @@ class TestDescendContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "raised expanded Gram rejected: NotTotallyPsd()\n"
+            "raised expanded Gram rejected: NotSoS(reason='not-totally-psd')\n"
             "raised 3 rows exceed the target 1\n"
         ), proc.stdout
 

@@ -58,6 +58,10 @@ class TestDescriptorGrammar:
             "",
             # refused by size before the squarefree test could run for ages
             "Q(sqrt 1000000000000000000000000000057)",
+            # radicands are ASCII digits: int() would read these as 6 and 7
+            "Q(sqrt \u0666)",
+            "Q(sqrt 6, sqrt \u0667)",
+            "Q(sqrt \uff16)",
         ):
             with pytest.raises(InvalidRadicandError):
                 parse_descriptor(bad)

@@ -290,7 +290,11 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_coords(Q17, "1,2,3")
 
-    @pytest.mark.parametrize("text", ["1e3", "1e3000000", "1e1000000000", "0.5", "1/2e5", "+1", "1*sqrt(6)"])
+    @pytest.mark.parametrize(
+        "text",
+        # \u0663 and \uff13 are 3 in other scripts, which int() would read
+        ["1e3", "1e3000000", "1e1000000000", "0.5", "1/2e5", "+1", "1*sqrt(6)", "\u0663", "1/\uff13"],
+    )
     def test_coords_are_integers_or_fractions_only(self, text):
         # Fraction would accept the exponents, and take minutes to expand them
         with pytest.raises(ValueError, match="malformed coordinate"):
@@ -336,6 +340,15 @@ class TestTextForms:
             (Q6, "1 + 2*sqrt(6) + 3", "expected 2 terms, got 3"),
             (Q6, "1 + 2.5*sqrt(6)", "malformed term '2.5*sqrt(6)'"),
             (Q, "1e3", "malformed term '1e3'"),
+            # digits are ASCII: int() would read \u0663 as 3
+            (Shape((5,)), "\u0663 + 1*sqrt(5)", "malformed term '\u0663'"),
+            (Q6, "1 + 1*sqrt(\u0666)", "malformed term '1*sqrt(\u0666)'"),
+            (Q6, "1/\u0662 + 1*sqrt(6)", "malformed term '1/\u0662'"),
+            # the first term is a coefficient alone, never c*sqrt(1)
+            (Q, "3*sqrt(1)", "malformed term '3*sqrt(1)'"),
+            (Shape((5,)), "3*sqrt(1) + 1*sqrt(5)", "malformed term '3*sqrt(1)'"),
+            (Q67, "1/2*sqrt(1) + 0*sqrt(6) + 0*sqrt(7) + 1*sqrt(42)", "malformed term '1/2*sqrt(1)'"),
+            (Q6, "1 + 3*sqrt(1)", "term '3*sqrt(1)' has radicand 1, expected 6"),
         ],
     )
     def test_read_errors(self, shape, text, message):

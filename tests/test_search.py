@@ -19,13 +19,10 @@ from soslen import (
     Certificate,
     ExceedsBound,
     GramForm,
-    NotIntegral,
     NotSoS,
-    NotTotallyPsd,
     Radical,
     Represented,
     Shape,
-    Unsat,
     candidate_rows,
     element_length,
     from_literal_coords,
@@ -111,7 +108,7 @@ class TestRepresent:
 
     def test_seven_over_z(self):
         g = zgram((7,))
-        assert isinstance(represent(g, 3), Unsat)
+        assert represent(g, 3) == ExceedsBound(3)
         out = represent(g, 4)
         assert isinstance(out, Represented)
         assert len(out.certificate.rows) == 4
@@ -140,7 +137,7 @@ class TestRepresent:
 
     def test_not_totally_psd(self):
         g = GramForm.from_element(Q6.element(from_literal_coords(Q6.shape, (F(1), F(1)))))
-        assert isinstance(represent(g, 5), NotTotallyPsd)
+        assert represent(g, 5) == NotSoS("not-totally-psd")
 
     def test_not_integral(self):
         # 2G is integral and G is not; integrality is decided on the whole
@@ -150,7 +147,7 @@ class TestRepresent:
         one = Radical.one(sh)
         g = GramForm(Q, ((one, half), (half, one)))
         for gram in (g, perp_unit(g)):
-            assert isinstance(represent(gram, 5), NotIntegral)
+            assert represent(gram, 5) == NotSoS("not-integral")
             assert length_certificate(gram, 5) == NotSoS("not-integral")
             assert length(gram, 5) == NotSoS("not-integral")
             with pytest.raises(ValueError, match="gram matrix is not integral"):
@@ -161,7 +158,7 @@ class TestRepresent:
         assert isinstance(out, Represented) and len(out.certificate.rows) == 0
 
     def test_budget_zero_nonzero_form(self):
-        assert isinstance(represent(zgram((1,)), 0), Unsat)
+        assert represent(zgram((1,)), 0) == ExceedsBound(0)
 
     def test_every_representation_verifies(self):
         rng = random.Random(41)
@@ -1084,9 +1081,9 @@ def _prune_cases(case):
 
 
 class TestSquareMinorPrune:
-    """A node whose budget b is at least 2 and at most the rank is Unsat when
-    the norm of a b x b principal minor of its remainder is not the square of
-    an integer (Cauchy-Binet, `search._square_norms`)."""
+    """A node whose budget b is at least 2 and at most the rank has no
+    completion when the norm of a b x b principal minor of its remainder is
+    not the square of an integer (Cauchy-Binet, `search._square_norms`)."""
 
     @pytest.mark.parametrize("case", ["(6, 7)", "(13, 15)", "tail:(13, 15):2:3:1"])
     def test_same_indices_as_without_the_prune(self, case, monkeypatch):
@@ -1256,7 +1253,7 @@ class TestUnitColumnSplit:
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (13, 15)], ids=str)
     def test_split_answers_match_the_unsplit_search(self, radicands):
-        # at every budget up to the length, Unsat below it and the same
+        # at every budget up to the length, ExceedsBound below it and the same
         # certificate at it as `_search` over the whole pool
         field = make_field(Shape(radicands))
         rng = random.Random(f"unit-split:{radicands}")
@@ -1283,7 +1280,7 @@ class TestUnitColumnSplit:
             assert k <= t
             pool = RowPool(gram)
             for budget in range(t):
-                assert isinstance(represent(gram, budget), Unsat), budget
+                assert represent(gram, budget) == ExceedsBound(budget), budget
                 assert _search(pool, budget, {}) is None, budget
                 below += budget < k
             whole = Certificate(field, gram.rank, pool.rows_as_elements(_search(pool, t, {})))
@@ -1300,17 +1297,17 @@ class TestUnitColumnSplit:
         rows = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
         assert length_certificate(identity, 3) == (3, Certificate(field, 3, rows))
         assert length_certificate(identity, 2) == ExceedsBound(2)
-        assert represent(identity, 2) == Unsat(2)
+        assert represent(identity, 2) == ExceedsBound(2)
         zero_plus_one = perp_unit(GramForm.zero(field, 1))
         unit_row = Certificate(field, 2, ((zero, one),))
         assert length_certificate(zero_plus_one, 5) == (1, unit_row)
         assert length_certificate(zero_plus_one, 0) == ExceedsBound(0)
-        assert represent(zero_plus_one, 0) == Unsat(0)
+        assert represent(zero_plus_one, 0) == ExceedsBound(0)
         assert represent(zero_plus_one, 3) == Represented(unit_row)
         # a rest that is not totally PSD, at every budget
         g = perp_unit(GramForm.from_doubled(field, [[(-2,) + (0,) * (field.degree - 1)]]))
         assert length_certificate(g, 0) == NotSoS("not-totally-psd")
-        assert represent(g, 0) == NotTotallyPsd()
+        assert represent(g, 0) == NotSoS("not-totally-psd")
         # e_0 goes before the rows of <2>, whose key, trace(1), it shares
         two = GramForm.from_doubled(field, [[(4,) + (0,) * (field.degree - 1)]])
         _, cert = length_certificate(_signed_permutation(perp_unit(two), [1, 0], [1, 1]), 3)
@@ -1385,7 +1382,7 @@ class TestUnitColumnSplit:
 
 class TestPoolCache:
     """The searches keep the search of the last Gram they met (`search._kept`):
-    its PSD verdict, its pool, its memo, the budgets proven Unsat and its
+    its PSD verdict, its pool, its memo, the next budget to search and its
     witness, so the length of G (+) <1> answers from the search that the
     length of G made."""
 
@@ -1493,10 +1490,73 @@ class TestPoolCache:
         assert search._kept(gram).pool is None
 
 
+class TestEntryPointsAgree:
+    """`represent` and `length_certificate` answer through one path
+    (`search._answer`): at every budget b both give `NotSoS` with the same
+    reason, or both `ExceedsBound(b)`, and `represent` gives `Represented`
+    exactly when the length is at most b."""
+
+    @staticmethod
+    def check(gram, top):
+        whole = length_certificate(gram, 12)
+        for budget in range(top + 1):
+            fixed, shortest = represent(gram, budget), length_certificate(gram, budget)
+            if isinstance(whole, NotSoS):
+                assert fixed == shortest == whole, (gram, budget)
+            elif isinstance(whole, tuple) and whole[0] <= budget:
+                assert shortest == whole, (gram, budget)
+                assert isinstance(fixed, Represented), (gram, budget)
+                assert len(fixed.certificate.rows) <= budget
+                assert verify_certificate(gram, fixed.certificate).ok
+            else:
+                assert fixed == shortest == ExceedsBound(budget), (gram, budget)
+        return whole
+
+    def test_special_grams(self):
+        one, half = Radical.one(Q.shape), Radical(Q.shape, (F(1, 2),))
+        not_integral = GramForm(Q, ((one, half), (half, one)))
+        not_psd = GramForm.from_element(Q6.element(from_literal_coords(Q6.shape, (F(1), F(1)))))
+        outside = GramForm.from_element(Q6.element(from_literal_coords(Q6.shape, (F(300), F(7)))))
+        two = GramForm.from_doubled(Q6, [[(4, 0)]])
+        cases = [
+            (not_integral, NotSoS("not-integral")),
+            (perp_unit(not_integral), NotSoS("not-integral")),
+            (not_psd, NotSoS("not-totally-psd")),
+            (perp_unit(not_psd), NotSoS("not-totally-psd")),
+            (zgram((1, 2), (2, 1)), NotSoS("not-totally-psd")),
+            (outside, ExceedsBound(12)),
+            (perp_unit(outside), ExceedsBound(12)),
+            (perp_unit(perp_unit(GramForm.from_element(Q6.one()))), 3),
+            (perp_unit(zgram((7,))), 5),
+            (perp_unit(GramForm.zero(Q6, 1)), 1),
+            (_signed_permutation(perp_unit(two), [1, 0], [1, 1]), 3),
+            (GramForm.zero(Q6, 2), 0),
+            (zgram((0,)), 0),
+        ]
+        for gram, want in cases:
+            whole = self.check(gram, 6)
+            assert (whole[0] if isinstance(whole, tuple) else whole) == want, gram
+
+    @pytest.mark.parametrize("radicands", [(), (5,), (6, 7)], ids=str)
+    def test_seeded_grams(self, radicands):
+        field = make_field(Shape(radicands))
+        rng = random.Random(f"entry-points:{radicands}")
+        spread = 1 if len(radicands) == 2 else 2
+        checked = 0
+        while checked < 10:
+            gram = GramForm.from_rows(field, _random_rows(rng, field, 1 + checked % 2, 3, spread))
+            if len(candidate_rows(gram)) > 2000:
+                continue
+            checked += 1
+            for g in (gram, perp_unit(gram)):
+                whole = self.check(g, 7)
+                assert isinstance(whole, tuple), g
+
+
 class TestKeptSearchDifferential:
     """Every answer from a kept search is the answer of a cold one: the same
-    verdict, the same `Unsat.depth` and the same certificate, whatever the
-    kept search answered or searched before."""
+    verdict, the same `ExceedsBound.bound` and the same certificate,
+    whatever the kept search answered or searched before."""
 
     @staticmethod
     def cold(call, *args):
@@ -1532,7 +1592,7 @@ class TestKeptSearchDifferential:
             assert warm == expected, gram
             assert expected[0] == ExceedsBound(t - 1) and expected[1][0] == t
             assert expected[3][0] == t + 1
-            assert [type(res) for res in expected[4:]] == [Unsat] * t + [Represented]
+            assert [type(res) for res in expected[4:]] == [ExceedsBound] * t + [Represented]
             # one pool serves every warm call
             assert len(builds) == 1
 
@@ -1619,13 +1679,13 @@ class TestSquareSpan:
         unit = GramForm.from_doubled(Q2, [[one, zero], [zero, (8, 2)]])
         for gram in (alpha, unit):
             for budget in range(7):
-                assert represent(gram, budget) == Unsat(budget)
+                assert represent(gram, budget) == ExceedsBound(budget)
             assert length_certificate(gram, 10**9) == ExceedsBound(10**9)
         assert builds == []
         assert search._kept(GramForm.from_doubled(Q2, [[(8, 2)]])).pool is None
         # a Gram that is not totally PSD says so, wherever its diagonal lies
         negative = GramForm.from_doubled(Q2, [[(-2, 2)]])  # -1 + sqrt2
-        assert represent(negative, 3) == NotTotallyPsd()
+        assert represent(negative, 3) == NotSoS("not-totally-psd")
         assert length_certificate(negative, 3) == NotSoS("not-totally-psd")
         assert builds == []
 
@@ -1806,7 +1866,7 @@ class TestKnownValues:
         f = make_field(Shape((6, 7)))
         alpha = f.element(from_literal_coords(f.shape, (F(43), F(1), F(-8), F(1))))
         gram = GramForm.from_element(alpha)
-        assert isinstance(represent(gram, 6), Unsat)
+        assert represent(gram, 6) == ExceedsBound(6)
         out = represent(gram, 7)
         assert isinstance(out, Represented)
         assert verify_certificate(gram, out.certificate).ok

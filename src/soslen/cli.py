@@ -42,6 +42,20 @@ EXIT_INTERNAL = 3
 EXIT_UNDECIDED = 4
 
 
+def _count(text: str) -> int:
+    """The argparse type of the integer options: ASCII digits only, since
+    int() also reads digits of other scripts, signs, spaces and
+    underscores; anything else is a usage error (exit 2)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _counts(text: str) -> list[int]:
+    """The argparse type of a comma-separated list of `_count`s."""
+    return [_count(v) for v in text.split(",") if v]
+
+
 def _parse_gram(f: Field, text: str) -> GramForm:
     entries = text.split(";")
     if not all(e.strip() for e in entries):
@@ -181,7 +195,7 @@ def _cmd_suite_run(args) -> int:
         _check_output_path(args.report)
     ns = None
     if args.n:
-        ns = tuple(int(v) for chunk in args.n for v in chunk.split(",") if v)
+        ns = tuple(v for chunk in args.n for v in chunk)
     reports = run_suite(args.case or None, ns=ns, cert_dir=args.cert_dir)
     failed = 0
     for r in reports:
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_elen = elem_sub.add_parser("length", help="minimal number of squares")
     p_elen.add_argument("descriptor")
     p_elen.add_argument("--coords", required=True, help='"q0,q1[,q2,q3]" over 1, sqrt(m), sqrt(n), sqrt(mn)')
-    p_elen.add_argument("--max-squares", type=int, default=8)
+    p_elen.add_argument("--max-squares", type=_count, default=8)
     p_elen.add_argument("--cert-out")
     p_elen.set_defaults(func=_cmd_elem_length)
 
@@ -227,18 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_flen = form_sub.add_parser("length", help="minimal number of squares of linear forms")
     p_flen.add_argument("descriptor")
     p_flen.add_argument("--gram", required=True, help="upper triangle, row-major, entries ';'-separated")
-    p_flen.add_argument("--max-squares", type=int, default=8)
+    p_flen.add_argument("--max-squares", type=_count, default=8)
     p_flen.add_argument("--cert-out")
     p_flen.set_defaults(func=_cmd_form_length)
     p_frep = form_sub.add_parser("represent", help="decide representability at a fixed budget")
     p_frep.add_argument("descriptor")
     p_frep.add_argument("--gram", required=True)
-    p_frep.add_argument("--squares", type=int, required=True)
+    p_frep.add_argument("--squares", type=_count, required=True)
     p_frep.set_defaults(func=_cmd_form_represent)
 
     p_desc = sub.add_parser("descend", help="compress a certificate through the integers")
     p_desc.add_argument("--cert-in", required=True)
-    p_desc.add_argument("--target", type=int, default=None)
+    p_desc.add_argument("--target", type=_count, default=None)
     p_desc.set_defaults(func=_cmd_descend)
 
     p_ver = sub.add_parser("verify", help="check a certificate file")
@@ -246,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_gt = sub.add_parser("gtable", help="largest finite length over Z by rank")
-    p_gt.add_argument("rank", type=int)
+    p_gt.add_argument("rank", type=_count)
     p_gt.set_defaults(func=_cmd_gtable)
 
     p_suite = sub.add_parser("suite", help="reproducibility suite")
@@ -256,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--n",
         action="append",
+        type=_counts,
         help="comma-separated n list for the n-parametrized cases "
         "prop53-direct, prop53-alpha10, prop53-alpha11 and peters",
     )

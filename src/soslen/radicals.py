@@ -305,8 +305,9 @@ def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     """(u, den) with the element written in text equal to u / den over the
     radical basis, den > 0 and u integers.  The first term is "p" or "p/q",
     each later one "p*sqrt(k)" or "p/q*sqrt(k)" (ASCII digits, q nonzero,
-    spaces anywhere), k the written radicand of its place; anything else,
-    or a coefficient beyond int()'s digit limit, raises ValueError."""
+    spaces anywhere but no other whitespace), k the written radicand of its
+    place; anything else, or a coefficient beyond int()'s digit limit,
+    raises ValueError."""
     written, _, factors = shape.written
     parts = text.replace(" ", "").split("+")
     if len(parts) != len(written):
@@ -314,7 +315,6 @@ def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     nums = []
     dens = []
     for part, want, factor in zip(parts, written, factors):
-        part = part.strip()
         m = _TERM_RE.fullmatch(part)
         if m is None or (want == 1 and m[3] is not None):
             raise ValueError(f"malformed term {part!r}")

@@ -48,6 +48,13 @@ give the exact range on the slice.  w is rounded to integers once per field
 and level, and the rounding residuals, enclosed exactly, only widen the
 range.
 
+Over Z the column values of n > 0 are 1..isqrt(n), so a pool looks n up
+under the key isqrt(n)^2 (`_column_key`), and the integers between two
+squares share one scan.  A rank-1 pool's rows are all of its column's
+records, so they are sorted and indexed once per cached column, on its
+first rank-1 use, and every rank-1 pool on that column shares them
+(`_Values.rank1_rows`).
+
 Every row v of a representation leaves a totally PSD remainder, so
 G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
 row prefixes one column at a time, keeps a prefix only while the leading
@@ -87,7 +94,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from operator import add, gt, itemgetter, lt, mul, neg, sub
 from typing import NamedTuple
@@ -102,7 +109,9 @@ SEARCH_CACHE_CAP = 1 << 22  # entries in the memo of (remainder, budget)
 
 
 class SearchSpaceError(RuntimeError):
-    """A coordinate box or the candidate row pool exceeds POOL_ROW_CAP."""
+    """A coordinate box or the candidate row pool exceeds POOL_ROW_CAP; a
+    diagonal n over Z is refused on the box of its key isqrt(n)^2
+    (`_column_key`), which holds the same values."""
 
 
 @dataclass(frozen=True)
@@ -148,12 +157,23 @@ class _Column(NamedTuple):
 
 
 class _Values(tuple):
-    """The records of `_column_values`, with their `bound` and `err` there."""
+    """The records of `_column_values`, with their `bound` and `err` there,
+    and the rows of every rank-1 pool that reads them (`rank1_rows`), kept
+    with the records in the column cache; columns that only pools of rank
+    >= 2 read never build them."""
 
     def __new__(cls, records, bound: tuple[float, ...], err: tuple[float, ...]) -> _Values:
         self = super().__new__(cls, records)
         self.bound, self.err = bound, err
         return self
+
+    @cached_property
+    def rank1_rows(self) -> tuple:
+        """`_sorted_rows` of the rank-1 pools on these records, built on the
+        first rank-1 use and shared by every such pool: the rows of <n> are
+        all the column values of n, since n - x^2 is totally nonnegative
+        exactly for them."""
+        return _sorted_rows([(v.trace, (v.coords,), v.square, v.square_values) for v in self])
 
 
 _SLICE_BITS = 40  # support weights are 2^40 w, rounded to integers
@@ -260,11 +280,22 @@ def _box_limits(field: Field, diag_ivs) -> list[int]:
     return [root_sum * num // field._box_den for num in field._box_nums]
 
 
+def _column_key(field: Field, diag_coords: tuple[int, ...]) -> tuple[int, ...]:
+    """The diagonal under which `RowPool` looks up the column values of
+    diag_coords: over Z, a diagonal n > 0 is read as isqrt(n)^2, whose
+    members x, 1 <= x <= isqrt(n), are those of n, so the integers between
+    two squares share one scan and one set of rank-1 rows."""
+    if field.degree == 1 and diag_coords[0] > 0:
+        return (isqrt(diag_coords[0]) ** 2,)
+    return diag_coords
+
+
 @lru_cache(maxsize=1 << 13)
 def _column_values(field: Field, diag_coords: tuple[int, ...]) -> _Values:
     """All nonzero x in O with sigma(x)^2 <= sigma(diag) at every embedding,
     as one record for each pair +-x, with the bounds that both float
-    screens read.
+    screens read.  `RowPool` calls it on `_column_key` of each diagonal, so
+    over Z the records and bounds of n are those of isqrt(n)^2.
 
     The integral-basis box is the pull-back of the conjugate bounds
     |sigma(x)| <= sqrt(sigma(diag)), read off the diagonal's integer
@@ -302,13 +333,15 @@ def _column_values(field: Field, diag_coords: tuple[int, ...]) -> _Values:
     sign at the identity embedding unless they are inconclusive; then exact
     sign tests decide.
 
-    Bounds: every record x has |sigma_e(x)| <= sqrt(sigma_e(diag)) <=
-    bound[e], read off the upper end of the enclosure, and a float within
-    err[e] of it: the rounded midpoint of x's enclosure, whose half-width
-    is at most the widest basis enclosure times sum |c_j| <= the sum of the
-    box limits, halved.  Both are raised by 2^-40 of themselves for their
-    own rounding, both are 0 without records, and err is 0 with exact
-    embedding tables (degree 1).
+    Bounds: bound[e] is at least every record's |sigma_e(x)|, since each
+    record has |sigma_e(x)| <= sqrt(sigma_e(diag)) <= bound[e], read off
+    the upper end of the enclosure; under the Z key it is read off
+    isqrt(n)^2, which bounds every record of n too.  Each record has a
+    float within err[e] of it: the rounded midpoint of x's enclosure, whose
+    half-width is at most the widest basis enclosure times sum |c_j| <= the
+    sum of the box limits, halved.  Both are raised by 2^-40 of themselves
+    for their own rounding, both are 0 without records, and err is 0 with
+    exact embedding tables (degree 1).
     """
     deg = field.degree
     n_emb = len(field.embeddings)
@@ -505,10 +538,11 @@ def _remainder_block(icoords, entries, size: int) -> list[list[tuple[int, ...]]]
 
 
 def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
-    """(key, cols, outer, floats) of every sign-normalized row v whose
-    columns are column values (`_column_values`) and for which G - vv^T is
-    totally PSD; outer and floats hold vv^T in slot order (`_slot_pairs`),
-    exactly and at every embedding.
+    """(key, cols, outer, floats) of every sign-normalized row v of two or
+    more columns whose columns are column values (`_column_values`) and for
+    which G - vv^T is totally PSD; outer and floats hold vv^T in slot order
+    (`_slot_pairs`), exactly and at every embedding.  Rank-1 rows are the
+    column's records (`_Values.rank1_rows`).
 
     Rows grow one column at a time.  A prefix is (its column records, the
     entries of its outer product, their floats, whether a column is nonzero
@@ -521,8 +555,6 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
     or a column record, and other prefixes with zero or either sign of one.
     """
     r = len(columns)
-    if r == 1:
-        return [(v.trace, (v.coords,), v.square, v.square_values) for v in columns[0]]
     d = field.degree
     n_emb = len(field.embeddings)
     zero_entry = (0,) * d
@@ -583,6 +615,25 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
                     decorated.append((sum([c.trace for c in new_row]), cols, outer, new_floats))
         prefixes = extended
     return decorated
+
+
+def _sorted_rows(decorated: list[tuple]) -> tuple:
+    """(keys, cols, outers, floats, neg_keys, outer_index) of the rows
+    (key, cols, outer, floats), sorted by (key, cols) descending; cols is
+    unique, so later fields are never compared.  The rows are tuples and
+    outer_index maps each outer product to its index; `_search` only reads
+    them."""
+    decorated.sort(reverse=True)
+    keys = tuple([t[0] for t in decorated])
+    outers = tuple([t[2] for t in decorated])
+    return (
+        keys,
+        tuple([t[1] for t in decorated]),
+        outers,
+        tuple([t[3] for t in decorated]),
+        tuple([-k for k in keys]),
+        {o: i for i, o in enumerate(outers)},
+    )
 
 
 def _slot_pairs(r: int) -> list[tuple[int, int]]:
@@ -811,6 +862,12 @@ class RowPool:
     its `_Screen`.  The pool reads G's integral coordinates once, and a G
     with an entry outside O raises ValueError.
 
+    Column values are looked up under `_column_key` of each diagonal entry.
+    The rows of a rank-1 pool are its column's `_Values.rank1_rows`, shared
+    by every rank-1 pool on that column and read-only; only the root, the
+    trace and the `_Screen` are its own.  Pools of rank >= 2 sort their
+    rows from `_fitting_rows` themselves (`_sorted_rows`).
+
     A unit column c of G, G_cc = 1 and G_cj = 0 for j != c, holds only 0 and
     +-1: sigma(x)^2 <= 1 at every embedding makes a nonzero x a root of
     unity (Kronecker).  So the rows are e_c and those of G without column c
@@ -827,7 +884,7 @@ class RowPool:
         r = gram.rank
         self.field = field
         self.rank = r
-        columns = [_column_values(field, icoords[j][j]) for j in range(r)]
+        columns = [_column_values(field, _column_key(field, icoords[j][j])) for j in range(r)]
         size_estimate = 1
         for vals in columns:
             size_estimate *= 2 * len(vals) + 1  # a record stands for +-x
@@ -835,13 +892,12 @@ class RowPool:
             raise SearchSpaceError(
                 f"candidate space of about {size_estimate} rows exceeds {POOL_ROW_CAP}"
             )
-        decorated = _fitting_rows(field, icoords, columns)
-        # by (key, cols); cols is unique, so later fields are never compared
-        decorated.sort(reverse=True)
-        self.keys = [t[0] for t in decorated]
-        self.cols = [t[1] for t in decorated]
-        self.outers = [t[2] for t in decorated]
-        self.floats = [t[3] for t in decorated]
+        rows = (
+            columns[0].rank1_rows
+            if r == 1
+            else _sorted_rows(_fitting_rows(field, icoords, columns))
+        )
+        self.keys, self.cols, self.outers, self.floats, self.neg_keys, self.outer_index = rows
         # remainders, outer products and pool rows are flat int tuples of
         # length r(r+1)/2 * d: the upper triangle column by column
         # (`_slot_pairs`), d coordinates per slot; root is G's
@@ -851,8 +907,6 @@ class RowPool:
         self.screen = _Screen(field, self.root, columns)
         diag = self.screen.diag_of
         self.diag_floats = self.floats if r == 1 else [diag(f) for f in self.floats]
-        self.neg_keys = [-k for k in self.keys]
-        self.outer_index = {o: i for i, o in enumerate(self.outers)}
 
     def __len__(self) -> int:
         return len(self.cols)

@@ -13,7 +13,7 @@ from math import gcd
 
 from soslen import Radical, Shape
 
-_TERM_RE = re.compile(r"^(-?[0-9]+(?:/[0-9]+)?)(?:\*sqrt\(([0-9]+)\))?$")
+_TERM_RE = re.compile(r"(-?[0-9]+(?:/[0-9]+)?)(?:\*sqrt\(([0-9]+)\))?")
 
 
 def render_radical(x: Radical) -> str:
@@ -41,13 +41,13 @@ def _rendered_radicands(shape: Shape) -> tuple[int, ...]:
 
 
 def parse_radical(shape: Shape, text: str) -> Radical:
-    parts = [p.strip() for p in text.replace(" ", "").split("+")]
+    parts = text.replace(" ", "").split("+")
     expected = _rendered_radicands(shape)
     if len(parts) != len(expected):
         raise ValueError(f"expected {len(expected)} terms, got {len(parts)}")
     coords = []
     for part, want in zip(parts, expected):
-        m = _TERM_RE.match(part)
+        m = _TERM_RE.fullmatch(part)
         if not m or (want == 1 and m.group(2)):
             raise ValueError(f"malformed term {part!r}")
         rad = int(m.group(2)) if m.group(2) else 1

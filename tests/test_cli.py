@@ -268,6 +268,9 @@ class TestDescendVerify:
             ('{"field":"Q","format_version":1,"gram":["\u0661"],"rows":[]}', "$.gram[0]"),
             ('{"field":"Q","format_version":1,"gram":["1"],"rows":[["\u0661"]]}', "$.rows[0][0]"),
             ('{"field":"Q","format_version":1,"gram":["1*sqrt(1)"],"rows":[]}', "$.gram[0]"),
+            # whitespace other than spaces, which the element text does not ignore
+            ('{"field":"Q","format_version":1,"gram":["1\\n"],"rows":[["1"]]}', "$.gram[0]"),
+            ('{"field":"Q","format_version":1,"gram":["1"],"rows":[["1\\t"]]}', "$.rows[0][0]"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "descend"])
@@ -349,3 +352,33 @@ class TestGTableCli:
         assert "g(8) <= 37" in out
         code, out, _ = run(capsys, "gtable", "9")
         assert "unknown" in out
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("elem", "length", "Q", "--coords", "7", "--max-squares", "{}"),
+            ("form", "length", "Q", "--gram", "7", "--max-squares", "{}"),
+            ("form", "represent", "Q", "--gram", "7", "--squares", "{}"),
+            ("descend", "--cert-in", "cert.json", "--target", "{}"),
+            ("gtable", "{}"),
+            ("suite", "run", "--case", "peters", "--n", "17,{}"),
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    # int() reads \u0663 and \uff13 as 3, and takes signs, spaces and
+    # underscores; the options take ASCII digits only
+    @pytest.mark.parametrize("value", ["\u0663", "\uff13", "\u00b3", "-1", "+3", " 3", "3_0"])
+    def test_ascii_digits_only(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "expected ASCII digits" in captured.err
+
+    def test_ascii_digits_are_read(self, capsys):
+        code, out, _ = run(capsys, "elem", "length", "Q", "--coords", "7", "--max-squares", "0004")
+        assert code == 0 and out == "length: 4\n"
+        code, out, _ = run(capsys, "form", "represent", "Q", "--gram", "7", "--squares", "3")
+        assert code == 1 and out == "no representation with at most 3 squares\n"

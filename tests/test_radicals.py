@@ -349,6 +349,11 @@ class TestTextForms:
             (Shape((5,)), "3*sqrt(1) + 1*sqrt(5)", "malformed term '3*sqrt(1)'"),
             (Q67, "1/2*sqrt(1) + 0*sqrt(6) + 0*sqrt(7) + 1*sqrt(42)", "malformed term '1/2*sqrt(1)'"),
             (Q6, "1 + 3*sqrt(1)", "term '3*sqrt(1)' has radicand 1, expected 6"),
+            # spaces are ignored, no other whitespace is
+            (Q, "3\n", "malformed term '3\\n'"),
+            (Q, "1\t", "malformed term '1\\t'"),
+            (Q6, "1 + 2*sqrt(6)\r\n", "malformed term '2*sqrt(6)\\r\\n'"),
+            (Q6, "\u00a01 + 2*sqrt(6)", "malformed term '\\xa01'"),
         ],
     )
     def test_read_errors(self, shape, text, message):

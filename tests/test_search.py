@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from math import isqrt
 from operator import add, gt, mul, sub
 from pathlib import Path
 
@@ -477,10 +478,10 @@ class TestColumnScan:
                 made += 1
                 pool = RowPool(gram)
                 ref = reference_pool(field, icoords, columns)
-                assert pool.cols == [t[2] for t in ref], diagonals
-                assert pool.keys == [t[0] for t in ref]
-                assert pool.outers == [t[3] for t in ref]
-                assert pool.floats == [t[4] for t in ref]
+                assert pool.cols == tuple(t[2] for t in ref), diagonals
+                assert pool.keys == tuple(t[0] for t in ref)
+                assert pool.outers == tuple(t[3] for t in ref)
+                assert pool.floats == tuple(t[4] for t in ref)
 
     @pytest.mark.parametrize("shape", SCAN_SHAPES[:4], ids=str)
     def test_inconclusive_screens_are_decided_exactly(self, shape, monkeypatch):
@@ -521,10 +522,10 @@ class TestColumnScan:
                 assert bool(exact_calls) == (field.degree > 1)
                 columns = [brute_column_values(field, icoords[j][j]) for j in range(gram.rank)]
                 ref = reference_pool(field, icoords, columns)
-                assert pool.cols == [t[2] for t in ref]
-                assert pool.keys == [t[0] for t in ref]
-                assert pool.outers == [t[3] for t in ref]
-                assert pool.floats == [t[4] for t in ref]
+                assert pool.cols == tuple(t[2] for t in ref)
+                assert pool.keys == tuple(t[0] for t in ref)
+                assert pool.outers == tuple(t[3] for t in ref)
+                assert pool.floats == tuple(t[4] for t in ref)
             sign = 1 if row[0].sign_at_index(0) > 0 else -1
             assert tuple(tuple(sign * c for c in v.coords) for v in row) in RowPool(single).cols
 
@@ -774,6 +775,76 @@ class TestColumnBounds:
         assert any(any(err) for _, err in before)
         monkeypatch.setattr(search, "POOL_ROW_CAP", 10**30)
         assert bounds() == before
+
+
+class TestSharedColumns:
+    """`RowPool` reads a diagonal n > 0 over Z under the key isqrt(n)^2
+    (`search._column_key`), and every rank-1 pool on one column shares its
+    sorted rows (`_Values.rank1_rows`)."""
+
+    def test_integer_keys_give_the_scan_of_n(self):
+        for n in range(-3, 2001):
+            key = search._column_key(Q, (n,))
+            records = _column_values(Q, key)
+            assert records == half_box_scan(Q, (n,)), n
+            root = isqrt(max(n, 0))
+            assert [v.coords for v in records] == [(x,) for x in range(1, root + 1)], n
+            if records:
+                assert key == (root * root,) and records.bound[0] >= root
+            pool = RowPool(zgram((n,)))
+            assert pool.cols == tuple(((x,),) for x in range(root, 0, -1)), n
+            assert pool.root == (n,) and pool.trace == n
+        # one scan per integer square root
+        assert len({search._column_key(Q, (n,)) for n in range(1, 2001)}) == isqrt(2000)
+        # the key is the diagonal itself over larger rings
+        assert search._column_key(Q2, (5, 1)) == (5, 1)
+
+    def test_rank_one_pools_share_their_rows(self):
+        for low, high in ((zgram((9999,)), zgram((9801,))), (zgram((10000,)), zgram((10001,)))):
+            a, b = RowPool(low), RowPool(high)
+            for name in ("keys", "cols", "outers", "floats", "neg_keys", "outer_index"):
+                assert getattr(a, name) is getattr(b, name), name
+            assert a.diag_floats is a.floats is b.floats
+            assert a.root != b.root and a.trace != b.trace
+            assert a.screen is not b.screen
+            assert a.screen.root_floats != b.screen.root_floats
+        # a pool of a larger ring shares the rows of its diagonal too
+        gram = GramForm.from_doubled(Q2, [[(14, 4)]])  # 7 + 2 sqrt2
+        a, b = RowPool(gram), RowPool(gram)
+        assert a.cols is b.cols and a.outer_index is b.outer_index and a.screen is not b.screen
+        assert all(type(getattr(a, name)) is tuple for name in ("keys", "cols", "outers", "floats"))
+
+    def test_rank_two_pools_build_no_rank_one_rows(self):
+        _column_values.cache_clear()
+        gram = zgram((5, 1), (1, 7))
+        pool = RowPool(gram)
+        assert len(pool) > 0
+        for n in (5, 7):
+            assert "rank1_rows" not in vars(_column_values(Q, search._column_key(Q, (n,))))
+        RowPool(zgram((6,)))
+        assert "rank1_rows" in vars(_column_values(Q, (4,)))
+
+    def test_searches_leave_the_shared_rows_unchanged(self):
+        # 7 and 8 read the column of 4; 7 + 2 sqrt2 is read twice
+        sqrt2_gram = GramForm.from_doubled(Q2, [[(14, 4)]])
+        for one, other in ((zgram((7,)), zgram((8,))), (sqrt2_gram, sqrt2_gram)):
+            pools = [RowPool(one), RowPool(other)]
+            field, diag = one.field, one.integral_coords()[0][0]
+            rows = _column_values(field, search._column_key(field, diag)).rank1_rows
+            before = (rows[:5], dict(rows[5]))
+            for gram, pool in zip((one, other), pools):
+                for budget in range(1, 5):
+                    indices = _search(pool, budget, {})
+                    if indices is not None:
+                        cert = search._certificate(gram, [], pool, indices)
+                        assert verify_certificate(gram, cert).ok
+                        break
+                else:
+                    raise AssertionError(f"no witness of {gram} by at most 4 squares")
+            for pool in pools:
+                assert (pool.keys, pool.cols, pool.outers, pool.floats, pool.neg_keys) == rows[:5]
+                assert pool.outer_index is rows[5]
+            assert (rows[:5], rows[5]) == before
 
 
 class TestPrunedPoolDifferential:
@@ -1188,10 +1259,10 @@ class TestUnitColumnSplit:
         icoords = gram.integral_coords()
         columns = [brute_column_values(field, icoords[j][j]) for j in range(gram.rank)]
         ref = reference_pool(field, icoords, columns)
-        assert pool.cols == [t[2] for t in ref]
-        assert pool.keys == [t[0] for t in ref]
-        assert pool.outers == [t[3] for t in ref]
-        assert pool.floats == [t[4] for t in ref]
+        assert pool.cols == tuple(t[2] for t in ref)
+        assert pool.keys == tuple(t[0] for t in ref)
+        assert pool.outers == tuple(t[3] for t in ref)
+        assert pool.floats == tuple(t[4] for t in ref)
 
     @staticmethod
     def unit_grams(field, rng, count, spread, limit=2000):
@@ -1243,7 +1314,7 @@ class TestUnitColumnSplit:
                 doubled = [[gram.doubled[i][j] for j in keep] for i in keep]
                 g = GramForm.from_doubled(field, doubled)
                 rest_pool = RowPool(g)
-                assert [tuple(c[j] for j in keep) for c in rest] == rest_pool.cols
+                assert tuple(tuple(c[j] for j in keep) for c in rest) == rest_pool.cols
             assert sorted(set(pool.cols) - set(rest)) == [
                 tuple(one.coords if j == c else zero for j in range(gram.rank))
                 for c in reversed(units)

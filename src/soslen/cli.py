@@ -58,7 +58,7 @@ def _counts(text: str) -> list[int]:
 
 def _parse_gram(f: Field, text: str) -> GramForm:
     entries = text.split(";")
-    if not all(e.strip() for e in entries):
+    if not all(e.strip(" ") for e in entries):
         raise ValueError(f"empty entry in --gram {text!r}")
     k = len(entries)
     r = (isqrt(8 * k + 1) - 1) // 2

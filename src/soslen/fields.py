@@ -478,21 +478,47 @@ class Field:
             self.sign_of_coords(coords, e) >= 0 for e in range(len(self.embeddings))
         )
 
+    def coords_totally_positive(self, coords: tuple[int, ...]) -> bool:
+        return any(coords) and self.coords_totally_nonneg(coords)
+
     def coords_psd(self, m) -> bool:
         """Exact total positive semidefiniteness of a symmetric matrix of
-        coordinate tuples.
+        coordinate tuples, of size at least 1.
 
-        Leading minors alone are not sufficient for singular matrices, so
-        every principal minor is required to be totally nonnegative: the
-        diagonal entries first, then the larger minors through one memo.
+        At each embedding, a symmetric matrix with at most one nonpositive
+        eigenvalue is PSD iff its determinant is >= 0, since the other
+        eigenvalues are positive.  A matrix whose leading block of one size
+        less is positive definite is such a matrix (Cauchy interlacing), and
+        so is a rank-1 downdate A - vv^T of a positive definite A, which
+        `search._minor_screens` uses.  So the leading minors are signed
+        first: all of them totally positive make m totally positive definite
+        (Sylvester's criterion), and one negative at some embedding is a
+        negative principal minor.  A nonzero element has no zero conjugate,
+        so otherwise some leading minor is 0, and then every principal minor
+        is required to be totally nonnegative, each signed once: the other
+        diagonal entries first, then the larger minors through the same
+        memo, without the leading ones already signed.
         """
         r = len(m)
-        for i in range(r):
+        memo: dict = {}
+        det = m[0][0]
+        size = 1  # the size of det, the leading minor being signed
+        while any(det):
+            if not self.coords_totally_nonneg(det):
+                return False
+            if size == r:
+                return True
+            size += 1
+            lead = tuple(range(size))
+            det = self.minor(m, lead, lead, memo)
+        for i in range(1, r):
             if not self.coords_totally_nonneg(m[i][i]):
                 return False
-        memo: dict = {}
-        for size in range(2, r + 1):
-            for subset in itertools.combinations(range(r), size):
+        for n in range(2, r + 1):
+            subsets = itertools.combinations(range(r), n)
+            if n <= size:
+                next(subsets)  # the leading minor, signed above
+            for subset in subsets:
                 if not self.coords_totally_nonneg(self.minor(m, subset, subset, memo)):
                     return False
         return True

@@ -363,10 +363,11 @@ def to_literal_coords(x: Radical) -> tuple[Rat, ...]:
 def parse_coords(shape: Shape, text: str) -> Radical:
     """Parse the comma grammar "q0,q1[,q2,q3]" of literal coordinates, each
     "p" or "p/q" like a term's coefficient (no exponent, whose expansion
-    could take minutes, and no decimal point)."""
+    could take minutes, and no decimal point), with spaces but no other
+    whitespace around it."""
     coords = []
     for part in text.split(","):
-        part = part.strip()
+        part = part.strip(" ")
         m = _TERM_RE.fullmatch(part)
         try:
             if m is None or m[3] is not None:

@@ -59,7 +59,12 @@ Every row v of a representation leaves a totally PSD remainder, so
 G - vv^T is totally PSD; `RowPool` keeps exactly those rows.  It extends
 row prefixes one column at a time, keeps a prefix only while the leading
 block of G - vv^T stays totally PSD, and multiplies the off-diagonal
-entries of surviving prefixes only.  Symmetric matrices (G, the outer
+entries of surviving prefixes only.  Where G's leading block on columns
+0..k is totally positive definite, the prefix's leading minor on those
+columns decides alone: at each embedding, a rank-1 downdate A - vv^T of a
+positive definite A has at most one nonpositive eigenvalue (its eigenvalues
+interlace those of A), so it is PSD iff its determinant is >= 0
+(`_minor_screens`).  Symmetric matrices (G, the outer
 products vv^T, the remainders and their floats) are flat upper triangles
 laid out column by column, (0,0), (0,1), (1,1), (0,2), ... (`_slot_pairs`),
 so the outer product of a prefix is the front of that of every row it
@@ -474,6 +479,20 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
         result: then nothing is rounded and the band is 0.
     A test whose band is not finite decides nothing.  A minor with det(G_S)
     and adj(G_S) both 0 is 0 for every row and gets no test.
+
+    At a definite level k, where G's leading block on S = (0..k) is totally
+    positive definite, S is the only test.  At each embedding, a rank-1
+    downdate A - vv^T of a positive definite A has at most one nonpositive
+    eigenvalue, so it is PSD iff det(A - vv^T) >= 0 (`Field.coords_psd`):
+    a prefix that passes this test leaves the whole block PSD, whatever
+    its other minors were, and one that fails it leaves a negative minor.
+    The definite block is G_S, column k included: definite first k columns
+    alone would leave G_S free to have a negative eigenvalue, and then
+    G_S - vv^T two negative ones with a positive determinant; only the
+    totally PSD G that pools are built for rules that out.  Definiteness
+    is read by Sylvester's criterion from the leading minors det(G_S), the
+    first minor each level computes, and only at rank >= 3: level 1 has
+    one test whatever G is.
     """
     r = len(icoords)
     n_emb = len(field.embeddings)
@@ -481,9 +500,15 @@ def _minor_screens(field: Field, icoords, columns) -> list[list[tuple]]:
     bound, err = [v.bound for v in columns], [v.err for v in columns]
     minors: dict = {}  # shared by all screens
     screens: list[list[tuple]] = [[] for _ in range(r)]
+    # whether G's leading block on columns 0..k is totally positive definite
+    definite = r >= 3 and field.coords_totally_positive(icoords[0][0])
     for k in range(1, r):
-        # the full leading minor first: it rejects the most prefixes
-        for size in range(k, 0, -1):
+        if definite:
+            lead = tuple(range(k + 1))
+            definite = field.coords_totally_positive(field.minor(icoords, lead, lead, minors))
+        # the full leading minor first: it rejects the most prefixes, and at
+        # a definite level it is the only one
+        for size in range(k, k - 1 if definite else 0, -1):
             for subset in itertools.combinations(range(k), size):
                 S = subset + (k,)
                 n = len(S)
@@ -549,7 +574,9 @@ def _fitting_rows(field: Field, icoords, columns) -> list[tuple]:
     yet): a new column x appends the prefix's columns times x, then x^2.
     The block of G - vv^T on the prefix's columns is totally PSD: its
     diagonal fits the column boxes, the minors without the newest column
-    were tested before, and those with it are screened here.  A screen that cannot decide sends
+    were tested before, and those with it are screened here, or at a
+    definite level the leading minor alone, which decides the whole block
+    (`_minor_screens`).  A screen that cannot decide sends
     the whole block to the exact test.  Rows start with a value positive at
     the identity embedding, so an all-zero prefix continues only with zero
     or a column record, and other prefixes with zero or either sign of one.

@@ -143,12 +143,25 @@ def _diagonal(pool, flat) -> tuple[tuple[int, ...], ...]:
     return tuple(entry[j, j] for j in range(pool.rank))
 
 
+def principal_minors_nonneg(field, m) -> bool:
+    """Exact total positive semidefiniteness of a symmetric matrix of
+    coordinate tuples: every principal minor is signed at every embedding.
+    It takes no shortcut by leading minors, so it shares no code with
+    `Field.coords_psd` or the definite levels of the pool's screens."""
+    memo: dict = {}
+    return all(
+        field.coords_totally_nonneg(field.minor(m, subset, subset, memo))
+        for size in range(1, len(m) + 1)
+        for subset in itertools.combinations(range(len(m)), size)
+    )
+
+
 def _remainder_psd(pool, rem) -> bool:
     """Exact total positive semidefiniteness of a flat remainder."""
     r = pool.rank
     entry = _entries(pool, rem)
-    return pool.field.coords_psd(
-        [[entry[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    return principal_minors_nonneg(
+        pool.field, [[entry[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
     )
 
 

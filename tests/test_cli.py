@@ -75,6 +75,25 @@ class TestElemLength:
             assert code == 2 and out == "", argv
             assert err == f"input error: bad coordinate list {coords!r}: malformed coordinate {coords!r}\n"
 
+    @pytest.mark.parametrize("text", ["7\t", "7\n", "\t7", "7,\t1"])
+    def test_whitespace_other_than_spaces_is_an_input_error(self, capsys, text):
+        # certificate entries refuse it too; only spaces are ignored
+        for argv in (
+            ("elem", "length", "Q(sqrt 5)" if "," in text else "Q", "--coords", text),
+            ("form", "length", "Q", "--gram", text.replace(",", ";0;")),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("input error: bad coordinate list "), argv
+
+    def test_spaces_around_a_coordinate_are_ignored(self, capsys):
+        for argv in (
+            ("elem", "length", "Q", "--coords", " 7 "),
+            ("form", "length", "Q", "--gram", " 7 "),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out == "length: 4\n", argv
+
     def test_not_sos(self, capsys):
         code, out, _ = run(
             capsys, "elem", "length", "Q(sqrt 6)", "--coords", "1,1"

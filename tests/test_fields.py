@@ -328,13 +328,54 @@ def _symmetric_radicals(rng, field, n, kind):
     entries, one of those with its last index a copy of its first
     ("copy"), or a sum of outer products with its second row and column
     zero, so that only principal minors off the leading ones can be
-    negative ("zero")."""
+    negative ("zero").
+
+    The kinds around Sylvester's criterion: a sum of outer products plus a
+    multiple of the identity, totally positive definite ("definite"); that
+    with t sqrt(m) added to one diagonal entry, definite at the embeddings
+    where sqrt(m) > 0 and often not at the others ("split"); P^T A P for a
+    definite A of size n - 1 and P = [I | w], whose leading block is
+    definite and whose whole is singular and PSD ("singular"); and a
+    definite A of size n - 1 bordered by a nonzero column b and a last
+    diagonal entry 0 or 1, whose last leading minor is often negative
+    ("bordered")."""
     shape = field.shape
 
     def element():
         coords = tuple(rng.randint(-2, 2) for _ in range(field.degree))
         return field.radical_of_coords(coords)
 
+    if kind == "definite":
+        m = _symmetric_radicals(rng, field, n, "psd")
+        for i in range(n):
+            m[i][i] = m[i][i] + Radical.one(shape).scale(rng.randint(1, 2))
+        return m
+    if kind == "split":
+        m = _symmetric_radicals(rng, field, n, "definite")
+        if shape.radicands:
+            i = rng.randrange(n)
+            root = Radical.sqrt_generator(shape, rng.randrange(len(shape.radicands)))
+            m[i][i] = m[i][i] + root.scale(rng.randint(10, 100))
+        return m
+    if kind == "singular":
+        inner = _symmetric_radicals(rng, field, n - 1, "definite")
+        w = [rng.randint(-1, 1) for _ in range(n - 1)]
+        w[rng.randrange(n - 1)] = rng.choice((-1, 1))
+        p = [[int(i == j) for j in range(n - 1)] + [w[i]] for i in range(n - 1)]
+        m = [[Radical.zero(shape)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                for i in range(n - 1):
+                    for j in range(n - 1):
+                        if p[i][a] and p[j][b]:
+                            m[a][b] = m[a][b] + inner[i][j].scale(p[i][a] * p[j][b])
+        return m
+    if kind == "bordered":
+        inner = _symmetric_radicals(rng, field, n - 1, "definite")
+        b = [element().scale(3) for _ in range(n - 1)]
+        b[0] = b[0] + Radical.one(shape).scale(rng.choice((-21, 21)))  # b != 0
+        m = [row + [x] for row, x in zip(inner, b)]
+        return m + [b + [Radical.one(shape).scale(rng.randint(0, 1))]]
     if kind == "copy":
         inner = _symmetric_radicals(rng, field, n - 1, rng.choice(("psd", "random")))
         index = list(range(n - 1)) + [0]
@@ -371,12 +412,27 @@ class TestMinors:
     coordinate multiplication."""
 
     @pytest.mark.parametrize("radicands", [(), (5,), (6, 7), (10, 65)], ids=str)
-    def test_minors_and_psd_match_radical_determinants(self, radicands):
+    def test_minors_and_psd_match_radical_determinants(self, radicands, monkeypatch):
         field = make_field(Shape(radicands))
         rng = random.Random(f"minors:{radicands}")
-        kinds = ("psd", "indefinite", "random", "copy", "zero")
-        seen = {"psd": 0, "not psd": 0, "singular": 0}
-        for trial in range(25 if field.degree < 4 else 15):
+        kinds = (
+            "psd", "indefinite", "random", "copy", "zero",
+            "definite", "split", "singular", "bordered",
+        )
+        # the sides of Sylvester's criterion: totally definite; definite at
+        # one embedding and not PSD at another; a definite leading block
+        # with a singular PSD whole; definite leading blocks and a last
+        # leading minor negative at some embedding
+        seen = dict.fromkeys(
+            ("psd", "not psd", "singular", "definite", "split", "definite block", "negative last"),
+            0,
+        )
+        if not radicands:
+            del seen["split"]
+        signed = []
+        nonneg = field.coords_totally_nonneg
+        monkeypatch.setattr(field, "coords_totally_nonneg", lambda c: signed.append(c) or nonneg(c))
+        for trial in range(45 if field.degree < 4 else 27):
             n = rng.randint(2, 4)
             entries = _symmetric_radicals(rng, field, n, kinds[trial % len(kinds)])
             m = [[field.coords_of(x) for x in row] for row in entries]
@@ -393,16 +449,30 @@ class TestMinors:
                 assert det == field.minor(m, rows, cols, {}), (rows, cols)
                 oracle = leibniz_det(entries, rows, cols)
                 assert field.radical_of_coords(det) == oracle, (rows, cols)
-            psd = all(
-                leibniz_det(entries, subset, subset).sign_at(emb) >= 0
+            principal = {
+                subset: [leibniz_det(entries, subset, subset).sign_at(emb) for emb in field.embeddings]
                 for size in range(1, n + 1)
                 for subset in itertools.combinations(range(n), size)
-                for emb in field.embeddings
-            )
+            }
+            psd_at = [
+                all(signs[e] >= 0 for signs in principal.values())
+                for e in range(len(field.embeddings))
+            ]
+            # the leading minors' signs, smallest first
+            leading = [principal[tuple(range(size))] for size in range(1, n + 1)]
+            definite_at = [all(signs[e] > 0 for signs in leading) for e in range(len(psd_at))]
+            psd = all(psd_at)
+            signed.clear()
             assert field.coords_psd(m) == psd, entries
+            assert len(signed) <= len(principal), "a minor signed twice"
             seen["psd" if psd else "not psd"] += 1
-            full = tuple(range(n))
-            seen["singular"] += leibniz_det(entries, full, full).is_zero()
+            seen["singular"] += leibniz_det(entries, tuple(range(n)), tuple(range(n))).is_zero()
+            seen["definite"] += all(definite_at)
+            if radicands:
+                seen["split"] += any(definite_at) and not all(psd_at)
+            lead_definite = all(s > 0 for signs in leading[:-1] for s in signs)
+            seen["definite block"] += lead_definite and psd and 0 in leading[-1]
+            seen["negative last"] += lead_definite and -1 in leading[-1]
         assert all(seen.values()), seen
 
 

@@ -51,6 +51,7 @@ from reference_search import (
     ProductPool,
     _remainder_psd,
     exact_prune_search,
+    principal_minors_nonneg,
     reference_represent,
 )
 
@@ -339,7 +340,8 @@ def brute_column_values(field, diag):
 
 def reference_pool(field, icoords, columns):
     """The sorted candidate rows of RowPool: the rows v of the product of
-    brute-force columns with G - vv^T totally PSD, by the exact test, each
+    brute-force columns with G - vv^T totally PSD, with every principal
+    minor signed (`principal_minors_nonneg`), each
     as (key, flat, cols, outer, floats of vv^T); outer and floats hold the
     upper triangle column by column."""
     d = field.degree
@@ -360,7 +362,7 @@ def reference_pool(field, icoords, columns):
             ]
             for i in range(r)
         ]
-        if not field.coords_psd(remainder):
+        if not principal_minors_nonneg(field, remainder):
             continue
         squares = [field.mul_coords(v, v) for v in cols]
         key = sum(field.trace_of_coords(s) for s in squares)
@@ -896,6 +898,79 @@ class TestPrunedPoolDifferential:
                 assert _search(full, budget, {}) is None
             indices = _search(full, t, {})
             assert cert.rows == full.rows_as_elements(indices)
+
+    @pytest.mark.parametrize(
+        "radicands,ranks", [((), (3, 4)), ((5,), (3, 4)), ((6, 7), (3,))], ids=str
+    )
+    def test_definite_levels_keep_the_product_pool_rows(self, radicands, ranks):
+        # Grams of rank r from at least r rows, so that their leading blocks
+        # are often totally positive definite and the pool screens those
+        # levels by the leading minor alone; a third of them have a last
+        # column that is a signed sum of earlier ones, so that the whole is
+        # singular behind a definite leading block.  The reference keeps the
+        # rows of the full product with G - vv^T totally PSD, every
+        # principal minor signed (`_remainder_psd`).  Entries are 0 or +-1
+        # times a basis element, which keeps the full products small.
+        field = make_field(Shape(radicands))
+        d, n_emb = field.degree, len(field.embeddings)
+        rng = random.Random(113 + sum(radicands))
+
+        def entry():
+            coords = [0] * d
+            if rng.random() < 0.6:
+                coords[rng.randrange(d)] = rng.choice((-1, 1))
+            return field.element_from_coords(tuple(coords))
+
+        def definite(icoords, size):
+            lead = tuple(range(size))
+            return all(
+                any(det) and field.coords_totally_nonneg(det)
+                for det in (field.minor(icoords, lead[:n], lead[:n], {}) for n in range(1, size + 1))
+            )
+
+        for rank in ranks:
+            seen = {"definite": 0, "definite block, singular whole": 0}
+            made = 0
+            while made < (12 if d < 4 else 6):
+                rows = [[entry() for _ in range(rank - 1)] for _ in range(rng.randint(rank, rank + 1))]
+                if made % 3 == 2:
+                    signs = [rng.choice((-1, 0, 1)) for _ in range(rank - 1)]
+                    signs[rng.randrange(rank - 1)] = rng.choice((-1, 1))
+                    for row in rows:
+                        last = field.zero()
+                        for sign, x in zip(signs, row):
+                            last = last + x if sign > 0 else last - x if sign < 0 else last
+                        row.append(last)
+                else:
+                    for row in rows:
+                        row.append(entry())
+                gram = GramForm.from_rows(field, [tuple(row) for row in rows])
+                icoords = gram.integral_coords()
+                if not definite(icoords, rank - 1) or self.product_size(gram) > 2000:
+                    continue
+                made += 1
+                full_rank = any(field.minor(icoords, tuple(range(rank)), tuple(range(rank)), {}))
+                seen["definite"] += definite(icoords, rank)
+                seen["definite block, singular whole"] += not full_rank
+                columns = [
+                    _column_values(field, search._column_key(field, icoords[j][j]))
+                    for j in range(rank)
+                ]
+                screens = search._minor_screens(field, icoords, columns)
+                for k in range(2, rank):
+                    if definite(icoords, k + 1):
+                        assert len(screens[k]) == n_emb, k  # the leading minor alone
+                pool, full = RowPool(gram), ProductPool(gram)
+                kept = [
+                    i
+                    for i, outer in enumerate(full.outers)
+                    if _remainder_psd(full, full.subtract(full.root, outer))
+                ]
+                assert pool.cols == tuple(full.cols[i] for i in kept)
+                assert pool.keys == tuple(full.keys[i] for i in kept)
+                assert pool.outers == tuple(full.outers[i] for i in kept)
+                assert pool.floats == tuple(full.floats[i] for i in kept)
+            assert all(seen.values()), (rank, seen)
 
 
 class CountingMemo(dict):

@@ -7,8 +7,10 @@ from .radicals import (
     Radical,
     Shape,
     RATIONAL_SHAPE,
+    format_descriptor,
     from_literal_coords,
     parse_coords,
+    parse_descriptor,
     parse_radical,
     render_radical,
     to_literal_coords,
@@ -19,10 +21,8 @@ from .fields import (
     OElement,
     expected_discriminant,
     field_from_descriptor,
-    format_descriptor,
     is_algebraic_integer,
     make_field,
-    parse_descriptor,
 )
 from .forms import (
     Certificate,

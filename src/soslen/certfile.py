@@ -14,22 +14,20 @@ with exact "p/q" rationals.  Parsing returns the embedded data even when the
 rows fail to reproduce the Gram matrix; verification is a separate step.
 
 Entries are read and written on integer numerators by `soslen.radicals`
-(`read_numerators`, `render_numerators`), and `Field.coords_of_numerators`
-turns an entry into integral-basis coordinates, or reports that it is not
-integral.  The Gram matrix is kept as the coordinates of 2G and each row
-entry as an OElement, or, outside the ring of integers, as the Radical it
-denotes.
+(`read_numerators`, `render_numerators`); `GramForm.from_numerators` and
+`Field.coords_of_numerators` turn them into integral-basis coordinates.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
-from .fields import Field, OElement, field_from_descriptor, format_descriptor
+from .fields import Field, OElement, field_from_descriptor
 from .forms import Certificate, GramForm, VerifyResult, verify_certificate
-from .radicals import Radical, Shape, read_numerators, render_numerators, value_type
+from .radicals import Radical, format_descriptor, read_numerators, render_numerators, value_type
 
 FORMAT_VERSION = 1
 
@@ -117,20 +115,35 @@ def emit_certificate(doc: CertificateDocument) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _read_entry(shape: Shape, cell: object, location: str) -> tuple[tuple[int, ...], int]:
-    """`read_numerators` of a cell, its faults raised as SchemaErrors."""
+def _read(read, cell: object, location: str):
+    """read(cell) of a string cell, its faults raised as SchemaErrors."""
     if not isinstance(cell, str):
         raise SchemaError(location, "must be a string")
     try:
-        return read_numerators(shape, cell)
+        return read(cell)
     except ValueError as exc:  # also int()'s limit on digit count
         raise SchemaError(location, str(exc)) from None
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object, its keys all distinct: json would keep a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise SchemaError(f"$.{key}", "duplicate key")
+    return obj
+
+
+_decoder = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def parse_certificate(text: str) -> CertificateDocument:
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text, cls=lambda: _decoder)  # its checks, one decoder for all calls
+    except SchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also int()'s digit limit and deep nesting
         raise SchemaError("$", f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError("$", "top level must be an object")
@@ -141,19 +154,15 @@ def parse_certificate(text: str) -> CertificateDocument:
     # True and 1.0 compare equal to 1 but are not the integer version
     if type(version) is not int or version != FORMAT_VERSION:
         raise SchemaError("$.format_version", f"unsupported version {version!r}")
-    if not isinstance(payload["field"], str):
-        raise SchemaError("$.field", "must be a string")
-    try:
-        field = field_from_descriptor(payload["field"])
-    except ValueError as exc:
-        raise SchemaError("$.field", str(exc)) from None
+    field = _read(field_from_descriptor, payload["field"], "$.field")
+    read_entry = partial(read_numerators, field.shape)
     gram_list = payload["gram"]
     if not isinstance(gram_list, list) or not gram_list:
         raise SchemaError("$.gram", "must be a nonempty array")
     r = isqrt(len(gram_list))
     if r * r != len(gram_list):
         raise SchemaError("$.gram", f"length {len(gram_list)} is not a perfect square")
-    cells = [_read_entry(field.shape, cell, f"$.gram[{k}]") for k, cell in enumerate(gram_list)]
+    cells = [_read(read_entry, cell, f"$.gram[{k}]") for k, cell in enumerate(gram_list)]
     try:
         gram = GramForm.from_numerators(field, [cells[i * r : (i + 1) * r] for i in range(r)])
     except ValueError as exc:
@@ -166,7 +175,7 @@ def parse_certificate(text: str) -> CertificateDocument:
             raise SchemaError(f"$.rows[{k}]", f"must be an array of {r} entries")
         out = []
         for j, cell in enumerate(row):
-            u, den = _read_entry(field.shape, cell, f"$.rows[{k}][{j}]")
+            u, den = _read(read_entry, cell, f"$.rows[{k}][{j}]")
             coords = field.coords_of_numerators(u, den)
             if coords is None:
                 out.append(Radical(field.shape, tuple(Fraction(p, den) for p in u)))

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import isqrt
 from pathlib import Path
 
 from .certfile import (
     IntegrityError,
-    SchemaError,
     document_from_certificate,
     emit_certificate,
     parse_certificate,
@@ -22,10 +20,10 @@ from .certfile import (
     verify_document,
 )
 from .descent import CompressionError, DescentProblem, descend
-from .fields import Field, NotIntegralError, field_from_descriptor
+from .fields import field_from_descriptor
 from .forms import GramForm
 from .gtable import Exact, UpperBound, g_table
-from .radicals import InvalidRadicandError, Radical, parse_coords
+from .radicals import read_coords, read_count, read_triangle
 from .search import (
     ExceedsBound,
     NotSoS,
@@ -42,36 +40,23 @@ EXIT_INTERNAL = 3
 EXIT_UNDECIDED = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors, like input errors, print one line."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _count(text: str) -> int:
-    """The argparse type of the integer options: ASCII digits only, since
-    int() also reads digits of other scripts, signs, spaces and
-    underscores; anything else is a usage error (exit 2)."""
-    if not (text.isascii() and text.isdigit()):
+    """The argparse type of the integer options (`read_count`)."""
+    if (count := read_count(text)) is None:
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
-    return int(text)
+    return count
 
 
 def _counts(text: str) -> list[int]:
-    """The argparse type of a comma-separated list of `_count`s."""
-    return [_count(v) for v in text.split(",") if v]
-
-
-def _parse_gram(f: Field, text: str) -> GramForm:
-    entries = text.split(";")
-    if not all(e.strip(" ") for e in entries):
-        raise ValueError(f"empty entry in --gram {text!r}")
-    k = len(entries)
-    r = (isqrt(8 * k + 1) - 1) // 2
-    if r * (r + 1) // 2 != k:
-        raise ValueError(
-            f"{k} entries do not fill an upper triangle (expected r*(r+1)/2)"
-        )
-    parsed = iter([parse_coords(f.shape, e) for e in entries])
-    matrix: list[list[Radical]] = [[None] * r for _ in range(r)]  # type: ignore[list-item]
-    for i in range(r):
-        for j in range(i, r):
-            matrix[i][j] = matrix[j][i] = next(parsed)
-    return GramForm(f, tuple(map(tuple, matrix)))
+    """The argparse type of a comma-separated list of `_count`s, none empty."""
+    return [_count(v) for v in text.split(",")]
 
 
 def _check_output_path(path: str) -> None:
@@ -84,10 +69,6 @@ def _check_output_path(path: str) -> None:
         raise FileNotFoundError(f"no such directory for the output path: {path}")
 
 
-def _write_certificate(path: str, gram: GramForm, cert) -> None:
-    Path(path).write_text(emit_certificate(document_from_certificate(gram, cert)))
-
-
 def _cmd_field_info(args) -> int:
     f = field_from_descriptor(args.descriptor)
     print(f"field: {f.shape}")
@@ -98,10 +79,19 @@ def _cmd_field_info(args) -> int:
     return EXIT_OK
 
 
-def _report_length(gram: GramForm, s_max: int, cert_out: str | None) -> int:
-    if cert_out:
-        _check_output_path(cert_out)
-    res = length_certificate(gram, s_max)
+def _gram(args) -> GramForm:
+    """The Gram matrix of --gram, or the 1 x 1 one of the element --coords gives."""
+    f = field_from_descriptor(args.descriptor)
+    if args.gram is None:
+        return GramForm.from_element(f.element_of_numerators(*read_coords(f.shape, args.coords)))
+    return GramForm.from_numerators(f, read_triangle(f.shape, args.gram))
+
+
+def _cmd_length(args) -> int:
+    gram = _gram(args)
+    if args.cert_out:
+        _check_output_path(args.cert_out)
+    res = length_certificate(gram, args.max_squares)
     if isinstance(res, NotSoS):
         print(f"not a sum of squares ({res.reason})")
         return EXIT_NEGATIVE
@@ -110,28 +100,14 @@ def _report_length(gram: GramForm, s_max: int, cert_out: str | None) -> int:
         return EXIT_NEGATIVE
     value, cert = res
     print(f"length: {value}")
-    if cert_out:
-        _write_certificate(cert_out, gram, cert)
-        print(f"certificate written to {cert_out}")
+    if args.cert_out:
+        Path(args.cert_out).write_text(emit_certificate(document_from_certificate(gram, cert)))
+        print(f"certificate written to {args.cert_out}")
     return EXIT_OK
 
 
-def _cmd_elem_length(args) -> int:
-    f = field_from_descriptor(args.descriptor)
-    alpha = f.element(parse_coords(f.shape, args.coords))
-    return _report_length(GramForm.from_element(alpha), args.max_squares, args.cert_out)
-
-
-def _cmd_form_length(args) -> int:
-    f = field_from_descriptor(args.descriptor)
-    gram = _parse_gram(f, args.gram)
-    return _report_length(gram, args.max_squares, args.cert_out)
-
-
 def _cmd_form_represent(args) -> int:
-    f = field_from_descriptor(args.descriptor)
-    gram = _parse_gram(f, args.gram)
-    outcome = represent(gram, args.squares)
+    outcome = represent(_gram(args), args.squares)
     if isinstance(outcome, Represented):
         print(f"represented with {len(outcome.certificate.rows)} squares")
         for row in outcome.certificate.rows:
@@ -139,12 +115,10 @@ def _cmd_form_represent(args) -> int:
         return EXIT_OK
     if isinstance(outcome, ExceedsBound):
         print(f"no representation with at most {outcome.bound} squares")
+    elif outcome.reason == "not-integral":
+        print("gram matrix has entries outside the ring of integers")
     else:
-        messages = {
-            "not-totally-psd": "not totally positive semidefinite",
-            "not-integral": "gram matrix has entries outside the ring of integers",
-        }
-        print(messages[outcome.reason])
+        print("not totally positive semidefinite")
     return EXIT_NEGATIVE
 
 
@@ -193,19 +167,14 @@ def _cmd_suite_run(args) -> int:
 
     if args.report:
         _check_output_path(args.report)
-    ns = None
-    if args.n:
-        ns = tuple(v for chunk in args.n for v in chunk)
+    ns = tuple(v for chunk in args.n or () for v in chunk)
     reports = run_suite(args.case or None, ns=ns, cert_dir=args.cert_dir)
-    failed = 0
     for r in reports:
         status = r.verdict.upper()
-        if r.verdict != "pass":
-            failed += 1
-        line = f"{status:4} {r.case:18} {r.field:22} expected {r.expected} computed {r.computed} ({r.seconds}s)"
-        print(line)
+        print(f"{status:4} {r.case:18} {r.field:22} expected {r.expected} computed {r.computed} ({r.seconds}s)")
         if r.note:
             print(f"     note: {r.note}")
+    failed = sum(r.verdict != "pass" for r in reports)
     if args.report:
         write_report(reports, args.report)
         print(f"report written to {args.report}")
@@ -214,7 +183,7 @@ def _cmd_suite_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soslen",
         description="Exact sums-of-squares lengths over rings of integers of "
         "real quadratic and biquadratic fields",
@@ -231,22 +200,24 @@ def build_parser() -> argparse.ArgumentParser:
     elem_sub = p_elem.add_subparsers(dest="subcommand", required=True)
     p_elen = elem_sub.add_parser("length", help="minimal number of squares")
     p_elen.add_argument("descriptor")
-    p_elen.add_argument("--coords", required=True, help='"q0,q1[,q2,q3]" over 1, sqrt(m), sqrt(n), sqrt(mn)')
+    coords_help = '"q0,q1[,q2,q3]" over 1, sqrt(m), sqrt(n), sqrt(mn); spaces are ignored'
+    p_elen.add_argument("--coords", required=True, help=coords_help)
     p_elen.add_argument("--max-squares", type=_count, default=8)
     p_elen.add_argument("--cert-out")
-    p_elen.set_defaults(func=_cmd_elem_length)
+    p_elen.set_defaults(func=_cmd_length, gram=None)
 
     p_form = sub.add_parser("form", help="quadratic form operations")
     form_sub = p_form.add_subparsers(dest="subcommand", required=True)
     p_flen = form_sub.add_parser("length", help="minimal number of squares of linear forms")
     p_flen.add_argument("descriptor")
-    p_flen.add_argument("--gram", required=True, help="upper triangle, row-major, entries ';'-separated")
+    gram_help = "upper triangle, row-major, entries ';'-separated and each like --coords"
+    p_flen.add_argument("--gram", required=True, help=gram_help)
     p_flen.add_argument("--max-squares", type=_count, default=8)
     p_flen.add_argument("--cert-out")
-    p_flen.set_defaults(func=_cmd_form_length)
+    p_flen.set_defaults(func=_cmd_length)
     p_frep = form_sub.add_parser("represent", help="decide representability at a fixed budget")
     p_frep.add_argument("descriptor")
-    p_frep.add_argument("--gram", required=True)
+    p_frep.add_argument("--gram", required=True, help=gram_help)
     p_frep.add_argument("--squares", type=_count, required=True)
     p_frep.set_defaults(func=_cmd_form_represent)
 
@@ -267,13 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite_sub = p_suite.add_subparsers(dest="subcommand", required=True)
     p_run = suite_sub.add_parser("run", help="run suite cases")
     p_run.add_argument("--case", action="append", help="repeatable case filter")
-    p_run.add_argument(
-        "--n",
-        action="append",
-        type=_counts,
-        help="comma-separated n list for the n-parametrized cases "
-        "prop53-direct, prop53-alpha10, prop53-alpha11 and peters",
-    )
+    n_help = "comma-separated n list for prop53-direct, prop53-alpha10, prop53-alpha11 and peters"
+    p_run.add_argument("--n", action="append", type=_counts, help=n_help)
     p_run.add_argument("--report", help="write a JSON report")
     p_run.add_argument("--cert-dir", help="directory for emitted certificates")
     p_run.set_defaults(func=_cmd_suite_run)
@@ -282,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidRadicandError, NotIntegralError, SchemaError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError, NotIntegralError, InvalidRadicandError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SearchSpaceError as exc:

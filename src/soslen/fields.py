@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from functools import lru_cache, reduce
 from math import isqrt, lcm
 from operator import add, mul, sub
@@ -21,11 +20,11 @@ from typing import Callable
 
 from .radicals import (
     Embedding,
-    InvalidRadicandError,
     Radical,
     Rat,
     Shape,
     _clear_denominators,
+    parse_descriptor,
     render_numerators,
     value_type,
 )
@@ -41,25 +40,6 @@ FIELD_CACHE_SIZE = 64
 
 class NotIntegralError(ValueError):
     """The element is not in the ring of integers."""
-
-
-def parse_descriptor(text: str) -> Shape:
-    """Parse "Q", "Q(sqrt N)" or "Q(sqrt M, sqrt N)", M and N in ASCII
-    digits; whitespace is free."""
-    compact = re.sub(r"\s+", "", text)
-    if compact == "Q":
-        return Shape(())
-    m = re.fullmatch(r"Q\(sqrt([0-9]+)\)", compact)
-    if m:
-        return Shape((int(m.group(1)),))
-    m = re.fullmatch(r"Q\(sqrt([0-9]+),sqrt([0-9]+)\)", compact)
-    if m:
-        return Shape((int(m.group(1)), int(m.group(2))))
-    raise InvalidRadicandError(f"cannot parse field descriptor {text!r}")
-
-
-def format_descriptor(shape: Shape) -> str:
-    return str(shape)
 
 
 def _quadratic_disc(n: int) -> int:
@@ -374,9 +354,17 @@ class Field:
         return tuple(out)
 
     def element(self, x: Radical) -> OElement:
-        coords = self.coords_of(x)
+        if x.shape != self.shape:
+            raise ValueError("element shape does not match the field")
+        den, u = _clear_denominators(x)
+        return self.element_of_numerators(u, den)
+
+    def element_of_numerators(self, u: tuple[int, ...], den: int) -> OElement:
+        """The element u/den; NotIntegralError when it is not integral."""
+        coords = self.coords_of_numerators(u, den)
         if coords is None:
-            raise NotIntegralError(f"{x} is not integral in {self.shape}")
+            e = render_numerators(self.shape, u, den)
+            raise NotIntegralError(f"{e} is not integral in {self.shape}")
         return OElement(self, coords)
 
     def element_from_coords(self, coords: tuple[int, ...]) -> OElement:
@@ -546,6 +534,7 @@ def make_field(shape: Shape) -> Field:
     return Field(shape)
 
 
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def field_from_descriptor(text: str) -> Field:
     return make_field(parse_descriptor(text))
 

@@ -10,9 +10,10 @@ tower Q < Q(sqrt m) < Q(sqrt m, sqrt n) on integer numerators: the sign of
 a + b sqrt(r) is that of a when a and b agree, and otherwise that of a times
 the sign of a^2 - b^2 r, which is one level down and is not 0.
 
-The text of an element, "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)", is
-written and read here alone, on integer numerators: certificate files, the
-command line and `str(x)` all use `render_numerators` and `read_numerators`.
+Every text input is read here alone, under one space rule (`_spaceless`),
+and element text, "q0 + q1*sqrt(m) + q2*sqrt(n) + q3*sqrt(mn)", is written
+here too: certificate files, the command line and `str(x)` all use
+`render_numerators` and `read_numerators`, on integer numerators.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 Rat = Fraction
 
@@ -163,14 +164,27 @@ class Shape:
         return tuple(out)
 
     def __str__(self) -> str:
-        if not self.radicands:
-            return "Q"
-        if len(self.radicands) == 1:
-            return f"Q(sqrt {self.radicands[0]})"
-        return f"Q(sqrt {self.radicands[0]}, sqrt {self.radicands[1]})"
+        """The field descriptor "Q", "Q(sqrt N)" or "Q(sqrt M, sqrt N)"."""
+        inner = ", ".join(f"sqrt {r}" for r in self.radicands)
+        return f"Q({inner})" if inner else "Q"
 
 
 RATIONAL_SHAPE = Shape(())
+format_descriptor = Shape.__str__
+
+
+def _spaceless(text: str) -> str:
+    """The space rule of all text input but counts: drop ASCII spaces, keep the rest."""
+    return text.replace(" ", "")
+
+
+def parse_descriptor(text: str) -> Shape:
+    """Read "Q", "Q(sqrt N)" or "Q(sqrt M, sqrt N)" as `Shape.__str__` writes
+    it, M and N in ASCII digits, under the space rule."""
+    m = re.fullmatch(r"Q(?:\(sqrt([0-9]+)(?:,sqrt([0-9]+))?\))?", _spaceless(text))
+    if m is None:
+        raise InvalidRadicandError(f"cannot parse field descriptor {text!r}")
+    return Shape(tuple(int(r) for r in m.groups() if r))
 
 
 def _sign(v: int) -> int:
@@ -305,15 +319,13 @@ def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     """(u, den) with the element written in text equal to u / den over the
     radical basis, den > 0 and u integers.  The first term is "p" or "p/q",
     each later one "p*sqrt(k)" or "p/q*sqrt(k)" (ASCII digits, q nonzero,
-    spaces anywhere but no other whitespace), k the written radicand of its
-    place; anything else, or a coefficient beyond int()'s digit limit,
-    raises ValueError."""
+    under the space rule), k the written radicand of its place; anything
+    else, or a coefficient beyond int()'s digit limit, raises ValueError."""
     written, _, factors = shape.written
-    parts = text.replace(" ", "").split("+")
+    parts = _spaceless(text).split("+")
     if len(parts) != len(written):
         raise ValueError(f"expected {len(written)} terms, got {len(parts)}")
-    nums = []
-    dens = []
+    nums, dens = [], []
     for part, want, factor in zip(parts, written, factors):
         m = _TERM_RE.fullmatch(part)
         if m is None or (want == 1 and m[3] is not None):
@@ -331,6 +343,43 @@ def read_numerators(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
     if common == 1:
         return tuple(nums), 1
     return tuple(p * (common // q) for p, q in zip(nums, dens)), common
+
+
+def read_coords(shape: Shape, text: str) -> tuple[tuple[int, ...], int]:
+    """(u, den) as `read_numerators` gives them, of "q0,q1[,q2,q3]" over 1, sqrt m,
+    sqrt n, sqrt(mn), each "p" or "p/q" like a term's coefficient (no exponent,
+    whose expansion could take minutes), under the space rule; else ValueError."""
+    coords = []
+    for part in _spaceless(text).split(","):
+        m = _TERM_RE.fullmatch(part)
+        try:
+            if m is None or m[3] is not None:
+                raise ValueError(f"malformed coordinate {part!r}")
+            coords.append(Rat(int(m[1]), int(m[2] or 1)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coordinate list {text!r}: {exc}") from None
+    den, u = _clear_denominators(from_literal_coords(shape, tuple(coords)))
+    return u, den
+
+
+def read_triangle(shape: Shape, text: str) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The cells (u, den) for `GramForm.from_numerators` of a row-major upper
+    triangle of ";"-separated `read_coords` entries, none empty (not dropped)."""
+    entries = text.split(";")
+    if not all(map(_spaceless, entries)):
+        raise ValueError(f"empty entry in --gram {text!r}")
+    k = len(entries)
+    r = (isqrt(8 * k + 1) - 1) // 2
+    if r * (r + 1) // 2 != k:
+        raise ValueError(f"{k} entries do not fill an upper triangle (expected r*(r+1)/2)")
+    cells = iter([read_coords(shape, e) for e in entries])
+    upper = [[next(cells) for _ in range(i, r)] for i in range(r)]
+    return [[upper[min(i, j)][abs(i - j)] for j in range(r)] for i in range(r)]
+
+
+def read_count(text: str) -> int | None:
+    """A count in ASCII digits alone, else None: int() also reads signs and spaces."""
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def render_radical(x: Radical) -> str:
@@ -361,18 +410,6 @@ def to_literal_coords(x: Radical) -> tuple[Rat, ...]:
 
 
 def parse_coords(shape: Shape, text: str) -> Radical:
-    """Parse the comma grammar "q0,q1[,q2,q3]" of literal coordinates, each
-    "p" or "p/q" like a term's coefficient (no exponent, whose expansion
-    could take minutes, and no decimal point), with spaces but no other
-    whitespace around it."""
-    coords = []
-    for part in text.split(","):
-        part = part.strip(" ")
-        m = _TERM_RE.fullmatch(part)
-        try:
-            if m is None or m[3] is not None:
-                raise ValueError(f"malformed coordinate {part!r}")
-            coords.append(Rat(int(m[1]), int(m[2] or 1)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad coordinate list {text!r}: {exc}") from None
-    return from_literal_coords(shape, tuple(coords))
+    """The value whose literal coordinates text gives (`read_coords`)."""
+    u, den = read_coords(shape, text)
+    return Radical(shape, tuple(Rat(p, den) for p in u))

@@ -145,6 +145,42 @@ class TestSchemaErrors:
             parse_certificate(text)
         assert err.value.location == location
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a":' * 1000,
+            "[" * 100_000,
+            "[" * 5000 + "]" * 5000,
+            # int()'s digit limit, met while the JSON is read
+            '{"format_version":' + "1" * 5000 + ',"field":"Q","gram":["1"],"rows":[]}',
+        ],
+        ids=["deep-object", "deep-array", "deep-closed", "long-integer"],
+    )
+    def test_unreadable_json_is_a_schema_error_at_the_root(self, text):
+        # a RecursionError from json.loads once escaped as a traceback
+        with pytest.raises(SchemaError) as err:
+            parse_certificate(text)
+        assert err.value.location == "$"
+
+    @pytest.mark.parametrize("key", ["gram", "rows", "field", "format_version"])
+    def test_duplicate_keys_are_refused(self, key):
+        # json keeps the last value: this file once read its second gram, ["1"]
+        base = '{"field":"Q","format_version":1,"gram":["4"],"rows":[["2"]]'
+        value = {"gram": '["1"]', "rows": '[["1"]]', "field": '"Q"', "format_version": "1"}[key]
+        with pytest.raises(SchemaError, match="duplicate key") as err:
+            parse_certificate(base + f',"{key}":{value}}}')
+        assert err.value.location == f"$.{key}"
+
+    def test_a_key_repeated_in_a_nested_object_is_refused(self):
+        text = '{"extra":{"a":1,"a":2},"field":"Q","format_version":1,"gram":["4"],"rows":[["2"]]}'
+        with pytest.raises(SchemaError, match="duplicate key") as err:
+            parse_certificate(text)
+        assert err.value.location == "$.a"
+
+    def test_unknown_keys_stay_accepted(self):
+        text = '{"extra":{"a":1},"field":"Q","format_version":1,"gram":["4"],"rows":[["2"]]}'
+        assert verify_document(parse_certificate(text)).ok
+
     def test_zero_denominator_in_parse_radical(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_radical(Shape((5,)), "1/0 + 0*sqrt(5)")

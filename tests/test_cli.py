@@ -35,6 +35,19 @@ class TestFieldInfo:
             assert code == 2, text
             assert "input error" in err, text
 
+    @pytest.mark.parametrize(
+        "text", ["Q(sqrt 6)\n", "Q(sqrt\t6)", "Q(sqrt 6,\nsqrt 7)", "Q(sqrt\u00a06)", "\u2003Q"]
+    )
+    def test_whitespace_other_than_spaces_is_an_input_error(self, capsys, text):
+        # the descriptor once dropped every whitespace character
+        code, out, err = run(capsys, "field", "info", text)
+        assert code == 2 and out == ""
+        assert err == f"input error: cannot parse field descriptor {text!r}\n"
+
+    def test_spaces_are_ignored_anywhere(self, capsys):
+        spaced = run(capsys, "field", "info", "Q ( s qrt 1 7 )")
+        assert spaced == run(capsys, "field", "info", "Q(sqrt 17)") and spaced[0] == 0
+
     def test_digits_in_other_scripts_are_input_errors(self, capsys):
         # int() reads \u0666 as 6 and \u0663 as 3; the grammar is ASCII digits
         for argv in (
@@ -85,6 +98,17 @@ class TestElemLength:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert err.startswith("input error: bad coordinate list "), argv
+
+    def test_spaces_inside_a_coordinate_are_ignored(self, capsys):
+        # as in a certificate entry: "1 2" is 12
+        for argv in (
+            ("elem", "length", "Q", "--coords", "1 2"),
+            ("form", "length", "Q", "--gram", "1 2"),
+            ("elem", "length", "Q(sqrt 5)", "--coords", "2 3 , - 1"),
+            ("form", "length", "Q(sqrt 5)", "--gram", "2 3 , - 1;1 / 2,1/ 2;1 2 , 1"),
+        ):
+            spaceless = run(capsys, *argv[:-1], argv[-1].replace(" ", ""))
+            assert spaceless[0] == 0 and run(capsys, *argv) == spaceless, argv
 
     def test_spaces_around_a_coordinate_are_ignored(self, capsys):
         for argv in (
@@ -290,6 +314,14 @@ class TestDescendVerify:
             # whitespace other than spaces, which the element text does not ignore
             ('{"field":"Q","format_version":1,"gram":["1\\n"],"rows":[["1"]]}', "$.gram[0]"),
             ('{"field":"Q","format_version":1,"gram":["1"],"rows":[["1\\t"]]}', "$.rows[0][0]"),
+            # JSON nested deeper than the reader goes, and int()'s digit limit
+            ('{"a":' * 1000, "$"),
+            ("[" * 100_000, "$"),
+            ('{"field":"Q","format_version":' + "1" * 5000 + ',"gram":["1"],"rows":[]}', "$"),
+            # the first gram is certified by the row; a reader that kept the
+            # last one answered "verification failed" (exit 1)
+            ('{"field":"Q","format_version":1,"gram":["4"],"rows":[["2"]],"gram":["1"]}', "$.gram"),
+            ('{"field":"Q\\t","format_version":1,"gram":["1"],"rows":[["1"]]}', "$.field"),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "descend"])
@@ -395,6 +427,19 @@ class TestIntegerOptions:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "expected ASCII digits" in captured.err
+
+    @pytest.mark.parametrize("value", [",", "17,,29", "17,", ",17", ""])
+    def test_empty_n_items_are_usage_errors(self, capsys, monkeypatch, value):
+        # they were dropped: "--n ," ran the default n list and passed
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran the suite with an empty --n item")
+
+        monkeypatch.setattr("soslen.suite.run_suite", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "run", "--case", "peters", "--n", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == "soslen suite run: error: argument --n: expected ASCII digits, got ''\n"
 
     def test_ascii_digits_are_read(self, capsys):
         code, out, _ = run(capsys, "elem", "length", "Q", "--coords", "7", "--max-squares", "0004")

@@ -40,6 +40,8 @@ class TestDescriptorGrammar:
             ("Q(sqrt17)", (17,)),
             ("  Q ( sqrt 6 , sqrt 7 ) ", (6, 7)),
             ("Q(sqrt 10, sqrt 65)", (10, 65)),
+            # a space is ignored anywhere, as in an element's text
+            ("Q ( s qrt 1 7 )", (17,)),
         ],
     )
     def test_parse(self, text, radicands):
@@ -62,6 +64,11 @@ class TestDescriptorGrammar:
             "Q(sqrt \u0666)",
             "Q(sqrt 6, sqrt \u0667)",
             "Q(sqrt \uff16)",
+            # no whitespace but the ASCII space is ignored
+            "Q(sqrt 6)\n",
+            "Q(sqrt\t6)",
+            "Q(sqrt 6,\r\nsqrt 7)",
+            "Q(sqrt\u00a06)",
         ):
             with pytest.raises(InvalidRadicandError):
                 parse_descriptor(bad)

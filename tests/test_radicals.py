@@ -22,7 +22,14 @@ from soslen import (
     to_literal_coords,
 )
 from soslen.fields import EMBEDDING_TABLE_BITS
-from soslen.radicals import read_numerators, render_numerators
+from soslen.radicals import (
+    _clear_denominators,
+    read_coords,
+    read_count,
+    read_numerators,
+    read_triangle,
+    render_numerators,
+)
 
 import reference_text
 
@@ -289,6 +296,40 @@ class TestTextForms:
         assert parse_coords(Q17, "11/2,1/2") == Radical(Q17, (F(11, 2), F(1, 2)))
         with pytest.raises(ValueError):
             parse_coords(Q17, "1,2,3")
+
+    def test_coords_follow_the_space_rule(self):
+        # spaces are ignored anywhere, as in an element's text
+        assert parse_coords(Q6, " 1 2 , - 3 / 4 ") == lit(Q6, 12, F(-3, 4))
+        for text in ("1\t,2", "1,2\n", "1,\u00a02", "1,\u20032"):
+            with pytest.raises(ValueError, match="malformed coordinate"):
+                parse_coords(Q6, text)
+
+    @pytest.mark.parametrize("shape", [Q, Q6, Q67, Shape((10, 65))])
+    def test_read_coords_gives_integer_numerators(self, shape):
+        rng = random.Random(shape.degree)
+        for _ in range(50):
+            coords = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(shape.degree)]
+            den, u = _clear_denominators(lit(shape, *coords))
+            text = ",".join(f"{q.numerator}/{q.denominator}" for q in coords)
+            assert read_coords(shape, text) == (u, den)
+            assert parse_coords(shape, text) == lit(shape, *coords)
+
+    def test_read_triangle(self):
+        cells = read_triangle(Q6, "1,0; 2 , 1/2 ;3,0")
+        assert cells == [[((1, 0), 1), ((4, 1), 2)], [((4, 1), 2), ((3, 0), 1)]]
+        for text, message in (
+            ("1;;2", "empty entry"),
+            ("1; ;2", "empty entry"),
+            ("1;2", "do not fill an upper triangle"),
+            ("1;\t;2", "malformed coordinate"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                read_triangle(Q, text)
+
+    def test_read_count(self):
+        assert read_count("0004") == 4
+        for text in ("", " 3", "3 ", "-1", "+3", "3_0", "\u0663", "\uff13", "\u00b3"):
+            assert read_count(text) is None, text
 
     @pytest.mark.parametrize(
         "text",

@@ -46,6 +46,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes a value that starts with `-` for an option: --coords=-1,0
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 2, -1, -1):
+            if args[i] in ("--coords", "--gram") and args[i + 1].startswith("-"):
+                args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
+
 
 def _count(text: str) -> int:
     """The argparse type of the integer options (`read_count`)."""

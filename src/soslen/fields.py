@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable
@@ -170,14 +170,6 @@ def _multiplier(tensor) -> Callable[[tuple[int, ...], tuple[int, ...]], tuple[in
     return namespace["mul_coords"]
 
 
-def _parity_mask(coords: tuple[int, ...]) -> int:
-    """The coordinates mod 2 as a bit mask, coordinate i at bit i."""
-    mask = 0
-    for c in reversed(coords):
-        mask = mask << 1 | c & 1
-    return mask
-
-
 class Field:
     """A ring of integers with its integral basis and real embeddings."""
 
@@ -255,15 +247,6 @@ class Field:
             tensor.append(row)
         self._mul_tensor = tuple(tuple(r) for r in tensor)
         self.mul_coords = _multiplier(self._mul_tensor)
-        # x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O, since c_i^2 - c_i
-        # and the cross terms are even, so every sum of squares has its
-        # coordinate parities in the F_2-span of those of the b_i^2: all of
-        # that span, as parity bit masks (`_parity_mask`)
-        span = {0}
-        for i in range(d):
-            square = _parity_mask(tensor[i][i])
-            span |= {m ^ square for m in span}
-        self._square_span = frozenset(span)
         traces = []
         for b in self.integral_basis:
             t = b.trace()
@@ -456,10 +439,38 @@ class Field:
             return -1
         return self.radical_of_coords(coords).sign_at(self.embeddings[emb_index])
 
-    def coords_in_square_span(self, coords: tuple[int, ...]) -> bool:
-        """Whether the integral element is congruent mod 2O to a sum of
-        squares, as every sum of squares is."""
-        return _parity_mask(coords) in self._square_span
+    @cached_property
+    def _local_floors(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """The mask 2^e - 1 of the coordinates mod 2^e O, e = max(2, 8 // d)
+        (at most 256 residues), and the least number of squares summing to
+        each residue that is a sum of squares mod 2^e O: one square is added
+        per level, until a level reaches no new residue.  For e >= 2,
+        (x + 2^(e-1) y)^2 = x^2 + 2^e xy + 2^(2e-2) y^2, so the squares mod
+        2^e O are those of x mod 2^(e-1) O."""
+        d = self.degree
+        e = max(2, 8 // d)
+        mask = (1 << e) - 1
+        squares = {
+            tuple([c & mask for c in self.mul_coords(x, x)])
+            for x in itertools.product(range(1 << (e - 1)), repeat=d)
+        }
+        floors: dict[tuple[int, ...], int] = {}
+        level, k = {(0,) * d}, 0
+        while level:
+            floors.update(dict.fromkeys(level, k))
+            k += 1
+            sums = {tuple([(u + v) & mask for u, v in zip(a, s)]) for a in level for s in squares}
+            level = sums - floors.keys()
+        return mask, floors
+
+    def local_floor(self, coords: tuple[int, ...]) -> int | None:
+        """The least k such that the integral element is a sum of k squares
+        mod 2^e O (`_local_floors`), or None when it is no sum of squares
+        there.  Reduction mod 2^e O is a ring map, so an element that is a
+        sum of k squares in O is one mod 2^e O, and of every larger number
+        of them, since 0 is a square: k is a lower bound on its length."""
+        mask, floors = self._local_floors
+        return floors.get(tuple([c & mask for c in coords]))
 
     def coords_totally_nonneg(self, coords: tuple[int, ...]) -> bool:
         return all(

@@ -8,12 +8,12 @@ sum-of-squares lattice; exhaustiveness comes from complete candidate
 enumeration inside conjugate-bound coordinate boxes plus prunes that only
 discard provably infeasible branches:
 
-  * a Gram is not searched at all when a diagonal entry lies outside the
-    span of the squares: x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O,
-    so every sum of squares, each diagonal entry of a representation
-    among them, has its coordinate parities in the F_2-span of those of
-    the b_i^2 (`Field.coords_in_square_span`); `_Kept` tests it once per
-    Gram, before any pool is built;
+  * no budget below the local floor of a diagonal entry is searched: mod
+    2^e O (a ring map) a representation by k rows makes each diagonal entry
+    a sum of k squares, and of any more, since 0 is a square;
+    `Field.local_floor` gives the least such k, or None, with e = 8 over Z,
+    4 over quadratic and 2 over quartic rings, and `_Kept` reads it once
+    per Gram, before any pool is built;
   * a branch dies when a principal minor of its remainder is proven
     negative at some embedding: the DFS carries the remainder's embedding
     values as floats, starting from those of G (`RowPool.root`), and cuts
@@ -1025,21 +1025,20 @@ def _search(pool: RowPool, budget: int, memo: dict) -> list[int] | None:
 class _Kept:
     """The search of one Gram, kept across calls by `_kept`, which keeps the
     last one only, so the length of G (+) <1> right after G's finds G's: its
-    PSD verdict, whether its diagonal lies in the span of the squares, its
-    pool (built on first use; a refused one is not kept), one memo for every
-    budget and call, the next budget `shortest` has not searched and, once
-    one succeeds, its witness; `search` and `shortest` are the queries of
-    `_answer`."""
+    PSD verdict, the largest local floor of its diagonal entries (`in_span`
+    when each has one, `Field.local_floor`), its pool (built on first use; a
+    refused one is not kept), one memo for every budget and call, the next
+    budget `shortest` has not searched and, once one succeeds, its witness;
+    `search` and `shortest` are the queries of `_answer`."""
 
     def __init__(self, gram: GramForm) -> None:
         self.gram = gram
         self.psd = totally_psd(gram)
         # each G_jj of a representation is a sum of squares; 2G_jj is even
         field = gram.field
-        self.in_span = all(
-            field.coords_in_square_span([c >> 1 for c in gram.doubled[j][j]])
-            for j in range(gram.rank)
-        )
+        floors = [field.local_floor([c >> 1 for c in row[j]]) for j, row in enumerate(gram.doubled)]
+        self.in_span = None not in floors
+        self.floor = max(floors) if self.in_span else None
         self.pool: RowPool | None = None
         self.memo: dict = {}
         self.next: int | None = None
@@ -1054,34 +1053,34 @@ class _Kept:
         """Pool indices of a representation of the totally PSD gram by at
         most `budget` rows, or None: a search of this budget alone, on the
         kept pool and memo, so it finds the certificate a cold search
-        finds.  A Gram whose diagonal lies outside the span of the squares
-        has none at all."""
+        finds.  A budget below the local floor has none, and builds no
+        pool."""
         if self.gram.is_zero():
             return []
-        if not self.in_span:
+        if not self.in_span or budget < self.floor:
             return None
         return _search(self.row_pool(), budget, self.memo)
 
     def shortest(self, s_max: int) -> list[int] | None:
         """Pool indices of a shortest representation of the totally PSD gram
         by at most s_max >= 0 rows, or None.  Budgets are deepened upward from
-        a sound lower bound (matrix rank, remainder-trace quotient), each call
-        from the first one not yet searched, so the first witness is of
-        minimal size and answers every later call.  None has more than
-        trace(G) / (smallest row key) rows, nor more than g_Z(r d) for a
-        Gram of r columns over a ring of degree d (the paper's bound, where
-        `g_table` is exact), so no larger budget is searched.  A Gram whose
-        diagonal lies outside the span of the squares has none at all.
+        a sound lower bound (matrix rank, remainder-trace quotient, local
+        floor), each call from the first one not yet searched, so the first
+        witness is of minimal size and answers every later call.  None has
+        more than trace(G) / (smallest row key) rows, nor more than g_Z(r d)
+        for a Gram of r columns over a ring of degree d (the paper's bound,
+        where `g_table` is exact), so no larger budget is searched.  When the
+        local floor exceeds s_max, or there is none, no pool is built.
         """
         if self.gram.is_zero():
             return []
-        if not self.in_span:
+        if not self.in_span or self.floor > s_max:
             return None
         pool = self.row_pool()
         if len(pool) == 0:
             return None
         if self.next is None:
-            self.next = max(1, gram_rank(self.gram), -(-pool.trace // pool.keys[0]))
+            self.next = max(1, gram_rank(self.gram), -(-pool.trace // pool.keys[0]), self.floor)
         top = min(s_max, pool.trace // pool.keys[-1])
         cap = g_table(self.gram.rank * self.gram.field.degree)
         if isinstance(cap, Exact):

@@ -118,6 +118,17 @@ class TestElemLength:
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out == "length: 4\n", argv
 
+    def test_a_value_that_starts_with_a_minus_sign(self, capsys):
+        # argparse alone takes -1,0 for an option and exits 2
+        not_sos = "not a sum of squares (not-totally-psd)\n"
+        for argv, value, out in (
+            (("elem", "length", "Q(sqrt 2)", "--coords"), "-1,0", not_sos),
+            (("form", "length", "Q(sqrt 2)", "--gram"), "-1,0", not_sos),
+            (("form", "represent", "Q", "--squares", "3", "--gram"), "-7", "not totally positive semidefinite\n"),
+        ):
+            joined = run(capsys, *argv[:-1], f"{argv[-1]}={value}")
+            assert run(capsys, *argv, value) == joined == (1, out, ""), argv
+
     def test_not_sos(self, capsys):
         code, out, _ = run(
             capsys, "elem", "length", "Q(sqrt 6)", "--coords", "1,1"

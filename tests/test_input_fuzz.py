@@ -53,6 +53,12 @@ def run(argv):
     return code, out.getvalue(), err.getvalue(), usage
 
 
+def option(name: str, value: str, joined: bool) -> list[str]:
+    """`name=value` or `name value`: the command line reads both alike, also
+    a value that starts with `-`."""
+    return [f"{name}={value}"] if joined else [name, value]
+
+
 def check(argv, valid: bool):
     code, out, err, usage = run(argv)
     if valid:
@@ -141,35 +147,41 @@ class TestFieldInfo:
 
 class TestElemLength:
     @FUZZ
-    @given(element_args())
-    def test_valid(self, args):
+    @given(element_args(), st.booleans())
+    def test_valid(self, args, joined):
         descriptor, coords = args
-        check(["elem", "length", descriptor, f"--coords={coords}", "--max-squares", "3"], valid=True)
+        argv = ["elem", "length", descriptor, *option("--coords", coords, joined)]
+        check([*argv, "--max-squares", "3"], valid=True)
 
     @FUZZ
-    @given(element_args().flatmap(lambda a: st.tuples(st.just(a[0]), fuzzed(st.just(a[1])))))
-    def test_fuzzed(self, args):
+    @given(
+        element_args().flatmap(lambda a: st.tuples(st.just(a[0]), fuzzed(st.just(a[1])))),
+        st.booleans(),
+    )
+    def test_fuzzed(self, args, joined):
         descriptor, coords = args
-        check(["elem", "length", descriptor, f"--coords={coords}", "--max-squares", "3"], valid=False)
+        argv = ["elem", "length", descriptor, *option("--coords", coords, joined)]
+        check([*argv, "--max-squares", "3"], valid=False)
 
 
 class TestFormCommands:
     @FUZZ
-    @given(gram_args(), st.sampled_from(("length", "represent")))
-    def test_valid(self, args, command):
+    @given(gram_args(), st.sampled_from(("length", "represent")), st.booleans())
+    def test_valid(self, args, command, joined):
         descriptor, gram = args
         budget = ["--max-squares", "3"] if command == "length" else ["--squares", "3"]
-        check(["form", command, descriptor, f"--gram={gram}", *budget], valid=True)
+        check(["form", command, descriptor, *option("--gram", gram, joined), *budget], valid=True)
 
     @FUZZ
     @given(
         gram_args().flatmap(lambda a: st.tuples(st.just(a[0]), fuzzed(st.just(a[1])))),
         st.sampled_from(("length", "represent")),
+        st.booleans(),
     )
-    def test_fuzzed(self, args, command):
+    def test_fuzzed(self, args, command, joined):
         descriptor, gram = args
         budget = ["--max-squares", "3"] if command == "length" else ["--squares", "3"]
-        check(["form", command, descriptor, f"--gram={gram}", *budget], valid=False)
+        check(["form", command, descriptor, *option("--gram", gram, joined), *budget], valid=False)
 
 
 @st.composite

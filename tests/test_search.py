@@ -46,6 +46,7 @@ from soslen.search import (
 )
 from soslen.suite import _random_rows, totally_positive_elements
 import reference_search
+from reference_mul import tensor_mul
 from reference_scan import half_box_scan
 from reference_search import (
     ProductPool,
@@ -1748,50 +1749,107 @@ def _parities(coords):
     return sum((c & 1) << i for i, c in enumerate(coords))
 
 
+def _local_modulus(field):
+    """2^e, e = max(2, 8 // d): the modulus of the local floors."""
+    return 1 << max(2, 8 // field.degree)
+
+
+def _floor_table(field):
+    """Brute force of `Field.local_floor` with the loop product
+    `tensor_mul`: the squares of every x mod 2^e, which are those of x mod
+    2^(e-1), and each residue mod 2^e at the least k such that it is a sum
+    of k of them, until a k adds nothing."""
+    d = field.degree
+    m = _local_modulus(field)
+
+    def squares(modulus):
+        return {
+            tuple(c % m for c in tensor_mul(field._mul_tensor, x, x))
+            for x in itertools.product(range(modulus), repeat=d)
+        }
+
+    ones = squares(m >> 1)
+    assert squares(m) == ones
+    table = {}
+    sums = {(0,) * d}
+    for k in itertools.count():
+        for r in sums:
+            table.setdefault(r, k)
+        more = {tuple((a + b) % m for a, b in zip(r, x)) for r in sums for x in ones}
+        if more == sums:
+            return m, table
+        sums = more
+
+
 SPAN_SHAPES = [(), (2,), (3,), (5,), (6,), (13,), (2, 5), (6, 7), (13, 15), (10, 65)]
+FLOOR_SHAPES = [(), (2,), (5,), (6, 7), (13, 15)]
 
 
-class TestSquareSpan:
-    """x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O, so every sum of
-    squares lies in the F_2-span of the b_i^2 mod 2O
-    (`Field.coords_in_square_span`); a Gram with a diagonal entry outside it
-    is answered without a pool."""
+class TestLocalFloor:
+    """Reduction mod 2^e O is a ring map, so a sum of k squares is one mod
+    2^e O, and of every larger number of them, 0 being a square: the least
+    such k (`Field.local_floor`) bounds the length from below, and an
+    element with none is no sum of squares.  No budget below a Gram's
+    largest diagonal floor is searched, and a Gram without one is answered
+    without a pool."""
 
-    @pytest.mark.parametrize("radicands", [(), (2,), (5,), (6, 7), (13, 15)], ids=str)
-    def test_every_diagonal_of_a_sum_of_squares_is_in_the_span(self, radicands):
+    @pytest.mark.parametrize("radicands", FLOOR_SHAPES, ids=str)
+    def test_every_diagonal_of_a_sum_of_squares_has_a_floor(self, radicands):
         field = make_field(Shape(radicands))
         rng = random.Random(f"square-span:{radicands}")
         spread = 3 if field.degree == 1 else 2
         for i in range(40):
-            gram = GramForm.from_rows(field, _random_rows(rng, field, 1 + i % 3, 6, spread))
+            rows = _random_rows(rng, field, 1 + i % 3, 6, spread)
+            gram = GramForm.from_rows(field, rows)
             icoords = gram.integral_coords()
             for j in range(gram.rank):
-                assert field.coords_in_square_span(icoords[j][j]), (gram, j)
-            assert search._Kept(gram).in_span
+                floor = field.local_floor(icoords[j][j])
+                assert floor is not None and floor <= len(rows), (gram, j)
+            kept = search._Kept(gram)
+            assert kept.in_span and kept.floor <= len(rows)
 
     @pytest.mark.parametrize("radicands", SPAN_SHAPES, ids=str)
-    def test_the_span_of_the_squares_of_zero_one_vectors(self, radicands):
+    def test_the_tables_equal_a_brute_force(self, radicands):
+        field = make_field(Shape(radicands))
+        m, table = _floor_table(field)
+        assert m**field.degree == 256
+        # the floors are read mod 2^e: m times any basis element has floor 0
+        for i in range(field.degree):
+            assert field.local_floor(tuple(m * (j == i) for j in range(field.degree))) == 0
+        rng = random.Random(f"local-floor-brute:{radicands}")
+        for y in itertools.product(range(m), repeat=field.degree):
+            want = table.get(y)
+            assert field.local_floor(y) == want, y
+            # only the residue mod 2^e counts
+            shifted = tuple(c + m * rng.randint(-50, 50) for c in y)
+            assert field.local_floor(shifted) == want, shifted
+
+    @pytest.mark.parametrize("radicands", SPAN_SHAPES, ids=str)
+    def test_the_stable_set_mod_2_is_the_span_of_the_squares(self, radicands):
+        # x = sum c_i b_i has x^2 = sum c_i b_i^2 mod 2O, so the sums of
+        # squares mod 2O are the F_2-span of the squares of 0-1 vectors
         field = make_field(Shape(radicands))
         d = field.degree
         span = {0}
         for x in itertools.product((0, 1), repeat=d):
             square = _parities(field.mul_coords(x, x))
             span |= {m ^ square for m in span}
-        rng = random.Random(f"square-span-brute:{radicands}")
-        for y in itertools.product((0, 1), repeat=d):
-            want = _parities(y) in span
-            assert field.coords_in_square_span(y) == want, y
-            # only the parities count
-            shifted = tuple(c + 2 * rng.randint(-50, 50) for c in y)
-            assert field.coords_in_square_span(shifted) == want, shifted
+        m = _local_modulus(field)
+        stable = {
+            _parities(y)
+            for y in itertools.product(range(m), repeat=d)
+            if field.local_floor(y) is not None
+        }
+        assert stable == span
 
     @pytest.mark.parametrize("radicands", [(), (5,)], ids=str)
-    def test_the_span_is_all_of_o_where_siegel_says_so(self, radicands):
+    def test_no_residue_is_excluded_where_siegel_says_so(self, radicands):
         # Q and Q(sqrt 5) are the fields where every totally positive integer
-        # is a sum of squares, so no parity can be excluded there
+        # is a sum of squares, and every residue holds totally positive ones
         field = make_field(Shape(radicands))
-        for y in itertools.product((0, 1), repeat=field.degree):
-            assert field.coords_in_square_span(y)
+        m = _local_modulus(field)
+        for y in itertools.product(range(m), repeat=field.degree):
+            assert field.local_floor(y) is not None, y
 
     def test_answers_equal_those_without_the_test(self, monkeypatch):
         elements = []
@@ -1805,16 +1863,49 @@ class TestSquareSpan:
 
         with_test = answers()
         with monkeypatch.context() as m:
-            m.setattr(Field, "coords_in_square_span", lambda self, coords: True)
+            m.setattr(Field, "local_floor", lambda self, coords: 0)
             without = answers()
         search._kept.cache_clear()
         assert with_test == without
-        outside = [a for a in elements if not a.field.coords_in_square_span(a.coords)]
+        floors = [a.field.local_floor(a.coords) for a in elements]
+        outside = [a for a, floor in zip(elements, floors) if floor is None]
         assert sum(isinstance(res, ExceedsBound) for res in with_test) == 936
         assert len(outside) == 902
         assert all(element_length(a, 10**9) == ExceedsBound(10**9) for a in outside)
+        # no length found without the floors lies below one, and many equal it
+        found = [(res, floor) for res, floor in zip(without, floors) if isinstance(res, int)]
+        assert all(floor is not None and res >= floor for res, floor in found)
+        assert sum(res == floor == 2 for res, floor in found) == 524
+        assert sum(res == floor == 3 for res, floor in found) == 502
 
-    def test_outside_the_span_no_pool_is_built(self, monkeypatch):
+    @pytest.mark.parametrize("radicands", FLOOR_SHAPES, ids=str)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_no_length_lies_below_a_floor(self, radicands, data):
+        field = make_field(Shape(radicands))
+        spread = 1 if field.degree == 4 else 3
+        rank = data.draw(st.integers(1, 2), label="rank")
+        coords = st.tuples(*[st.integers(-spread, spread)] * field.degree)
+        rows = data.draw(
+            st.lists(st.tuples(*[coords] * rank), min_size=1, max_size=4), label="rows"
+        )
+        gram = GramForm.from_rows(
+            field, [tuple(field.element_from_coords(c) for c in row) for row in rows]
+        )
+        if gram.is_zero() or TestPrunedPoolDifferential.product_size(gram) > 3000:
+            return
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Field, "local_floor", lambda self, coords: 0)
+            search._kept.cache_clear()
+            t = length(gram, len(rows))
+        search._kept.cache_clear()
+        icoords = gram.integral_coords()
+        for j in range(rank):
+            floor = field.local_floor(icoords[j][j])
+            assert floor is not None and floor <= t <= len(rows), (gram, j)
+        assert length(gram, len(rows)) == t
+
+    def test_without_a_floor_no_pool_is_built(self, monkeypatch):
         builds = []
         build = search.RowPool
         monkeypatch.setattr(search, "RowPool", lambda *args: builds.append(args) or build(*args))
@@ -1835,6 +1926,30 @@ class TestSquareSpan:
         assert length_certificate(negative, 3) == NotSoS("not-totally-psd")
         assert builds == []
 
+    def test_no_budget_below_the_floor_is_searched(self, monkeypatch):
+        builds, budgets = [], []
+        build, run = search.RowPool, search._search
+        monkeypatch.setattr(search, "RowPool", lambda *args: builds.append(1) or build(*args))
+        monkeypatch.setattr(
+            search, "_search", lambda pool, budget, memo: budgets.append(budget) or run(pool, budget, memo)
+        )
+        # 7 is no sum of three squares mod 8, nor 112 = 16 * 7 mod 256
+        assert Q.local_floor((7,)) == Q.local_floor((112,)) == 4
+        search._kept.cache_clear()
+        assert represent(zgram([7]), 3) == ExceedsBound(3)
+        assert length(zgram([7]), 3) == ExceedsBound(3)
+        # a Gram's floor is the largest of its diagonal's: 4 for diag(2, 7)
+        assert search._kept(zgram([2, 0], [0, 7])).floor == 4
+        assert represent(zgram([2, 0], [0, 7]), 3) == ExceedsBound(3)
+        assert builds == budgets == []
+        search._kept.cache_clear()
+        t, cert = length_certificate(zgram([112]), 10**9)
+        assert t == 4 and budgets == [4] and len(builds) == 1
+        # without the floor the deepening starts at the trace quotient
+        pool = search._kept(zgram([112])).pool
+        assert -(-pool.trace // pool.keys[0]) == 2
+        search._kept.cache_clear()
+
 
 class TestPaperCap:
     """Deepening stops at g_Z(r d), the paper's bound, where `gtable` is
@@ -1844,7 +1959,7 @@ class TestPaperCap:
     def test_an_element_in_the_span_stops_at_g_z_of_d(self, monkeypatch):
         field = make_field(Shape((13,)))
         alpha = field.element_from_coords((38, 29))  # 38 + 29 (1 + sqrt13)/2
-        assert field.coords_in_square_span(alpha.coords)
+        assert field.local_floor(alpha.coords) is not None
         budgets = []
         run = search._search
         monkeypatch.setattr(
